@@ -21,21 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import ndimage
-
 from .monomials import (
     DimensionMismatchError,
     Exponent,
     MonomialIdeal,
     StandardSet,
     format_ideal,
-    standard_set,
 )
-from .tangent import alpha_support_box, graded_dimension
-
-#: 6-connectivity: unit step in exactly one coordinate
-SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
+from .tangent import _cells_of, alpha_support_box, graded_dimension
 
 
 class UnsupportedDimensionError(ValueError):
@@ -72,50 +65,40 @@ def default_size_filter(ideal: MonomialIdeal) -> int:
 def region_cells(ideal: MonomialIdeal, alpha,
                  standard: StandardSet | None = None) -> frozenset[Exponent]:
     """Standard cells p with p - alpha outside the nonnegative octant or
-    inside the ideal region.
-
-    Confined to the finite standard region, so independent of any grid
-    window used to realize it.
-    """
+    inside the ideal region."""
     alpha = _check_three_vars(ideal, alpha)
-    std = standard if standard is not None else standard_set(ideal)
     out = set()
-    for p in std.cells:
+    for p in _cells_of(ideal, standard):
         q = (p[0] - alpha[0], p[1] - alpha[1], p[2] - alpha[2])
         if q[0] < 0 or q[1] < 0 or q[2] < 0 or ideal.contains(q):
             out.add(p)
     return frozenset(out)
 
 
-def _components(cells, shape, pad: int = 0) -> tuple[frozenset[Exponent], ...]:
-    """6-connected components of a cell set realized on a grid.
-
-    ``pad`` enlarges the window on every side; the result never depends on
-    it (cells are finite), which the tests assert.
-    """
-    if not cells:
-        return ()
-    grid = np.zeros(tuple(s + 2 * pad for s in shape), dtype=np.uint8)
-    for c in cells:
-        grid[c[0] + pad, c[1] + pad, c[2] + pad] = 1
-    labeled, ncomp = ndimage.label(grid, structure=SIX_CONNECTED)
+def _components(cells) -> tuple[frozenset[Exponent], ...]:
+    """6-connected components of a finite cell set (unit step in exactly
+    one coordinate), ordered by least cell."""
+    unseen = set(cells)
     comps = []
-    for idx in range(1, ncomp + 1):
-        coords = np.argwhere(labeled == idx)
-        comps.append(frozenset((int(a) - pad, int(b) - pad, int(c) - pad)
-                               for a, b, c in coords))
+    while unseen:
+        comp = [unseen.pop()]
+        for a, b, c in comp:  # comp grows while walked: a breadth-first queue
+            for q in ((a - 1, b, c), (a + 1, b, c), (a, b - 1, c),
+                      (a, b + 1, c), (a, b, c - 1), (a, b, c + 1)):
+                if q in unseen:
+                    unseen.remove(q)
+                    comp.append(q)
+        comps.append(frozenset(comp))
     comps.sort(key=min)
     return tuple(comps)
 
 
 def region_slice(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
-                 standard: StandardSet | None = None, _window_pad: int = 0) -> RegionSlice:
+                 standard: StandardSet | None = None) -> RegionSlice:
     """Cells, components, and the filtered component count at one degree."""
     alpha = _check_three_vars(ideal, alpha)
-    std = standard if standard is not None else standard_set(ideal)
-    cells = region_cells(ideal, alpha, standard=std)
-    m = ideal.pure_powers()
-    components = _components(cells, m, pad=_window_pad)
+    cells = region_cells(ideal, alpha, standard=standard)
+    components = _components(cells)
     threshold = default_size_filter(ideal) if size_filter is None else size_filter
     counted = sum(1 for comp in components if len(comp) <= threshold)
     return RegionSlice(alpha=alpha, cells=cells, components=components, counted=counted)

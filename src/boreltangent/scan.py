@@ -142,20 +142,15 @@ def _store_cached(cache_dir, nvars: int, l: int, records: dict[int, ScanRecord])
     os.replace(tmp, path)
 
 
-def _tangent_total_task(item):
-    gens, cells = item
-    return _total_from_staircase(gens, cells)
-
-
 def _scan_level(nvars: int, l: int, items, pool, workers: int,
                 budget_seconds, started: float) -> dict[int, ScanRecord]:
     """Max/argmax per m1 class over one colength's canonical item list."""
     tasks = [(gens, cells) for _text, gens, cells in items]
     if pool is not None and len(tasks) > workers:
         chunk = max(1, min(128, len(tasks) // (workers * 4) or 1))
-        totals_iter = pool.imap(_tangent_total_task, tasks, chunksize=chunk)
+        totals_iter = pool.imap(_total_from_staircase, tasks, chunksize=chunk)
     else:
-        totals_iter = map(_tangent_total_task, tasks)
+        totals_iter = map(_total_from_staircase, tasks)
 
     best: dict[int, int] = {}
     argmax: dict[int, list[int]] = {}

@@ -207,9 +207,10 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     )
 
 
-def _total_from_staircase(gens, cells) -> int:
-    """Raw total for internal scans: no report object, no validation."""
-    return sum(_sweep_per_alpha(gens, cells).values())
+def _total_from_staircase(item) -> int:
+    """Raw total of one ``(gens, cells)`` scan item: no report object, no
+    validation.  Module-level so that pool workers can unpickle it."""
+    return sum(_sweep_per_alpha(*item).values())
 
 
 def bareiss_rank(rows) -> int:

@@ -1,11 +1,15 @@
-from itertools import product
+import random
+import subprocess
+import sys
+from itertools import combinations, product
 
 import pytest
 
-from boreltangent.monomials import DimensionMismatchError, parse_ideal, standard_set
+from boreltangent.monomials import DimensionMismatchError, StandardSet, parse_ideal, standard_set
 from boreltangent.region3d import (
     RegionSlice,
     UnsupportedDimensionError,
+    _components,
     default_size_filter,
     iter_discrepancies,
     region_cells,
@@ -61,6 +65,12 @@ def test_dimension_guards():
         region_cells(parse_ideal("x,y^2"), (0, 0))
     with pytest.raises(DimensionMismatchError):
         region_cells(MAXIMAL, (0, 0))
+    # a standard set with fewer or more variables than the ideal
+    for std in (StandardSet(2, frozenset([(0, 0)])), StandardSet(4, frozenset([(0, 0, 0, 0)]))):
+        with pytest.raises(DimensionMismatchError):
+            region_cells(MAXIMAL, (-1, 0, 0), standard=std)
+        with pytest.raises(DimensionMismatchError):
+            region_component_count(MAXIMAL, (-1, 0, 0), standard=std)
 
 
 def test_default_size_filter_value():
@@ -70,12 +80,59 @@ def test_default_size_filter_value():
     assert region_component_count(MAXIMAL, (-1, 0, 0), size_filter=0) == 0
 
 
-def test_window_independence():
-    for alpha in [(-1, 0, 0), (0, 2, -3), (-1, -1, 0), (1, 1, -2)]:
-        slices = [region_slice(SESSION, alpha, _window_pad=pad) for pad in (0, 1, 3)]
-        assert slices[0].cells == slices[1].cells == slices[2].cells
-        assert slices[0].components == slices[1].components == slices[2].components
-        assert slices[0].counted == slices[1].counted == slices[2].counted
+def _six_adjacent(p, q):
+    return sum(abs(a - b) for a, b in zip(p, q)) == 1
+
+
+def _is_six_connected(comp):
+    parent = {c: c for c in comp}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for p, q in combinations(comp, 2):
+        if _six_adjacent(p, q):
+            parent[find(p)] = find(q)
+    return len({find(c) for c in comp}) == 1
+
+
+def _check_labelling(cells):
+    comps = _components(cells)
+    assert all(comps)
+    assert sum(len(comp) for comp in comps) == len(cells)
+    assert frozenset().union(*comps) == frozenset(cells)
+    for comp in comps:
+        assert _is_six_connected(comp)
+    for first, second in combinations(comps, 2):
+        assert not any(_six_adjacent(p, q) for p in first for q in second)
+    least = [min(comp) for comp in comps]
+    assert least == sorted(least)
+    return comps
+
+
+def test_components_by_definition():
+    assert _components(frozenset()) == ()
+    # diagonal neighbours are not 6-adjacent
+    assert len(_check_labelling({(0, 0, 0), (1, 1, 0), (2, 2, 2)})) == 3
+    assert len(_check_labelling({(0, 0, 0), (0, 0, 1), (0, 1, 1), (5, 5, 5)})) == 2
+    # arbitrary cell sets (not staircases, negative coordinates allowed) in a
+    # small box; sparse densities give several components
+    rng = random.Random(20250621)
+    box = list(product(range(-1, 4), repeat=3))
+    multi = 0
+    for _ in range(200):
+        cells = {c for c in box if rng.random() < rng.choice((0.1, 0.25, 0.5, 0.8))}
+        multi += len(_check_labelling(cells)) > 1
+    assert multi > 50
+
+
+def test_import_needs_no_numpy_or_scipy():
+    code = ("import boreltangent, sys; "
+            "boreltangent.region_component_count(boreltangent.parse_ideal('x,y,z'), (-1, 0, 0)); "
+            "assert not {'numpy', 'scipy'} & set(sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_square_box_totals_reconcile():
