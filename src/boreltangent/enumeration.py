@@ -4,10 +4,11 @@ A strongly stable Artinian ideal is identified with its staircase: the
 finite set of standard exponents, which is divisor-closed and closed under
 moving one unit of exponent from a smaller-indexed variable to a larger one
 (the complement of each such move lands back in the ideal).  Staircases of
-size l are grown breadth-first from staircases of size l-1 by adding every
-cell whose divisors and whose rightward moves already lie in the staircase;
-duplicates are removed via the frozenset itself.  Every admissible
-staircase has a removable maximal cell, so the growth is complete.
+size l are grown breadth-first from staircases of size l-1 by adding each
+minimal generator of the parent's ideal whose Borel moves toward later
+variables are cells (both rules live in :mod:`.monomials`); duplicates are
+removed via the frozenset itself.  Every admissible staircase has a
+removable maximal cell, so the growth is complete.
 
 The per-colength frontier is the scaling bottleneck (all staircases of the
 current size are held in memory); measured sizes are tabulated in the
@@ -22,8 +23,9 @@ from typing import Iterator
 from .monomials import (
     Exponent,
     MonomialIdeal,
-    _axis_heights,
+    _borel_moves_in,
     _gens_from_cells,
+    _m1_of_cells,
     format_ideal,
 )
 
@@ -59,40 +61,12 @@ class EnumFilter:
             raise ValueError("max_results must be >= 0")
 
 
-def _addable(cells: frozenset[Exponent], c: Exponent, nvars: int) -> bool:
-    """Whether cells + {c} is still a Borel staircase.
-
-    Only conditions on c itself need checking: its divisors and its moves
-    toward larger variable indices must already be present.
-    """
-    for t in range(nvars):
-        if c[t] > 0:
-            if c[:t] + (c[t] - 1,) + c[t + 1:] not in cells:
-                return False
-    for s in range(nvars):
-        if c[s] == 0:
-            continue
-        for t in range(s + 1, nvars):
-            moved = list(c)
-            moved[s] -= 1
-            moved[t] += 1
-            if tuple(moved) not in cells:
-                return False
-    return True
-
-
 def _grow(frontier: list[frozenset[Exponent]], nvars: int) -> list[frozenset[Exponent]]:
     seen: set[frozenset[Exponent]] = set()
     out: list[frozenset[Exponent]] = []
     for cells in frontier:
-        candidates = set()
-        for v in cells:
-            for t in range(nvars):
-                w = v[:t] + (v[t] + 1,) + v[t + 1:]
-                if w not in cells:
-                    candidates.add(w)
-        for c in candidates:
-            if _addable(cells, c, nvars):
+        for c in _gens_from_cells(nvars, cells):
+            if _borel_moves_in(nvars, cells, c):
                 grown = cells | {c}
                 if grown not in seen:
                     seen.add(grown)
@@ -123,9 +97,8 @@ def sorted_level(nvars: int, staircases) -> list[tuple[str, tuple[Exponent, ...]
     """
     decorated = []
     for cells in staircases:
-        gens = _gens_from_cells(nvars, cells)
-        text = format_ideal(MonomialIdeal(nvars, gens))
-        decorated.append((text, gens, cells))
+        ideal = MonomialIdeal(nvars, _gens_from_cells(nvars, cells))
+        decorated.append((format_ideal(ideal), ideal.gens, cells))
     decorated.sort(key=lambda item: item[0])
     return decorated
 
@@ -148,7 +121,7 @@ def enumerate_strongly_stable(nvars: int, l: int,
             continue
         emitted = 0
         for _text, gens, cells in sorted_level(nvars, staircases):
-            if filt.m1 is not None and _axis_heights(nvars, cells)[0] != filt.m1:
+            if filt.m1 is not None and _m1_of_cells(cells) != filt.m1:
                 continue
             if filt.num_generators is not None and len(gens) != filt.num_generators:
                 continue

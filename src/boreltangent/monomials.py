@@ -157,9 +157,6 @@ class MonomialIdeal:
             m.append(best)
         return tuple(m)
 
-    def is_artinian(self) -> bool:
-        return self.pure_powers() is not None
-
     def __str__(self) -> str:
         return format_ideal(self)
 
@@ -272,13 +269,14 @@ def pure_power_profile(ideal: MonomialIdeal) -> PurePowerProfile:
     return PurePowerProfile(m, k, delta)
 
 
-def _gens_from_cells(nvars: int, cells) -> tuple[Exponent, ...]:
-    """Minimal generators of the complement of a divisor-closed cell set.
+def _gens_from_cells(nvars: int, cells) -> set[Exponent]:
+    """Minimal generators of the complement of a divisor-closed cell set
+    (its corners: every divisor is a cell), in no particular order.
 
     Trusted internal path: assumes divisor-closure, skips validation.
     """
     if not cells:
-        return ((0,) * nvars,)
+        return {(0,) * nvars}
     gens = set()
     for v in cells:
         for t in range(nvars):
@@ -290,23 +288,24 @@ def _gens_from_cells(nvars: int, cells) -> tuple[Exponent, ...]:
                     break
             else:
                 gens.add(w)
-    return tuple(sorted(gens, key=canonical_key))
+    return gens
 
 
-def _axis_heights(nvars: int, cells) -> tuple[int, ...]:
-    """Pure-power exponents of the complement ideal: the run length of the
-    staircase along each coordinate axis."""
-    heights = []
-    for t in range(nvars):
-        e = 0
-        probe = [0] * nvars
-        while True:
-            probe[t] = e
-            if tuple(probe) not in cells:
-                break
-            e += 1
-        heights.append(e)
-    return tuple(heights)
+def _borel_moves_in(nvars: int, cells, c: Exponent) -> bool:
+    """Whether every unit move of c toward a later variable is a cell; for a
+    corner c of a Borel staircase, whether cells + {c} is one too."""
+    for s in range(nvars - 1):
+        if c[s] == 0:
+            continue
+        for t in range(s + 1, nvars):
+            if c[:s] + (c[s] - 1,) + c[s + 1:t] + (c[t] + 1,) + c[t + 1:] not in cells:
+                return False
+    return True
+
+
+def _m1_of_cells(cells) -> int:
+    """Pure x1 exponent of the complement ideal of a divisor-closed set."""
+    return 1 + max(c[0] for c in cells)
 
 
 def _variable_names(nvars: int) -> tuple[str, ...]:

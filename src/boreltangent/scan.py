@@ -25,7 +25,7 @@ from pathlib import Path
 from .enumeration import iter_staircase_levels, sorted_level
 from .monomials import (
     MonomialIdeal,
-    _axis_heights,
+    _m1_of_cells,
     format_ideal,
     k_of_l,
     parse_ideal,
@@ -124,7 +124,7 @@ def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
             if not line.strip():
                 continue
             record = _record_from_json(json.loads(line))
-            if record is None:
+            if record is None or (record.key.nvars, record.key.l) != (nvars, l):
                 return None
             records[record.key.m1] = record
     except (OSError, ValueError, KeyError):
@@ -161,7 +161,7 @@ def _scan_level(nvars: int, l: int, items, pool, workers: int,
                 raise BudgetExceededError(
                     f"budget of {budget_seconds}s exceeded scanning N={nvars} l={l} "
                     f"after {idx} of {len(tasks)} ideals")
-        m1 = _axis_heights(nvars, items[idx][2])[0]
+        m1 = _m1_of_cells(items[idx][2])
         counts[m1] = counts.get(m1, 0) + 1
         prev = best.get(m1)
         if prev is None or total > prev:
@@ -203,10 +203,8 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     if not pending:
         return results
 
-    pool = None
+    pool = multiprocessing.Pool(workers) if workers > 1 else None
     try:
-        if workers > 1:
-            pool = multiprocessing.Pool(workers)
         for l, staircases in iter_staircase_levels(nvars, max(pending)):
             if l not in pending:
                 continue
@@ -224,10 +222,14 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
             results[l] = records
             if cache_dir:
                 _store_cached(cache_dir, nvars, l, records)
-    finally:
+    except BaseException:
+        # queued tasks are useless once the scan fails; do not wait for them
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.terminate()
+        raise
+    if pool is not None:
+        pool.close()
+        pool.join()
     return results
 
 

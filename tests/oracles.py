@@ -61,6 +61,50 @@ def is_borel_staircase(cells, nvars: int) -> bool:
     return True
 
 
+def is_order_ideal(cells, nvars: int) -> bool:
+    """Divisor closure: every unit step down from a cell stays a cell."""
+    return all(v[:t] + (v[t] - 1,) + v[t + 1:] in cells
+               for v in cells for t in range(nvars) if v[t] > 0)
+
+
+def one_cell_extensions(cells, nvars: int):
+    """Every Borel staircase made of the given one plus one more cell.
+
+    A new cell of a non-empty order ideal sits one unit step above an old
+    cell, so the neighbours of the cells are all the candidates.
+    """
+    cells = frozenset(cells)
+    candidates = {v[:t] + (v[t] + 1,) + v[t + 1:] for v in cells for t in range(nvars)}
+    grown = (cells | {w} for w in candidates - cells)
+    return {g for g in grown if is_order_ideal(g, nvars) and is_borel_staircase(g, nvars)}
+
+
+def random_borel_staircase(rng, nvars: int, size: int) -> frozenset:
+    """A Borel staircase of the given size, grown one random cell at a time."""
+    cells = frozenset([(0,) * nvars])
+    for _ in range(size - 1):
+        cells = rng.choice(sorted(one_cell_extensions(cells, nvars), key=sorted))
+    return cells
+
+
+def minimal_exponents_outside(cells, nvars: int) -> set:
+    """Minimal elements of the complement of a finite cell set, from the
+    definition: scan a box past every cell and keep each outside exponent
+    that no other outside exponent divides.
+
+    A minimal u has u_t <= 1 + max_t over the cells: otherwise u - e_t is
+    also outside and divides it.
+    """
+    tops = [1 + max((v[t] for v in cells), default=-1) for t in range(nvars)]
+    outside = sorted((u for u in product(*(range(m + 1) for m in tops)) if u not in cells),
+                     key=sum)
+    minimal = []
+    for u in outside:
+        if not any(all(a <= b for a, b in zip(g, u)) for g in minimal):
+            minimal.append(u)
+    return set(minimal)
+
+
 def brute_force_strongly_stable(gens, nvars: int, pure_powers) -> bool:
     """Definition-level check: apply every Borel move to every monomial of
     the ideal inside the pure-power bounding box."""

@@ -20,11 +20,10 @@ from oracles import (
 
 from boreltangent.enumeration import count_strongly_stable, enumerate_strongly_stable
 from boreltangent.monomials import (
-    MonomialIdeal,
     StandardSet,
-    _gens_from_cells,
     minimal_generators,
     parse_ideal,
+    standard_set,
 )
 from boreltangent.region3d import iter_discrepancies
 from boreltangent.scan import (
@@ -133,11 +132,10 @@ def test_criterion_6_enumeration_soundness_completeness():
     l<=10; N=2 counts equal the distinct-part partition numbers to l=20."""
     for nvars in (1, 2, 3):
         for l, staircases in iter_order_ideal_levels(nvars, 10):
-            expected = {MonomialIdeal(nvars, _gens_from_cells(nvars, cells))
-                        for cells in staircases if is_borel_staircase(cells, nvars)}
+            expected = {cells for cells in staircases if is_borel_staircase(cells, nvars)}
             got = list(enumerate_strongly_stable(nvars, l))
             assert len(got) == len(set(got)), "duplicate emission"
-            assert set(got) == expected, f"N={nvars} l={l}"
+            assert {standard_set(ideal).cells for ideal in got} == expected, f"N={nvars} l={l}"
     for l in range(1, 21):
         assert count_strongly_stable(2, l) == distinct_partition_count(l)
     print("\nACCEPTANCE 6 PASS: enumeration sound, complete, and counted")

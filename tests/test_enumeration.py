@@ -1,20 +1,31 @@
 import os
+import random
 
 import pytest
-from oracles import distinct_partition_count, is_borel_staircase, iter_order_ideal_levels
+from oracles import (
+    distinct_partition_count,
+    is_borel_staircase,
+    iter_order_ideal_levels,
+    minimal_exponents_outside,
+    one_cell_extensions,
+    random_borel_staircase,
+)
 
 from boreltangent.enumeration import (
     EnumerationLimitError,
     EnumFilter,
+    _grow,
     count_strongly_stable,
     enumerate_strongly_stable,
 )
 from boreltangent.monomials import (
-    MonomialIdeal,
+    _borel_moves_in,
+    _gens_from_cells,
     colength,
     format_ideal,
     is_strongly_stable,
     parse_ideal,
+    standard_set,
 )
 
 
@@ -48,14 +59,26 @@ def test_n3_l8_includes_square_example():
 @pytest.mark.parametrize("nvars,lmax", [(1, 10), (2, 10), (3, 10)])
 def test_completeness_against_brute_force(nvars, lmax):
     for l, staircases in iter_order_ideal_levels(nvars, lmax):
-        expected = set()
-        for cells in staircases:
-            if is_borel_staircase(cells, nvars):
-                from boreltangent.monomials import _gens_from_cells
-                expected.add(MonomialIdeal(nvars, _gens_from_cells(nvars, cells)))
+        expected = {cells for cells in staircases if is_borel_staircase(cells, nvars)}
         got = list(enumerate_strongly_stable(nvars, l))
         assert len(got) == len(set(got))
-        assert set(got) == expected
+        assert {standard_set(ideal).cells for ideal in got} == expected
+
+
+def test_growth_step_on_random_large_staircases():
+    # the exhaustive check above stops at l = 10; here the growth step and
+    # its corner routine meet the definitions on staircases of 20 to 40 cells
+    rng = random.Random(20261018)
+    for nvars in (3, 4):
+        for _ in range(20):
+            cells = random_borel_staircase(rng, nvars, rng.randint(20, 40))
+            corners = _gens_from_cells(nvars, cells)
+            assert corners == minimal_exponents_outside(cells, nvars)
+            for c in corners:
+                assert _borel_moves_in(nvars, cells, c) == is_borel_staircase(cells | {c}, nvars)
+            children = _grow([cells], nvars)
+            assert len(children) == len(set(children))
+            assert set(children) == one_cell_extensions(cells, nvars)
 
 
 def test_soundness_n3():

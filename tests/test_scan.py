@@ -1,8 +1,11 @@
 import json
+import multiprocessing
+import shutil
+import time
 
 import pytest
 
-from boreltangent.enumeration import enumerate_strongly_stable
+from boreltangent.enumeration import enumerate_strongly_stable, iter_staircase_levels, sorted_level
 from boreltangent.monomials import colength, format_ideal, parse_ideal
 from boreltangent.scan import (
     CSV_HEADER,
@@ -149,6 +152,38 @@ def test_cache_rejects_corrupt_file(tmp_path):
     path.write_text("this is not json\n")
     records = scan_colength(3, 8, cache_dir=tmp_path)
     assert records == scan_colength(3, 8)
+
+
+def test_cache_rejects_records_of_another_key(tmp_path):
+    scan_colength(3, 8, cache_dir=tmp_path)
+    shutil.copy(tmp_path / "scan-N3-l8.jsonl", tmp_path / "scan-N3-l9.jsonl")
+    shutil.copy(tmp_path / "scan-N3-l8.jsonl", tmp_path / "scan-N2-l8.jsonl")
+    assert scan_colength(3, 9, cache_dir=tmp_path) == scan_colength(3, 9)
+    assert scan_colength(2, 8, cache_dir=tmp_path) == scan_colength(2, 8)
+
+
+def _grow_and_decorate_seconds(nvars, l):
+    started = time.monotonic()
+    for _level, staircases in iter_staircase_levels(nvars, l):
+        pass
+    sorted_level(nvars, staircases)
+    return time.monotonic() - started
+
+
+def test_budget_breach_does_not_drain_the_pool():
+    # at l = 24 the kernel over the queued 1193 ideals takes about twice as
+    # long as growth plus decoration, so waiting for it would more than
+    # double the run; a breach at the first check must stop the workers
+    before = _grow_and_decorate_seconds(3, 24)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="after 0 of 1193"):
+        scan_colength(3, 24, workers=2, budget_seconds=0)
+    elapsed = time.monotonic() - started
+    # measured on both sides of the scan, so a host slowing down meanwhile
+    # raises the bound with it
+    prep = max(before, _grow_and_decorate_seconds(3, 24))
+    assert elapsed - prep < prep, f"scan {elapsed:.2f}s, growth and decoration {prep:.2f}s"
+    assert multiprocessing.active_children() == []
 
 
 def test_budget_ideal_cap(tmp_path):
