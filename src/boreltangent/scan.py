@@ -43,6 +43,9 @@ CACHE_ENV_VAR = "BORELTANGENT_CACHE"
 class BudgetExceededError(RuntimeError):
     """A per-colength wall-clock or ideal-count budget was exceeded.
 
+    The wall clock of a colength counts the growth of its staircase level,
+    decoration and the tangent computations.
+
     ``completed`` holds the records of every colength finished before the
     breach (already flushed to the cache when caching is enabled).
     """
@@ -68,8 +71,9 @@ class ScanRecord:
     """Result of maximizing T over one (nvars, l, m1) class.
 
     ``argmax`` lists every attaining ideal in canonical order.  ``elapsed``
-    is wall time for the enclosing colength scan and is excluded from
-    equality so cached records compare equal to fresh ones.
+    is wall time for the enclosing colength scan, the growth of its level
+    included, and is excluded from equality so cached records compare
+    equal to fresh ones.
     """
 
     key: ScanKey
@@ -205,10 +209,12 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
 
     pool = multiprocessing.Pool(workers) if workers > 1 else None
     try:
+        # a colength's budget runs from the end of the previous scanned
+        # colength, so the growth of its level is charged to it
+        started = time.monotonic()
         for l, staircases in iter_staircase_levels(nvars, max(pending)):
             if l not in pending:
                 continue
-            started = time.monotonic()
             if max_ideals is not None and len(staircases) > max_ideals:
                 raise BudgetExceededError(
                     f"N={nvars} l={l} has {len(staircases)} ideals, over the "
@@ -222,6 +228,7 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
             results[l] = records
             if cache_dir:
                 _store_cached(cache_dir, nvars, l, records)
+            started = time.monotonic()
     except BaseException:
         # queued tasks are useless once the scan fails; do not wait for them
         if pool is not None:

@@ -15,6 +15,18 @@ Two independent algorithms are provided by design:
   constraint.  Pairwise constraints suffice because the Taylor relations
   generate the syzygies of a monomial ideal.
 
+  The sweep over all degrees works on packed integers.  With ``top`` the
+  largest exponent among the generators and the standard exponents, a
+  vector v is encoded as sum_t v_t * B^t in base B = 2*top + 1.  The code
+  is linear, so each degree s - a_i or s - lcm(a_i, a_j) costs one integer
+  subtraction and every dictionary is keyed by an integer.  It is
+  injective on degrees: every degree the sweep generates has entries in
+  [-top, top], so two of them differ by a vector with entries in
+  [-2*top, 2*top], strictly inside (-B, B), and such a vector has code 0
+  only if it is 0 (its lowest nonzero entry is not divisible by B).  A
+  code decodes as balanced base-B digits; only the degrees reported with a
+  positive dimension are decoded.
+
 * :func:`tangent_dimension_oracle` — the trusted slow path: assemble the
   integer constraint matrix on all G*l coordinates of candidate generator
   images (one row per generator pair and standard target monomial) and
@@ -27,8 +39,10 @@ Disagreement is an internal-consistency failure.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .monomials import (
     DimensionMismatchError,
@@ -102,37 +116,45 @@ def alpha_support_box(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     return tuple((-maxgen[t], m[t] - 1) for t in range(ideal.nvars))
 
 
-def _live_components(active: list[int], pairs) -> int:
-    """Connected components of the active-vertex graph with no vanishing
-    constraint.  ``pairs`` lists the generator pairs whose lcm target is
-    standard at this degree."""
-    act = set(active)
-    parent = {i: i for i in active}
+def _live_components(active, pairs, parent: list[int]) -> int:
+    """Graded dimension at one degree: connected components of the active
+    generators carrying no vanishing constraint.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    forced = set()
-    for i, j in pairs:
-        ia = i in act
-        ja = j in act
-        if ia and ja:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        elif ia:
-            forced.add(i)
-        elif ja:
-            forced.add(j)
-    alive: dict[int, bool] = {}
+    ``pairs`` lists the generator pairs whose lcm target is standard at
+    this degree.  ``parent`` is a flat union-find over all generators that
+    also marks activity: an entry is -1 for an inactive generator, on entry
+    and again on return, so one list serves every degree of a sweep.
+    """
     for i in active:
-        alive.setdefault(find(i), True)
-    for i in forced:
-        alive[find(i)] = False
-    return sum(alive.values())
+        parent[i] = i
+    forced = []
+    for i, j in pairs:
+        if parent[i] < 0:
+            if parent[j] >= 0:
+                forced.append(j)
+        elif parent[j] < 0:
+            forced.append(i)
+        else:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i != j:
+                parent[i] = j
+    live = 0
+    for i in active:
+        if parent[i] == i:
+            live += 1
+    if forced:
+        dead = set()
+        for i in forced:
+            while parent[i] != i:
+                i = parent[i]
+            dead.add(i)
+        live -= len(dead)
+    for i in active:
+        parent[i] = -1
+    return live
 
 
 def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None = None) -> int:
@@ -143,47 +165,70 @@ def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None =
             f"alpha has length {len(alpha)}, expected {ideal.nvars}")
     cells = _cells_of(ideal, standard)
     gens = ideal.gens
-    active = [i for i, a in enumerate(gens)
-              if tuple(x + y for x, y in zip(a, alpha)) in cells]
+    shifted = [tuple(x + d for x, d in zip(a, alpha)) for a in gens]
+    is_active = [b in cells for b in shifted]
+    active = [i for i, act in enumerate(is_active) if act]
     if not active:
         return 0
-    pairs = []
-    for i, j in combinations(range(len(gens)), 2):
-        b = tuple(max(x, y) + d for x, y, d in zip(gens[i], gens[j], alpha))
-        if b in cells:
-            pairs.append((i, j))
-    return _live_components(active, pairs)
+    # a pair with no active end constrains nothing, so its lcm is not looked up
+    pairs = [(i, j) for i, j in combinations(range(len(gens)), 2)
+             if (is_active[i] or is_active[j])
+             and tuple(map(max, shifted[i], shifted[j])) in cells]
+    return _live_components(active, pairs, [-1] * len(gens))
 
 
-def _sweep_per_alpha(gens, cells) -> dict[Exponent, int]:
-    """Graded dimensions at every alpha with at least one active generator.
+def _sweep_per_alpha(gens, cells) -> tuple[dict[int, int], int]:
+    """Positive graded dimensions, keyed by packed degree, with the packing
+    base.
 
     Degrees are generated directly as {standard - generator} and
     {standard - pairwise lcm}, so the work is proportional to the number of
-    useful degrees rather than the volume of the support box.
+    useful degrees rather than the volume of the support box.  A pair's
+    degrees where no generator is active constrain nothing and are dropped
+    by the intersection with the active degrees.
     """
-    active: dict[Exponent, list[int]] = {}
-    for i, a in enumerate(gens):
-        for s in cells:
-            al = tuple(x - y for x, y in zip(s, a))
-            active.setdefault(al, []).append(i)
-    pair_events: dict[Exponent, list[tuple[int, int]]] = {}
-    for i, j in combinations(range(len(gens)), 2):
-        u = tuple(max(x, y) for x, y in zip(gens[i], gens[j]))
-        for s in cells:
-            al = tuple(x - y for x, y in zip(s, u))
-            if al in active:
-                pair_events.setdefault(al, []).append((i, j))
-    per_alpha: dict[Exponent, int] = {}
-    for al, act in active.items():
-        ev = pair_events.get(al)
-        if ev is None:
-            dim = len(act)
-        else:
-            dim = _live_components(act, ev)
+    top = max(max(a) for a in gens)
+    if cells:
+        top = max(top, max(max(s) for s in cells))
+    base = 2 * top + 1
+    weights = [base ** t for t in range(len(gens[0]))]
+    # digit t of a generator scaled by its weight: the packed lcm of two
+    # generators is then the sum of the coordinatewise maxima
+    scaled = [list(map(mul, a, weights)) for a in gens]
+    cell_codes = [sum(map(mul, s, weights)) for s in cells]
+    active: defaultdict[int, list[int]] = defaultdict(list)
+    for i, w in enumerate(scaled):
+        ca = sum(w)
+        for al in [cs - ca for cs in cell_codes]:
+            active[al].append(i)
+    keys = active.keys()
+    pair_events: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for pair in combinations(range(len(gens)), 2):
+        cu = sum(map(max, scaled[pair[0]], scaled[pair[1]]))
+        for al in keys & {cs - cu for cs in cell_codes}:
+            pair_events[al].append(pair)
+    per_alpha = {al: len(act) for al, act in active.items()}
+    parent = [-1] * len(gens)
+    for al, ev in pair_events.items():
+        dim = _live_components(active[al], ev, parent)
         if dim:
             per_alpha[al] = dim
-    return per_alpha
+        else:
+            del per_alpha[al]
+    return per_alpha, base
+
+
+def _unpack(code: int, nvars: int, base: int) -> Exponent:
+    """The degree of a packed code: balanced digits in [-top, top]."""
+    top = base // 2
+    digits = []
+    for _ in range(nvars):
+        d = code % base
+        if d > top:
+            d -= base
+        digits.append(d)
+        code = (code - d) // base
+    return tuple(digits)
 
 
 def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:
@@ -193,14 +238,15 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     recomputation.
     """
     cells = _cells_of(ideal, standard)
-    per_alpha = _sweep_per_alpha(ideal.gens, cells)
+    per_alpha, base = _sweep_per_alpha(ideal.gens, cells)
     total = sum(per_alpha.values())
     g = len(ideal.gens)
     l = len(cells)
+    graded = sorted((_unpack(al, ideal.nvars, base), dim) for al, dim in per_alpha.items())
     return GradedTangentReport(
         ideal=ideal,
         total=total,
-        graded=tuple(sorted(per_alpha.items())),
+        graded=tuple(graded),
         g=g,
         l=l,
         zero_rank=g * l - total,
@@ -209,8 +255,9 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
 
 def _total_from_staircase(item) -> int:
     """Raw total of one ``(gens, cells)`` scan item: no report object, no
-    validation.  Module-level so that pool workers can unpickle it."""
-    return sum(_sweep_per_alpha(*item).values())
+    validation, no decoding of degrees.  Module-level so that pool workers
+    can unpickle it."""
+    return sum(_sweep_per_alpha(*item)[0].values())
 
 
 def bareiss_rank(rows) -> int:

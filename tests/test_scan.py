@@ -2,9 +2,11 @@ import json
 import multiprocessing
 import shutil
 import time
+from functools import partial
 
 import pytest
 
+from boreltangent import scan
 from boreltangent.enumeration import enumerate_strongly_stable, iter_staircase_levels, sorted_level
 from boreltangent.monomials import colength, format_ideal, parse_ideal
 from boreltangent.scan import (
@@ -22,7 +24,7 @@ from boreltangent.scan import (
     scan_colength_range,
     t_max,
 )
-from boreltangent.tangent import tangent_dimension
+from boreltangent.tangent import _total_from_staircase, tangent_dimension
 
 
 def test_scan_key_validation():
@@ -170,11 +172,19 @@ def _grow_and_decorate_seconds(nvars, l):
     return time.monotonic() - started
 
 
-def test_budget_breach_does_not_drain_the_pool():
-    # at l = 24 the kernel over the queued 1193 ideals takes about twice as
-    # long as growth plus decoration, so waiting for it would more than
-    # double the run; a breach at the first check must stop the workers
+def _slow_total(delay, item):
+    time.sleep(delay)
+    return _total_from_staircase(item)
+
+
+def test_budget_breach_does_not_drain_the_pool(monkeypatch):
+    # each queued ideal is made to sleep, so that on 2 workers the 1193
+    # ideals at l = 24 take twice as long as growth plus decoration however
+    # fast the kernel is; waiting for them would more than double the run,
+    # so a breach at the first check must stop the workers
     before = _grow_and_decorate_seconds(3, 24)
+    monkeypatch.setattr(scan, "_total_from_staircase",
+                        partial(_slow_total, 2 * 2 * before / 1193))
     started = time.monotonic()
     with pytest.raises(BudgetExceededError, match="after 0 of 1193"):
         scan_colength(3, 24, workers=2, budget_seconds=0)
@@ -184,6 +194,20 @@ def test_budget_breach_does_not_drain_the_pool():
     prep = max(before, _grow_and_decorate_seconds(3, 24))
     assert elapsed - prep < prep, f"scan {elapsed:.2f}s, growth and decoration {prep:.2f}s"
     assert multiprocessing.active_children() == []
+
+
+def test_budget_counts_growth(monkeypatch):
+    real_levels = scan.iter_staircase_levels
+
+    def slow_levels(nvars, max_colength):
+        for l, staircases in real_levels(nvars, max_colength):
+            if l == max_colength:
+                time.sleep(0.5)
+            yield l, staircases
+
+    monkeypatch.setattr(scan, "iter_staircase_levels", slow_levels)
+    with pytest.raises(BudgetExceededError, match="N=3 l=10"):
+        scan_colength(3, 10, budget_seconds=0.3)
 
 
 def test_budget_ideal_cap(tmp_path):

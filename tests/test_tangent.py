@@ -3,7 +3,15 @@ import time
 from itertools import product
 
 import pytest
-from oracles import fraction_rank, iter_partitions, partition_staircase
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    fraction_rank,
+    iter_partitions,
+    minimal_exponents_outside,
+    partition_staircase,
+    random_borel_staircase,
+)
 
 from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.monomials import (
@@ -13,11 +21,13 @@ from boreltangent.monomials import (
     StandardSet,
     minimal_generators,
     parse_ideal,
+    standard_set,
 )
 from boreltangent.scan import power_ideal
 from boreltangent.tangent import (
     OracleSizeError,
     VerificationError,
+    _total_from_staircase,
     alpha_support_box,
     bareiss_rank,
     constraint_rank,
@@ -53,7 +63,11 @@ def test_power_square_n3():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_single_variable_is_smooth(k):
     ideal = MonomialIdeal(1, ((k,),))
-    assert tangent_dimension(ideal).total == k
+    report = tangent_dimension(ideal)
+    assert report.total == k
+    # x^k goes to any of 1, x, ..., x^(k-1): one map in each degree -k..-1
+    assert report.graded == tuple(((-d,), 1) for d in range(k, 0, -1))
+    assert _total_from_staircase((ideal.gens, frozenset((e,) for e in range(k)))) == k
     assert tangent_dimension_oracle(ideal) == k
     assert alpha_support_box(ideal) == ((-k, k - 1),)
 
@@ -157,8 +171,6 @@ def test_generator_order_does_not_matter():
 
 
 def test_precomputed_standard_set_agrees():
-    from boreltangent.monomials import standard_set
-
     std = standard_set(SQUARE)
     assert tangent_dimension(SQUARE, standard=std) == tangent_dimension(SQUARE)
     with pytest.raises(DimensionMismatchError):
@@ -216,3 +228,56 @@ def test_report_json_schema():
     alphas = [tuple(entry["alpha"]) for entry in obj["graded"]]
     assert alphas == sorted(alphas)
     assert sum(entry["dim"] for entry in obj["graded"]) == 36
+
+
+# --- randomized properties: ideals that are not Borel, sizes not enumerated ---
+
+PROPERTY_ORACLE_CAP = 150
+
+
+@st.composite
+def artinian_ideals(draw):
+    """A random Artinian ideal in 1..4 variables: half of them Borel (grown
+    by the test oracle), half an arbitrary antichain with pure powers."""
+    nvars = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, (8, 14, 14, 10)[nvars - 1]))
+        cells = random_borel_staircase(draw(st.randoms(use_true_random=False)), nvars, size)
+        return MonomialIdeal(nvars, tuple(minimal_exponents_outside(cells, nvars)))
+    top = (8, 5, 4, 3)[nvars - 1]
+    powers = draw(st.lists(st.integers(1, top), min_size=nvars, max_size=nvars))
+    pure = [tuple(p if s == t else 0 for s in range(nvars)) for t, p in enumerate(powers)]
+    extra = draw(st.lists(st.tuples(*(st.integers(0, p - 1) for p in powers)), max_size=6))
+    return MonomialIdeal.from_generators(nvars, pure + extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(artinian_ideals(), st.data())
+def test_kernel_properties_on_random_ideals(ideal, data):
+    cells = standard_set(ideal).cells
+    report = tangent_dimension(ideal)
+    per_alpha = report.per_alpha
+    assert report.total == sum(per_alpha.values())
+    assert all(dim > 0 for dim in per_alpha.values())
+    assert report.zero_rank == report.g * report.l - report.total >= 0
+    if report.g * report.l <= PROPERTY_ORACLE_CAP:
+        assert report.total == tangent_dimension_oracle(ideal)
+    for alpha, dim in report.graded:
+        assert graded_dimension(ideal, alpha) == dim
+    box = alpha_support_box(ideal)
+    for _ in range(8 if all(lo <= hi for lo, hi in box) else 0):
+        alpha = tuple(data.draw(st.integers(lo, hi)) for lo, hi in box)
+        assert graded_dimension(ideal, alpha) == per_alpha.get(alpha, 0)
+    assert _total_from_staircase((ideal.gens, cells)) == report.total
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_unit_ideal_has_empty_staircase(nvars):
+    unit = MonomialIdeal(nvars, ((0,) * nvars,))
+    report = tangent_dimension(unit)
+    assert (report.total, report.graded, report.l, report.zero_rank) == (0, (), 0, 0)
+    assert tangent_dimension_oracle(unit) == 0
+    assert graded_dimension(unit, (0,) * nvars) == 0
+    assert graded_dimension(unit, (-1,) * nvars) == 0
+    assert _total_from_staircase((unit.gens, frozenset())) == 0
+
