@@ -93,7 +93,7 @@ def sorted_level(nvars: int, staircases) -> list[tuple[str, tuple[Exponent, ...]
     """Decorate staircases with generators and canonical text, sorted by text.
 
     The canonical stream order is the lexicographic order of the formatted
-    ideal strings; this is also the order scans range-partition.
+    ideal strings.
     """
     decorated = []
     for cells in staircases:

@@ -1,12 +1,12 @@
 """Colength-scale scans: T_max per m1 class, table reproduction, and the
 monotonicity / necessary-condition / tetrahedral-maximum checks.
 
-A scan of colength l enumerates every strongly stable ideal of that
-colength in canonical order, computes T(I) for each, and keeps the maximum
-and *all* attaining ideals per m1 class (ties carry the scientific
-content, so they are never discarded).  Work is range-partitioned over the
-canonical order when ``workers`` > 1; the max/argmax merge is associative
-and commutative, so results are identical for any worker count.
+A scan of colength l computes T(I) at every Borel staircase of that
+colength and keeps the maximum and *all* attaining ideals per m1 class
+(ties carry the scientific content, so they are never discarded).  With
+``workers`` > 1 the staircases go to a pool in ``imap`` chunks.  The
+max/argmax merge ignores the order of the staircases, and each argmax list
+is sorted into canonical order, so results are identical for any worker count.
 
 Completed colengths are cached as JSONL files (``scan-N{N}-l{l}.jsonl``,
 one record per m1 class, schema-versioned); reruns skip cached colengths,
@@ -20,11 +20,13 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
-from .enumeration import iter_staircase_levels, sorted_level
+from .enumeration import iter_staircase_levels
 from .monomials import (
     MonomialIdeal,
+    _gens_from_cells,
     _m1_of_cells,
     format_ideal,
     k_of_l,
@@ -41,10 +43,10 @@ CACHE_ENV_VAR = "BORELTANGENT_CACHE"
 
 
 class BudgetExceededError(RuntimeError):
-    """A per-colength wall-clock or ideal-count budget was exceeded.
+    """A per-colength wall-clock budget was exceeded.
 
-    The wall clock of a colength counts the growth of its staircase level,
-    decoration and the tangent computations.
+    The wall clock of a colength counts the growth of its staircase level
+    and the tangent computations.
 
     ``completed`` holds the records of every colength finished before the
     breach (already flushed to the cache when caching is enabled).
@@ -105,13 +107,16 @@ class ScanRecord:
 CSV_HEADER = "N,l,k,delta,m1,ideal_count,t_max,n_argmax,first_argmax"
 
 
-def _record_from_json(obj: dict) -> ScanRecord | None:
-    if obj.get("schema_version") != SCHEMA_VERSION:
+def _record_from_json(obj) -> ScanRecord | None:
+    if not (isinstance(obj, dict) and obj.get("schema_version") == SCHEMA_VERSION
+            and all(type(obj.get(k)) is int for k in ("nvars", "l", "m1", "ideal_count", "t_max"))
+            and type(obj.get("elapsed")) is float and type(obj.get("argmax")) is list
+            and all(type(text) is str for text in obj["argmax"])):
         return None
     key = ScanKey(obj["nvars"], obj["l"], obj["m1"])
     argmax = tuple(parse_ideal(text, nvars=key.nvars) for text in obj["argmax"])
     return ScanRecord(key=key, ideal_count=obj["ideal_count"], t_max=obj["t_max"],
-                      argmax=argmax, elapsed=float(obj.get("elapsed", 0.0)))
+                      argmax=argmax, elapsed=obj["elapsed"])
 
 
 def _cache_file(cache_dir, nvars: int, l: int) -> Path:
@@ -119,19 +124,14 @@ def _cache_file(cache_dir, nvars: int, l: int) -> Path:
 
 
 def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
-    path = _cache_file(cache_dir, nvars, l)
-    if not path.is_file():
-        return None
     records: dict[int, ScanRecord] = {}
     try:
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
+        for line in _cache_file(cache_dir, nvars, l).read_text(encoding="utf-8").splitlines():
             record = _record_from_json(json.loads(line))
             if record is None or (record.key.nvars, record.key.l) != (nvars, l):
                 return None
             records[record.key.m1] = record
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError):
         return None
     return records or None
 
@@ -146,46 +146,48 @@ def _store_cached(cache_dir, nvars: int, l: int, records: dict[int, ScanRecord])
     os.replace(tmp, path)
 
 
-def _scan_level(nvars: int, l: int, items, pool, workers: int,
+def _scan_level(nvars: int, l: int, staircases, pool, workers: int,
                 budget_seconds, started: float) -> dict[int, ScanRecord]:
-    """Max/argmax per m1 class over one colength's canonical item list."""
-    tasks = [(gens, cells) for _text, gens, cells in items]
-    if pool is not None and len(tasks) > workers:
-        chunk = max(1, min(128, len(tasks) // (workers * 4) or 1))
-        totals_iter = pool.imap(_total_from_staircase, tasks, chunksize=chunk)
+    """Max/argmax per m1 class over one colength's staircases, in any order."""
+    total_of = partial(_total_from_staircase, nvars)
+    if pool is not None and len(staircases) > workers:
+        chunk = max(1, min(128, len(staircases) // (workers * 4)))
+        totals_iter = pool.imap(total_of, staircases, chunksize=chunk)
     else:
-        totals_iter = map(_total_from_staircase, tasks)
+        totals_iter = map(total_of, staircases)
 
     best: dict[int, int] = {}
-    argmax: dict[int, list[int]] = {}
+    argmax: dict[int, list] = {}
     counts: dict[int, int] = {}
-    for idx, total in enumerate(totals_iter):
+    for idx, cells in enumerate(staircases):
+        # checked before waiting for a total: a budget spent growing raises at once
         if budget_seconds is not None and (idx & 0x3F) == 0:
             if time.monotonic() - started > budget_seconds:
                 raise BudgetExceededError(
                     f"budget of {budget_seconds}s exceeded scanning N={nvars} l={l} "
-                    f"after {idx} of {len(tasks)} ideals")
-        m1 = _m1_of_cells(items[idx][2])
+                    f"after {idx} of {len(staircases)} ideals")
+        total = next(totals_iter)
+        m1 = _m1_of_cells(cells)
         counts[m1] = counts.get(m1, 0) + 1
         prev = best.get(m1)
         if prev is None or total > prev:
             best[m1] = total
-            argmax[m1] = [idx]
+            argmax[m1] = [cells]
         elif total == prev:
-            argmax[m1].append(idx)
+            argmax[m1].append(cells)
 
     elapsed = time.monotonic() - started
     records: dict[int, ScanRecord] = {}
     for m1 in sorted(best):
-        ideals = tuple(MonomialIdeal(nvars, items[idx][1]) for idx in argmax[m1])
+        ideals = sorted((MonomialIdeal(nvars, _gens_from_cells(nvars, cells))
+                         for cells in argmax[m1]), key=format_ideal)
         records[m1] = ScanRecord(key=ScanKey(nvars, l, m1), ideal_count=counts[m1],
-                                 t_max=best[m1], argmax=ideals, elapsed=elapsed)
+                                 t_max=best[m1], argmax=tuple(ideals), elapsed=elapsed)
     return records
 
 
 def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
-                        cache_dir=None, budget_seconds=None,
-                        max_ideals=None) -> dict[int, dict[int, ScanRecord]]:
+                        cache_dir=None, budget_seconds=None) -> dict[int, dict[int, ScanRecord]]:
     """Scan every colength in lmin..lmax; returns {l: {m1: ScanRecord}}.
 
     One staircase growth pass serves the whole range.  Colengths already in
@@ -215,13 +217,8 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
         for l, staircases in iter_staircase_levels(nvars, max(pending)):
             if l not in pending:
                 continue
-            if max_ideals is not None and len(staircases) > max_ideals:
-                raise BudgetExceededError(
-                    f"N={nvars} l={l} has {len(staircases)} ideals, over the "
-                    f"cap of {max_ideals}", completed=results)
-            items = sorted_level(nvars, staircases)
             try:
-                records = _scan_level(nvars, l, items, pool, workers,
+                records = _scan_level(nvars, l, staircases, pool, workers,
                                       budget_seconds, started)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(str(exc), completed=results) from None

@@ -50,6 +50,7 @@ from .monomials import (
     MonomialIdeal,
     NonArtinianIdealError,
     StandardSet,
+    _gens_from_cells,
     ideal_to_json,
     standard_set,
 )
@@ -253,11 +254,12 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     )
 
 
-def _total_from_staircase(item) -> int:
-    """Raw total of one ``(gens, cells)`` scan item: no report object, no
-    validation, no decoding of degrees.  Module-level so that pool workers
-    can unpickle it."""
-    return sum(_sweep_per_alpha(*item)[0].values())
+def _total_from_staircase(nvars: int, cells) -> int:
+    """Raw total at one divisor-closed cell set, its ideal read off the
+    corners: no report object, no validation, no decoding of degrees.
+    Module-level so that pool workers can unpickle it."""
+    gens = tuple(_gens_from_cells(nvars, cells))
+    return sum(_sweep_per_alpha(gens, cells)[0].values())
 
 
 def bareiss_rank(rows) -> int:

@@ -1,0 +1,45 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from itertools import product
+
+from hypothesis import strategies as st
+from oracles import minimal_exponents_outside, random_borel_staircase
+
+from boreltangent.monomials import MonomialIdeal, StandardSet
+
+# by number of variables 1..5: the largest Borel staircase drawn, and the
+# largest pure power or staircase side drawn otherwise
+BOREL_SIZE = (8, 14, 14, 10, 10)
+TOP = (8, 5, 4, 3, 2)
+
+
+@st.composite
+def artinian_ideals(draw, max_nvars=4):
+    """A random Artinian ideal in 1..max_nvars variables (at most 5): half
+    of them Borel (grown by the test oracle), half an arbitrary antichain
+    with pure powers."""
+    nvars = draw(st.integers(1, max_nvars))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, BOREL_SIZE[nvars - 1]))
+        cells = random_borel_staircase(draw(st.randoms(use_true_random=False)), nvars, size)
+        return MonomialIdeal(nvars, tuple(minimal_exponents_outside(cells, nvars)))
+    powers = draw(st.lists(st.integers(1, TOP[nvars - 1]), min_size=nvars, max_size=nvars))
+    pure = [tuple(p if s == t else 0 for s in range(nvars)) for t, p in enumerate(powers)]
+    extra = draw(st.lists(st.tuples(*(st.integers(0, p - 1) for p in powers)), max_size=6))
+    return MonomialIdeal.from_generators(nvars, pure + extra)
+
+
+@st.composite
+def staircases(draw, max_nvars=5):
+    """A random staircase in 1..max_nvars variables (at most 5): half of
+    them Borel, half the divisors of up to four random exponents (possibly
+    none, the unit ideal's empty staircase)."""
+    nvars = draw(st.integers(1, max_nvars))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, BOREL_SIZE[nvars - 1]))
+        rng = draw(st.randoms(use_true_random=False))
+        return StandardSet(nvars, random_borel_staircase(rng, nvars, size))
+    side = st.integers(0, TOP[nvars - 1])
+    tops = draw(st.lists(st.tuples(*[side] * nvars), max_size=4))
+    return StandardSet(nvars, frozenset(
+        v for u in tops for v in product(*(range(x + 1) for x in u))))

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     brute_force_strongly_stable,
     is_borel_staircase,
     iter_order_ideal_levels,
 )
+from strategies import artinian_ideals, staircases
 
 from boreltangent.monomials import (
     DimensionMismatchError,
@@ -157,6 +160,18 @@ def test_staircase_round_trip_small():
             assert standard_set(minimal_generators(staircase)) == staircase
 
 
+@settings(max_examples=200, deadline=None)
+@given(staircases())
+def test_standard_set_of_minimal_generators_on_random_staircases(staircase):
+    assert standard_set(minimal_generators(staircase)) == staircase
+
+
+@settings(max_examples=200, deadline=None)
+@given(artinian_ideals(5))
+def test_minimal_generators_of_standard_set_on_random_ideals(ideal):
+    assert minimal_generators(standard_set(ideal)) == ideal
+
+
 def test_pure_power_profile():
     profile = pure_power_profile(SQUARE)
     assert profile.m == (2, 2, 4)
@@ -184,6 +199,21 @@ def test_parse_format_round_trip_examples():
     assert format_ideal(parse_ideal("x1^3")) == "x^3"
     assert SESSION.num_generators == 7
     assert format_ideal(parse_ideal(format_ideal(SESSION))) == format_ideal(SESSION)
+
+
+@st.composite
+def antichains(draw):
+    """A random ideal in 1..6 variables given by the minimal elements of up
+    to eight random exponent vectors, so not Artinian in general."""
+    nvars = draw(st.integers(1, 6))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=8))
+    return MonomialIdeal.from_generators(nvars, exponents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(antichains())
+def test_parse_format_round_trip_on_random_antichains(ideal):
+    assert parse_ideal(format_ideal(ideal), nvars=ideal.nvars) == ideal
 
 
 def test_parse_whitespace_and_aliases():

@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 from boreltangent import scan
-from boreltangent.enumeration import enumerate_strongly_stable, iter_staircase_levels, sorted_level
+from boreltangent.enumeration import enumerate_strongly_stable, iter_staircase_levels
 from boreltangent.monomials import colength, format_ideal, parse_ideal
 from boreltangent.scan import (
     CSV_HEADER,
@@ -57,6 +57,21 @@ def test_argmax_recheck_invariant():
             assert colength(ideal) == 11
             assert ideal.pure_powers()[0] == m1
             assert tangent_dimension(ideal).total == record.t_max
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("nvars,lmin,lmax", [(2, 2, 8), (3, 3, 11), (4, 4, 8)])
+def test_argmax_lists_against_brute_force(nvars, lmin, lmax, workers):
+    records = scan_colength_range(nvars, lmin, lmax, workers=workers)
+    for l in range(lmin, lmax + 1):
+        ideals = [(ideal, ideal.pure_powers()[0], tangent_dimension(ideal).total)
+                  for ideal in enumerate_strongly_stable(nvars, l)]
+        assert sorted(records[l]) == sorted({m1 for _ideal, m1, _t in ideals})
+        for m1, record in records[l].items():
+            members = [(ideal, t) for ideal, m, t in ideals if m == m1]
+            assert record.ideal_count == len(members)
+            assert record.t_max == max(t for _ideal, t in members)
+            assert list(record.argmax) == [ideal for ideal, t in members if t == record.t_max]
 
 
 def test_partition_consistency():
@@ -149,9 +164,15 @@ def test_cache_rejects_other_schema(tmp_path):
     assert records == scan_colength(3, 8)
 
 
-def test_cache_rejects_corrupt_file(tmp_path):
+ARGMAX_NOT_A_LIST = json.dumps({"schema_version": SCHEMA_VERSION, "nvars": 3, "l": 8, "m1": 2,
+                                "ideal_count": 5, "t_max": 30, "argmax": 7, "elapsed": 0.1})
+
+
+@pytest.mark.parametrize("line", ["this is not json", "[1, 2]", "null", ARGMAX_NOT_A_LIST],
+                         ids=["not-json", "array", "null", "argmax-not-a-list"])
+def test_cache_rejects_corrupt_file(tmp_path, line):
     path = tmp_path / "scan-N3-l8.jsonl"
-    path.write_text("this is not json\n")
+    path.write_text(line + "\n")
     records = scan_colength(3, 8, cache_dir=tmp_path)
     assert records == scan_colength(3, 8)
 
@@ -164,25 +185,24 @@ def test_cache_rejects_records_of_another_key(tmp_path):
     assert scan_colength(2, 8, cache_dir=tmp_path) == scan_colength(2, 8)
 
 
-def _grow_and_decorate_seconds(nvars, l):
+def _grow_seconds(nvars, l):
     started = time.monotonic()
-    for _level, staircases in iter_staircase_levels(nvars, l):
+    for _level, _staircases in iter_staircase_levels(nvars, l):
         pass
-    sorted_level(nvars, staircases)
     return time.monotonic() - started
 
 
-def _slow_total(delay, item):
+def _slow_total(delay, nvars, cells):
     time.sleep(delay)
-    return _total_from_staircase(item)
+    return _total_from_staircase(nvars, cells)
 
 
 def test_budget_breach_does_not_drain_the_pool(monkeypatch):
     # each queued ideal is made to sleep, so that on 2 workers the 1193
-    # ideals at l = 24 take twice as long as growth plus decoration however
-    # fast the kernel is; waiting for them would more than double the run,
-    # so a breach at the first check must stop the workers
-    before = _grow_and_decorate_seconds(3, 24)
+    # ideals at l = 24 take twice as long as growth however fast the kernel
+    # is; waiting for them would more than double the run, so a breach at
+    # the first check must stop the workers
+    before = _grow_seconds(3, 24)
     monkeypatch.setattr(scan, "_total_from_staircase",
                         partial(_slow_total, 2 * 2 * before / 1193))
     started = time.monotonic()
@@ -191,41 +211,55 @@ def test_budget_breach_does_not_drain_the_pool(monkeypatch):
     elapsed = time.monotonic() - started
     # measured on both sides of the scan, so a host slowing down meanwhile
     # raises the bound with it
-    prep = max(before, _grow_and_decorate_seconds(3, 24))
-    assert elapsed - prep < prep, f"scan {elapsed:.2f}s, growth and decoration {prep:.2f}s"
+    prep = max(before, _grow_seconds(3, 24))
+    assert elapsed - prep < prep, f"scan {elapsed:.2f}s, growth {prep:.2f}s"
     assert multiprocessing.active_children() == []
 
 
-def test_budget_counts_growth(monkeypatch):
+def _slow_growth_of_level(monkeypatch, level, seconds):
     real_levels = scan.iter_staircase_levels
 
     def slow_levels(nvars, max_colength):
         for l, staircases in real_levels(nvars, max_colength):
-            if l == max_colength:
-                time.sleep(0.5)
+            if l == level:
+                time.sleep(seconds)
             yield l, staircases
 
     monkeypatch.setattr(scan, "iter_staircase_levels", slow_levels)
+
+
+def test_budget_counts_growth(monkeypatch):
+    _slow_growth_of_level(monkeypatch, 10, 0.5)
     with pytest.raises(BudgetExceededError, match="N=3 l=10"):
         scan_colength(3, 10, budget_seconds=0.3)
 
 
-def test_budget_ideal_cap(tmp_path):
-    with pytest.raises(BudgetExceededError) as err:
-        scan_colength_range(3, 5, 9, max_ideals=10, cache_dir=tmp_path)
-    # l = 5, 6, 7 have 4, 6, 9 ideals; l = 8 has 12 and breaches the cap
-    assert sorted(err.value.completed) == [5, 6, 7]
+def test_budget_breach_keeps_finished_colengths(monkeypatch, tmp_path):
+    _slow_growth_of_level(monkeypatch, 8, 0.5)
+    with pytest.raises(BudgetExceededError, match="N=3 l=8") as err:
+        scan_colength_range(3, 5, 9, budget_seconds=0.3, cache_dir=tmp_path)
+    completed = err.value.completed
+    assert sorted(completed) == [5, 6, 7]
     for l in (5, 6, 7):
         assert (tmp_path / f"scan-N3-l{l}.jsonl").is_file()
     assert not (tmp_path / "scan-N3-l8.jsonl").exists()
-    # a rerun with the cap lifted resumes from the flushed colengths
+    # a rerun without the budget serves the flushed colengths from the cache
+    # (their elapsed is the first run's) and scans the rest
     full = scan_colength_range(3, 5, 9, cache_dir=tmp_path)
     assert sorted(full) == [5, 6, 7, 8, 9]
+    for l in (5, 6, 7):
+        assert full[l] == completed[l]
+        assert all(full[l][m1].elapsed == completed[l][m1].elapsed for m1 in full[l])
 
 
-def test_budget_seconds_zero():
-    with pytest.raises(BudgetExceededError):
+def test_budget_seconds_zero(monkeypatch):
+    # the budget is spent by growth alone, so the scan must raise without
+    # waiting for a total; each total here would take a second
+    monkeypatch.setattr(scan, "_total_from_staircase", partial(_slow_total, 1.0))
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="after 0 of"):
         scan_colength(3, 10, budget_seconds=0.0)
+    assert time.monotonic() - started < 1.0
 
 
 def test_scan_range_shares_one_pass():
