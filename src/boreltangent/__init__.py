@@ -8,6 +8,9 @@ tetrahedral-maximum checks.
 
 Convention: x1 is the Borel-dominant variable, so pure-power exponents of
 a strongly stable Artinian ideal satisfy m_1 <= m_2 <= ... <= m_N.
+
+The names below are the documented API, with every exception or warning
+class a public call raises; everything else is importable from its module.
 """
 
 from .enumeration import (
@@ -17,63 +20,41 @@ from .enumeration import (
     enumerate_strongly_stable,
 )
 from .monomials import (
-    ALIASES,
     DimensionMismatchError,
-    Exponent,
     IdealSyntaxError,
     InvalidStaircaseError,
     MonomialIdeal,
     NonArtinianIdealError,
-    PurePowerProfile,
     RedundantGeneratorWarning,
     StandardSet,
     UnknownVariableError,
     colength,
-    divides,
     format_ideal,
-    ideal_from_json,
     ideal_to_json,
     is_strongly_stable,
-    k_of_l,
-    lcm_exp,
     minimal_generators,
     parse_ideal,
     pure_power_profile,
     standard_set,
-    tetrahedral,
 )
 from .region3d import (
-    RegionSlice,
     UnsupportedDimensionError,
-    default_size_filter,
-    region_cells,
     region_component_count,
     region_slice,
-    write_discrepancy_report,
 )
 from .scan import (
     BudgetExceededError,
-    MonotonicityVerdict,
-    NecessaryVerdict,
-    ScanKey,
-    ScanRecord,
-    TableCell,
-    TetrahedralVerdict,
     check_monotonicity,
     check_necessary_condition,
     check_tetrahedral_max,
-    power_ideal,
     reproduce_published_table,
     scan_colength,
     scan_colength_range,
-    t_max,
 )
 from .tangent import (
-    GradedTangentReport,
     OracleSizeError,
     VerificationError,
     alpha_support_box,
-    bareiss_rank,
     constraint_rank,
     graded_dimension,
     tangent_dimension,
@@ -84,64 +65,42 @@ from .tangent import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALIASES",
     "BudgetExceededError",
     "DimensionMismatchError",
     "EnumFilter",
     "EnumerationLimitError",
-    "Exponent",
-    "GradedTangentReport",
     "IdealSyntaxError",
     "InvalidStaircaseError",
     "MonomialIdeal",
-    "MonotonicityVerdict",
-    "NecessaryVerdict",
     "NonArtinianIdealError",
     "OracleSizeError",
-    "PurePowerProfile",
     "RedundantGeneratorWarning",
-    "RegionSlice",
-    "ScanKey",
-    "ScanRecord",
     "StandardSet",
-    "TableCell",
-    "TetrahedralVerdict",
     "UnknownVariableError",
     "UnsupportedDimensionError",
     "VerificationError",
     "alpha_support_box",
-    "bareiss_rank",
     "check_monotonicity",
     "check_necessary_condition",
     "check_tetrahedral_max",
     "colength",
     "constraint_rank",
     "count_strongly_stable",
-    "default_size_filter",
-    "divides",
     "enumerate_strongly_stable",
     "format_ideal",
     "graded_dimension",
-    "ideal_from_json",
     "ideal_to_json",
     "is_strongly_stable",
-    "k_of_l",
-    "lcm_exp",
     "minimal_generators",
     "parse_ideal",
-    "power_ideal",
     "pure_power_profile",
-    "region_cells",
     "region_component_count",
     "region_slice",
     "reproduce_published_table",
     "scan_colength",
     "scan_colength_range",
     "standard_set",
-    "t_max",
     "tangent_dimension",
     "tangent_dimension_oracle",
-    "tetrahedral",
     "verify_tangent",
-    "write_discrepancy_report",
 ]

@@ -24,9 +24,10 @@ from .monomials import (
     Exponent,
     MonomialIdeal,
     _borel_moves_in,
+    _format_gens,
     _gens_from_cells,
     _m1_of_cells,
-    format_ideal,
+    canonical_key,
 )
 
 
@@ -93,12 +94,17 @@ def sorted_level(nvars: int, staircases) -> list[tuple[str, tuple[Exponent, ...]
     """Decorate staircases with generators and canonical text, sorted by text.
 
     The canonical stream order is the lexicographic order of the formatted
-    ideal strings.
+    ideal strings; this is the one place in the package that orders
+    staircases.  ``gens`` are in the order :class:`MonomialIdeal` stores.
+
+    Trusted internal path: no ideal is built here.  The corners of a
+    divisor-closed set are an antichain, and each consumer validates the
+    ideal it builds from ``gens``.
     """
     decorated = []
     for cells in staircases:
-        ideal = MonomialIdeal(nvars, _gens_from_cells(nvars, cells))
-        decorated.append((format_ideal(ideal), ideal.gens, cells))
+        gens = tuple(sorted(_gens_from_cells(nvars, cells), key=canonical_key))
+        decorated.append((_format_gens(nvars, gens), gens, cells))
     decorated.sort(key=lambda item: item[0])
     return decorated
 

@@ -57,13 +57,6 @@ def divides(a: Exponent, b: Exponent) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def lcm_exp(a: Exponent, b: Exponent) -> Exponent:
-    """Exponent of lcm(x^a, x^b): the componentwise maximum."""
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"exponent lengths differ: {len(a)} vs {len(b)}")
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def canonical_key(e: Exponent) -> tuple[int, Exponent]:
     """Sort key: total degree, then lexicographic on the exponent sequence
     with the earlier (Borel-dominant) variables first, so that e.g. the
@@ -317,9 +310,14 @@ def _variable_names(nvars: int) -> tuple[str, ...]:
 def format_ideal(ideal: MonomialIdeal) -> str:
     """Canonical text form: generators in canonical order, factors joined
     with '*', exponent written only when > 1, aliases x,y,z,w for N <= 4."""
-    names = _variable_names(ideal.nvars)
+    return _format_gens(ideal.nvars, ideal.gens)
+
+
+def _format_gens(nvars: int, gens) -> str:
+    """The text of :func:`format_ideal` for generators already in canonical order."""
+    names = _variable_names(nvars)
     parts = []
-    for g in ideal.gens:
+    for g in gens:
         factors = [names[t] if e == 1 else f"{names[t]}^{e}"
                    for t, e in enumerate(g) if e > 0]
         parts.append("*".join(factors) if factors else "1")

@@ -132,7 +132,7 @@ def iter_discrepancies(max_colength: int = 8):
     for l, staircases in iter_staircase_levels(3, max_colength):
         for _text, gens, cells in sorted_level(3, staircases):
             ideal = MonomialIdeal(3, gens)
-            std = StandardSet(3, frozenset(cells))
+            std = StandardSet(3, cells)
             box = alpha_support_box(ideal)
             ranges = [range(lo, hi + 1) for lo, hi in box]
             for a0 in ranges[0]:

@@ -15,6 +15,7 @@ which is also how budget-interrupted scans resume.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -23,10 +24,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .enumeration import iter_staircase_levels
+from .enumeration import iter_staircase_levels, sorted_level
 from .monomials import (
     MonomialIdeal,
-    _gens_from_cells,
     _m1_of_cells,
     format_ideal,
     k_of_l,
@@ -179,10 +179,10 @@ def _scan_level(nvars: int, l: int, staircases, pool, workers: int,
     elapsed = time.monotonic() - started
     records: dict[int, ScanRecord] = {}
     for m1 in sorted(best):
-        ideals = sorted((MonomialIdeal(nvars, _gens_from_cells(nvars, cells))
-                         for cells in argmax[m1]), key=format_ideal)
+        ideals = tuple(MonomialIdeal(nvars, gens)
+                       for _text, gens, _cells in sorted_level(nvars, argmax[m1]))
         records[m1] = ScanRecord(key=ScanKey(nvars, l, m1), ideal_count=counts[m1],
-                                 t_max=best[m1], argmax=tuple(ideals), elapsed=elapsed)
+                                 t_max=best[m1], argmax=ideals, elapsed=elapsed)
     return records
 
 
@@ -209,8 +209,9 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     if not pending:
         return results
 
-    pool = multiprocessing.Pool(workers) if workers > 1 else None
-    try:
+    # the pool's exit terminates it on every path: once the loop ends no
+    # task is outstanding, and after a failure queued tasks are useless
+    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         # a colength's budget runs from the end of the previous scanned
         # colength, so the growth of its level is charged to it
         started = time.monotonic()
@@ -226,14 +227,6 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
             if cache_dir:
                 _store_cached(cache_dir, nvars, l, records)
             started = time.monotonic()
-    except BaseException:
-        # queued tasks are useless once the scan fails; do not wait for them
-        if pool is not None:
-            pool.terminate()
-        raise
-    if pool is not None:
-        pool.close()
-        pool.join()
     return results
 
 

@@ -56,6 +56,10 @@ from .monomials import (
 )
 
 
+#: largest G*l (candidate coordinates) the exact matrix oracle accepts
+ORACLE_SIZE_CAP = 2000
+
+
 class OracleSizeError(RuntimeError):
     """The G*l constraint system is too large for the exact matrix oracle."""
 
@@ -302,22 +306,21 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
-def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None = None,
-                             size_cap: int = 2000) -> int:
+def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None = None) -> int:
     """T(I) by exact elimination on the G*l coordinates of candidate maps.
 
     Columns are (generator i, standard monomial s); each generator pair
     (i, j) contributes, for every standard target t, a row saying the
     coefficient of t in u_ij * image(a_i) - u_ji * image(a_j) vanishes,
     where u_ij = lcm(a_i, a_j) / a_i.  Returns G*l - rank.  Intended for
-    small instances; raises OracleSizeError above ``size_cap``.
+    small instances; raises OracleSizeError above ``ORACLE_SIZE_CAP``.
     """
     cells = _cells_of(ideal, standard)
     gens = ideal.gens
     g = len(gens)
     l = len(cells)
-    if g * l > size_cap:
-        raise OracleSizeError(f"G*l = {g}*{l} = {g * l} exceeds the cap {size_cap}")
+    if g * l > ORACLE_SIZE_CAP:
+        raise OracleSizeError(f"G*l = {g}*{l} = {g * l} exceeds the cap {ORACLE_SIZE_CAP}")
     ordered = sorted(cells)
     col = {s: idx for idx, s in enumerate(ordered)}
     ncols = g * l
@@ -351,11 +354,10 @@ def constraint_rank(ideal: MonomialIdeal, standard: StandardSet | None = None) -
     return report.zero_rank
 
 
-def verify_tangent(ideal: MonomialIdeal, standard: StandardSet | None = None,
-                   size_cap: int = 2000) -> GradedTangentReport:
+def verify_tangent(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:
     """Run both algorithms and raise VerificationError on disagreement."""
     report = tangent_dimension(ideal, standard)
-    oracle = tangent_dimension_oracle(ideal, standard, size_cap=size_cap)
+    oracle = tangent_dimension_oracle(ideal, standard)
     if oracle != report.total:
         raise VerificationError(
             f"graded total {report.total} != matrix oracle {oracle} for {ideal}")

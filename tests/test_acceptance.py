@@ -25,7 +25,7 @@ from boreltangent.monomials import (
     parse_ideal,
     standard_set,
 )
-from boreltangent.region3d import iter_discrepancies
+from boreltangent.region3d import write_discrepancy_report
 from boreltangent.scan import (
     check_monotonicity,
     check_necessary_condition,
@@ -167,9 +167,11 @@ def test_criterion_9_region3d_reconciliation(tmp_path):
 
     committed = REPO_ROOT / "reports" / "region3d_discrepancies_n3_l8.jsonl"
     assert committed.is_file(), "discrepancy report must be committed"
-    fresh = [json.dumps(record, separators=(", ", ": "))
-             for record in iter_discrepancies(max_colength=8)]
-    assert committed.read_text(encoding="utf-8").splitlines() == fresh
+    fresh_path = tmp_path / committed.name
+    count = write_discrepancy_report(fresh_path, max_colength=8)
+    assert fresh_path.read_bytes() == committed.read_bytes()
+    fresh = committed.read_text(encoding="utf-8").splitlines()
+    assert count == len(fresh)
     for line in fresh:
         record = json.loads(line)
         assert record["region_count"] != record["graded_dim"]

@@ -41,7 +41,7 @@ def test_tangent_verify_ok(capsys):
 def test_tangent_verify_mismatch_exit_3(capsys, monkeypatch):
     import boreltangent.cli as cli
 
-    def broken(ideal, standard=None, size_cap=2000):
+    def broken(ideal, standard=None):
         raise VerificationError("forced mismatch")
 
     monkeypatch.setattr(cli, "verify_tangent", broken)

@@ -2,6 +2,7 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
 from oracles import (
     distinct_partition_count,
     is_borel_staircase,
@@ -10,6 +11,7 @@ from oracles import (
     one_cell_extensions,
     random_borel_staircase,
 )
+from strategies import staircases
 
 from boreltangent.enumeration import (
     EnumerationLimitError,
@@ -17,8 +19,12 @@ from boreltangent.enumeration import (
     _grow,
     count_strongly_stable,
     enumerate_strongly_stable,
+    iter_staircase_levels,
+    sorted_level,
 )
 from boreltangent.monomials import (
+    MonomialIdeal,
+    StandardSet,
     _borel_moves_in,
     _gens_from_cells,
     colength,
@@ -108,6 +114,36 @@ def test_deterministic_stream():
     second = [format_ideal(i) for i in enumerate_strongly_stable(3, 9)]
     assert first == second
     assert first == sorted(first)
+
+
+def _check_decorated(nvars, item):
+    """sorted_level builds no ideal: its generators and text must equal
+    those of the validated ideal of the definition-level corners."""
+    text, gens, cells = item
+    ideal = MonomialIdeal(nvars, tuple(minimal_exponents_outside(cells, nvars)))
+    assert gens == ideal.gens
+    assert text == format_ideal(ideal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(staircases())
+@example(StandardSet(1, frozenset()))
+@example(StandardSet(5, frozenset()))
+def test_sorted_level_matches_validated_ideal(staircase):
+    [item] = sorted_level(staircase.nvars, [staircase.cells])
+    assert item[2] is staircase.cells
+    _check_decorated(staircase.nvars, item)
+
+
+@pytest.mark.parametrize("nvars,l", [(3, 9), (4, 8)])
+def test_sorted_level_whole_level(nvars, l):
+    level = dict(iter_staircase_levels(nvars, l))[l]
+    decorated = sorted_level(nvars, level)
+    assert {cells for _t, _g, cells in decorated} == set(level)
+    texts = [text for text, _g, _c in decorated]
+    assert all(a < b for a, b in zip(texts, texts[1:]))
+    for item in decorated:
+        _check_decorated(nvars, item)
 
 
 def test_filters_equal_post_filtering():

@@ -24,7 +24,6 @@ from boreltangent.monomials import (
     ideal_to_json,
     is_strongly_stable,
     k_of_l,
-    lcm_exp,
     minimal_generators,
     parse_ideal,
     pure_power_profile,
@@ -46,14 +45,6 @@ def test_divides():
 def test_divides_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         divides((1, 0), (1, 0, 0))
-
-
-def test_lcm_exp():
-    assert lcm_exp((2, 0, 0), (1, 1, 0)) == (2, 1, 0)
-    assert lcm_exp((0, 3, 0), (0, 0, 3)) == (0, 3, 3)
-    assert lcm_exp((1, 4), (1, 4)) == (1, 4)
-    with pytest.raises(DimensionMismatchError):
-        lcm_exp((1,), (1, 0))
 
 
 def test_ideal_canonical_order_and_equality():

@@ -86,6 +86,7 @@ def test_partition_consistency():
 def test_worker_count_determinism():
     one = scan_colength(3, 12, workers=1)
     two = scan_colength(3, 12, workers=2)
+    assert multiprocessing.active_children() == []
     assert one == two
     assert all(one[m1].argmax == two[m1].argmax for m1 in one)
 

@@ -14,12 +14,14 @@ from boreltangent.monomials import (
     MonomialIdeal,
     NonArtinianIdealError,
     StandardSet,
+    colength,
     minimal_generators,
     parse_ideal,
     standard_set,
 )
 from boreltangent.scan import power_ideal
 from boreltangent.tangent import (
+    ORACLE_SIZE_CAP,
     OracleSizeError,
     VerificationError,
     _total_from_staircase,
@@ -197,8 +199,12 @@ def test_bareiss_rank_matches_fraction_elimination():
 
 
 def test_oracle_size_cap():
+    big = power_ideal(3, 8)  # G*l = 45*120, over the cap
+    assert len(big.gens) * colength(big) > ORACLE_SIZE_CAP
     with pytest.raises(OracleSizeError):
-        tangent_dimension_oracle(SQUARE, size_cap=10)
+        tangent_dimension_oracle(big)
+    with pytest.raises(OracleSizeError):
+        verify_tangent(big)
 
 
 def test_verify_tangent():
@@ -210,7 +216,7 @@ def test_verify_tangent_raises_on_mismatch(monkeypatch):
     import boreltangent.tangent as tangent_module
 
     monkeypatch.setattr(tangent_module, "tangent_dimension_oracle",
-                        lambda ideal, standard=None, size_cap=2000: -1)
+                        lambda ideal, standard=None: -1)
     with pytest.raises(VerificationError):
         tangent_module.verify_tangent(SQUARE)
 
