@@ -7,19 +7,33 @@ Two independent algorithms are provided by design:
   pieces indexed by alpha in Z^N.  A degree-alpha map sends each minimal
   generator a_i to a multiple of x^(a_i + alpha); generator i is *active*
   when a_i + alpha is a nonnegative standard exponent, otherwise its image
-  is forced to 0.  Each generator pair (i, j) constrains the images exactly
-  when lcm(a_i, a_j) + alpha is a nonnegative standard exponent: two active
+  is forced to 0.  The images must satisfy the relations of a generating
+  set of syzygies.  A pair relation (i, j) constrains them exactly when
+  lcm(a_i, a_j) + alpha is a nonnegative standard exponent: two active
   generators get identified coefficients, an active/inactive pair forces
-  the active one to vanish.  The graded dimension is the number of
-  connected components of the active-generator graph carrying no vanishing
-  constraint.  Pairwise constraints suffice because the Taylor relations
-  generate the syzygies of a monomial ideal.
+  the active one to vanish.  These constraints are the edges of a graph on
+  the generators plus one ground vertex standing for every inactive end;
+  their rank is the size of a spanning forest, and the graded dimension is
+  the number of active generators minus that rank.  Summed over degrees,
+  the active counts give G*l, so T(I) = G*l - sum of the ranks.
+
+  Which pairs suffice depends on the ideal.  For a strongly stable ideal
+  the Eliahou-Kervaire pairs do (Eliahou and Kervaire, J. Algebra 129,
+  1990).  With max(w) and min(w) the largest and smallest index of a
+  variable dividing w, every monomial w of I factors uniquely as g(w) * v
+  with g(w) a minimal generator and max(g(w)) <= min(v), and the relations
+  of u with g(x_j * u), for each minimal generator u and each j < max(u),
+  generate the syzygies.  Such a pair's lcm is x_j * u itself, and there
+  are at most (N-1)*G of them.  The package's x1-dominant convention is
+  theirs.  For any other monomial ideal the kernel falls back on all
+  G(G-1)/2 pairs, whose Taylor relations generate the syzygies of every
+  monomial ideal.
 
   The sweep over all degrees works on packed integers.  With ``top`` the
   largest exponent among the generators and the standard exponents, a
   vector v is encoded as sum_t v_t * B^t in base B = 2*top + 1.  The code
   is linear, so each degree s - a_i or s - lcm(a_i, a_j) costs one integer
-  subtraction and every dictionary is keyed by an integer.  It is
+  subtraction and every set and dictionary is keyed by an integer.  It is
   injective on degrees: every degree the sweep generates has entries in
   [-top, top], so two of them differ by a vector with entries in
   [-2*top, 2*top], strictly inside (-B, B), and such a vector has code 0
@@ -39,10 +53,10 @@ Disagreement is an internal-consistency failure.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
-from operator import mul
+from itertools import chain, combinations
+from operator import add, mul
 
 from .monomials import (
     DimensionMismatchError,
@@ -121,45 +135,121 @@ def alpha_support_box(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     return tuple((-maxgen[t], m[t] - 1) for t in range(ideal.nvars))
 
 
-def _live_components(active, pairs, parent: list[int]) -> int:
-    """Graded dimension at one degree: connected components of the active
-    generators carrying no vanishing constraint.
+def _pack(gens, cells) -> tuple[int, list[int], list[int], set[int]]:
+    """Packing base, per-variable weights, generator codes and cell codes."""
+    base = 2 * max(map(max, chain(gens, cells))) + 1
+    weights = [base ** t for t in range(len(gens[0]))]
+    codes = [sum(map(mul, a, weights)) for a in gens]
+    return base, weights, codes, {sum(map(mul, s, weights)) for s in cells}
 
-    ``pairs`` lists the generator pairs whose lcm target is standard at
-    this degree.  ``parent`` is a flat union-find over all generators that
-    also marks activity: an entry is -1 for an inactive generator, on entry
-    and again on return, so one list serves every degree of a sweep.
+
+def _taylor_pairs(gens, weights) -> list[tuple[int, int, int]]:
+    """Every generator pair with its packed lcm: the fallback pair rule."""
+    # digit t of a generator scaled by its weight: the packed lcm of two
+    # generators is then the sum of the coordinatewise maxima
+    scaled = [list(map(mul, a, weights)) for a in gens]
+    return [(i, k, sum(map(max, scaled[i], scaled[k])))
+            for i, k in combinations(range(len(gens)), 2)]
+
+
+def _syzygy_pairs(gens, codes, weights, cell_codes) -> list[tuple[int, int, int]]:
+    """Generator pairs (i, k, packed lcm) whose relations generate the
+    syzygies: the Eliahou-Kervaire pairs of a Borel staircase, every pair
+    otherwise.
+
+    Borel is decided by the generator rule of ``is_strongly_stable`` on
+    packed codes.  The EK partner of generator u and j < max(u) is
+    g(x_j*u), found by stripping the last variable of x_j*u while what
+    remains is not a cell, that is, lies in I; the pair's lcm is x_j*u.
     """
-    for i in active:
+    nvars = len(weights)
+    for a, c in zip(gens, codes):
+        for t in range(1, nvars):
+            if a[t]:
+                down = c - weights[t]
+                for s in range(t):
+                    if down + weights[s] in cell_codes:
+                        return _taylor_pairs(gens, weights)
+    index = {c: i for i, c in enumerate(codes)}
+    pairs = []
+    for i, a in enumerate(gens):
+        last = nvars - 1
+        while last >= 0 and not a[last]:
+            last -= 1
+        for j in range(last):
+            lcm = codes[i] + weights[j]
+            w, e, t = lcm, list(a), last
+            e[j] += 1
+            while True:
+                while not e[t]:
+                    t -= 1
+                if w - weights[t] in cell_codes:
+                    break
+                w -= weights[t]
+                e[t] -= 1
+            pairs.append((i, index[w], lcm))
+    return pairs
+
+
+def _forest_rank(edges, parent: list[int]) -> int:
+    """Rank of the vanishing constraints at one degree: the edges of a
+    spanning forest of the constraint graph.
+
+    Vertices are the generators plus a ground vertex G for every inactive
+    end.  An edge (i, k) between active generators identifies their
+    coefficients, an edge (i, G) forces coefficient i to 0, and the rank of
+    these rows is that of the graphic matroid.  ``parent`` is a flat
+    union-find over all G + 1 vertices with parent[v] == v on entry, and
+    again on return, so one list serves every degree of a sweep.
+    """
+    rank = 0
+    for i, k in edges:
+        while parent[i] != i:
+            i = parent[i]
+        while parent[k] != k:
+            k = parent[k]
+        if i != k:
+            parent[i] = k
+            rank += 1
+    for i, k in edges:
         parent[i] = i
-    forced = []
-    for i, j in pairs:
-        if parent[i] < 0:
-            if parent[j] >= 0:
-                forced.append(j)
-        elif parent[j] < 0:
-            forced.append(i)
-        else:
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            if i != j:
-                parent[i] = j
-    live = 0
-    for i in active:
-        if parent[i] == i:
-            live += 1
-    if forced:
-        dead = set()
-        for i in forced:
-            while parent[i] != i:
-                i = parent[i]
-            dead.add(i)
-        live -= len(dead)
-    for i in active:
-        parent[i] = -1
-    return live
+        parent[k] = k
+    return rank
+
+
+def _degree_ranks(pairs, act, cell_codes) -> dict[int, int]:
+    """Rank of the vanishing constraints at each packed degree where some
+    pair constrains an active generator.
+
+    ``act[i]`` is the set of degrees {s - a_i} where generator i is
+    active.  Pair (i, k) meets the degrees {s - lcm}; at one where both
+    ends are active it is an edge (i, k), at one where only i is, an edge
+    (i, G) to the ground vertex.  A degree with a single edge has rank 1.
+    """
+    g = len(act)
+    edges: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for i, k, lcm in pairs:
+        hit = {cs - lcm for cs in cell_codes}
+        hit_i = hit & act[i]
+        hit_k = hit & act[k]
+        for al in hit_i & hit_k:
+            edges[al].append((i, k))
+        for al in hit_i - hit_k:
+            edges[al].append((i, g))
+        for al in hit_k - hit_i:
+            edges[al].append((k, g))
+    parent = list(range(g + 1))
+    return {al: 1 if len(ev) == 1 else _forest_rank(ev, parent)
+            for al, ev in edges.items()}
+
+
+def _kernel(gens, cells) -> tuple[dict[int, int], list[set[int]], int]:
+    """Ranks by packed degree, each generator's active degrees, and the
+    packing base."""
+    base, weights, codes, cell_codes = _pack(gens, cells)
+    act = [{cs - c for cs in cell_codes} for c in codes]
+    pairs = _syzygy_pairs(gens, codes, weights, cell_codes)
+    return _degree_ranks(pairs, act, cell_codes), act, base
 
 
 def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None = None) -> int:
@@ -170,57 +260,19 @@ def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None =
             f"alpha has length {len(alpha)}, expected {ideal.nvars}")
     cells = _cells_of(ideal, standard)
     gens = ideal.gens
-    shifted = [tuple(x + d for x, d in zip(a, alpha)) for a in gens]
-    is_active = [b in cells for b in shifted]
+    is_active = [tuple(map(add, a, alpha)) in cells for a in gens]
     active = [i for i, act in enumerate(is_active) if act]
     if not active:
         return 0
-    # a pair with no active end constrains nothing, so its lcm is not looked up
-    pairs = [(i, j) for i, j in combinations(range(len(gens)), 2)
-             if (is_active[i] or is_active[j])
-             and tuple(map(max, shifted[i], shifted[j])) in cells]
-    return _live_components(active, pairs, [-1] * len(gens))
-
-
-def _sweep_per_alpha(gens, cells) -> tuple[dict[int, int], int]:
-    """Positive graded dimensions, keyed by packed degree, with the packing
-    base.
-
-    Degrees are generated directly as {standard - generator} and
-    {standard - pairwise lcm}, so the work is proportional to the number of
-    useful degrees rather than the volume of the support box.  A pair's
-    degrees where no generator is active constrain nothing and are dropped
-    by the intersection with the active degrees.
-    """
-    top = max(max(a) for a in gens)
-    if cells:
-        top = max(top, max(max(s) for s in cells))
-    base = 2 * top + 1
-    weights = [base ** t for t in range(len(gens[0]))]
-    # digit t of a generator scaled by its weight: the packed lcm of two
-    # generators is then the sum of the coordinatewise maxima
-    scaled = [list(map(mul, a, weights)) for a in gens]
-    cell_codes = [sum(map(mul, s, weights)) for s in cells]
-    active: defaultdict[int, list[int]] = defaultdict(list)
-    for i, w in enumerate(scaled):
-        ca = sum(w)
-        for al in [cs - ca for cs in cell_codes]:
-            active[al].append(i)
-    keys = active.keys()
-    pair_events: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for pair in combinations(range(len(gens)), 2):
-        cu = sum(map(max, scaled[pair[0]], scaled[pair[1]]))
-        for al in keys & {cs - cu for cs in cell_codes}:
-            pair_events[al].append(pair)
-    per_alpha = {al: len(act) for al, act in active.items()}
-    parent = [-1] * len(gens)
-    for al, ev in pair_events.items():
-        dim = _live_components(active[al], ev, parent)
-        if dim:
-            per_alpha[al] = dim
-        else:
-            del per_alpha[al]
-    return per_alpha, base
+    # an active generator bounds every |alpha_t| by the largest exponent,
+    # so the packed code is injective on alpha and the lcm shifts
+    _, weights, codes, cell_codes = _pack(gens, cells)
+    al = sum(map(mul, alpha, weights))
+    g = len(gens)
+    edges = [(i if is_active[i] else g, k if is_active[k] else g)
+             for i, k, lcm in _syzygy_pairs(gens, codes, weights, cell_codes)
+             if (is_active[i] or is_active[k]) and lcm + al in cell_codes]
+    return len(active) - _forest_rank(edges, list(range(g + 1)))
 
 
 def _unpack(code: int, nvars: int, base: int) -> Exponent:
@@ -243,18 +295,20 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     recomputation.
     """
     cells = _cells_of(ideal, standard)
-    per_alpha, base = _sweep_per_alpha(ideal.gens, cells)
-    total = sum(per_alpha.values())
-    g = len(ideal.gens)
+    ranks, act, base = _kernel(ideal.gens, cells)
+    active = Counter(chain.from_iterable(act))
+    graded = sorted((_unpack(al, ideal.nvars, base), n - ranks.get(al, 0))
+                    for al, n in active.items() if n > ranks.get(al, 0))
+    g = len(act)
     l = len(cells)
-    graded = sorted((_unpack(al, ideal.nvars, base), dim) for al, dim in per_alpha.items())
+    zero_rank = sum(ranks.values())
     return GradedTangentReport(
         ideal=ideal,
-        total=total,
+        total=g * l - zero_rank,
         graded=tuple(graded),
         g=g,
         l=l,
-        zero_rank=g * l - total,
+        zero_rank=zero_rank,
     )
 
 
@@ -263,7 +317,7 @@ def _total_from_staircase(nvars: int, cells) -> int:
     corners: no report object, no validation, no decoding of degrees.
     Module-level so that pool workers can unpickle it."""
     gens = tuple(_gens_from_cells(nvars, cells))
-    return sum(_sweep_per_alpha(gens, cells)[0].values())
+    return len(gens) * len(cells) - sum(_kernel(gens, cells)[0].values())
 
 
 def bareiss_rank(rows) -> int:
@@ -350,8 +404,7 @@ def constraint_rank(ideal: MonomialIdeal, standard: StandardSet | None = None) -
 
     Equals the oracle matrix rank whenever the oracle runs.
     """
-    report = tangent_dimension(ideal, standard)
-    return report.zero_rank
+    return sum(_kernel(ideal.gens, _cells_of(ideal, standard))[0].values())
 
 
 def verify_tangent(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:

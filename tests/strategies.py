@@ -13,6 +13,19 @@ BOREL_SIZE = (8, 14, 14, 10, 10)
 TOP = (8, 5, 4, 3, 2)
 
 
+def _borel_cells(draw, nvars):
+    size = draw(st.integers(1, BOREL_SIZE[nvars - 1]))
+    return random_borel_staircase(draw(st.randoms(use_true_random=False)), nvars, size)
+
+
+@st.composite
+def borel_staircases(draw, max_nvars=5):
+    """A random Borel staircase in 1..max_nvars variables (at most 5),
+    grown by the test oracle."""
+    nvars = draw(st.integers(1, max_nvars))
+    return StandardSet(nvars, _borel_cells(draw, nvars))
+
+
 @st.composite
 def artinian_ideals(draw, max_nvars=4):
     """A random Artinian ideal in 1..max_nvars variables (at most 5): half
@@ -20,8 +33,7 @@ def artinian_ideals(draw, max_nvars=4):
     with pure powers."""
     nvars = draw(st.integers(1, max_nvars))
     if draw(st.booleans()):
-        size = draw(st.integers(1, BOREL_SIZE[nvars - 1]))
-        cells = random_borel_staircase(draw(st.randoms(use_true_random=False)), nvars, size)
+        cells = _borel_cells(draw, nvars)
         return MonomialIdeal(nvars, tuple(minimal_exponents_outside(cells, nvars)))
     powers = draw(st.lists(st.integers(1, TOP[nvars - 1]), min_size=nvars, max_size=nvars))
     pure = [tuple(p if s == t else 0 for s in range(nvars)) for t, p in enumerate(powers)]
@@ -36,9 +48,7 @@ def staircases(draw, max_nvars=5):
     none, the unit ideal's empty staircase)."""
     nvars = draw(st.integers(1, max_nvars))
     if draw(st.booleans()):
-        size = draw(st.integers(1, BOREL_SIZE[nvars - 1]))
-        rng = draw(st.randoms(use_true_random=False))
-        return StandardSet(nvars, random_borel_staircase(rng, nvars, size))
+        return StandardSet(nvars, _borel_cells(draw, nvars))
     side = st.integers(0, TOP[nvars - 1])
     tops = draw(st.lists(st.tuples(*[side] * nvars), max_size=4))
     return StandardSet(nvars, frozenset(

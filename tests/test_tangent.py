@@ -1,19 +1,22 @@
 import random
 import time
-from itertools import product
+from collections import Counter
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import fraction_rank, iter_partitions, partition_staircase
-from strategies import artinian_ideals
+from strategies import artinian_ideals, borel_staircases, staircases
 
+import boreltangent.tangent as tangent_module
 from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.monomials import (
     DimensionMismatchError,
     MonomialIdeal,
     NonArtinianIdealError,
     StandardSet,
+    _gens_from_cells,
     colength,
     minimal_generators,
     parse_ideal,
@@ -24,6 +27,11 @@ from boreltangent.tangent import (
     ORACLE_SIZE_CAP,
     OracleSizeError,
     VerificationError,
+    _degree_ranks,
+    _kernel,
+    _pack,
+    _syzygy_pairs,
+    _taylor_pairs,
     _total_from_staircase,
     alpha_support_box,
     bareiss_rank,
@@ -213,8 +221,6 @@ def test_verify_tangent():
 
 
 def test_verify_tangent_raises_on_mismatch(monkeypatch):
-    import boreltangent.tangent as tangent_module
-
     monkeypatch.setattr(tangent_module, "tangent_dimension_oracle",
                         lambda ideal, standard=None: -1)
     with pytest.raises(VerificationError):
@@ -254,6 +260,68 @@ def test_kernel_properties_on_random_ideals(ideal, data):
         alpha = tuple(data.draw(st.integers(lo, hi)) for lo, hi in box)
         assert graded_dimension(ideal, alpha) == per_alpha.get(alpha, 0)
     assert _total_from_staircase(ideal.nvars, cells) == report.total
+    assert constraint_rank(ideal) == report.zero_rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircases())
+def test_ek_pairs_match_taylor_pairs_per_degree(staircase):
+    nvars, cells = staircase.nvars, staircase.cells
+    gens = tuple(_gens_from_cells(nvars, cells))
+    _, weights, _, cell_codes = _pack(gens, cells)
+    ranks, act, _ = _kernel(gens, cells)
+    taylor = _degree_ranks(_taylor_pairs(gens, weights), act, cell_codes)
+    active = Counter(chain.from_iterable(act))
+    assert ({al: n - ranks.get(al, 0) for al, n in active.items()}
+            == {al: n - taylor.get(al, 0) for al, n in active.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(borel_staircases())
+def test_ek_pair_structure(staircase):
+    nvars, cells = staircase.nvars, staircase.cells
+    gens = tuple(_gens_from_cells(nvars, cells))
+    _, weights, codes, cell_codes = _pack(gens, cells)
+    pairs = _syzygy_pairs(gens, codes, weights, cell_codes)
+    # max(u), variables counted from 1
+    last = [max(t + 1 for t in range(nvars) if u[t]) for u in gens]
+    assert len(pairs) == sum(m - 1 for m in last) <= (nvars - 1) * len(gens)
+    seen = set()
+    for i, k, lcm in pairs:
+        j = weights.index(lcm - codes[i])  # the packed lcm is x_j * u, u = gens[i]
+        assert j < last[i] - 1 and (i, j) not in seen
+        seen.add((i, j))
+        w = tuple(e + (t == j) for t, e in enumerate(gens[i]))
+        assert tuple(map(max, gens[i], gens[k])) == w
+        # the partner is g(x_j * u): the generator g with x_j * u = g * v
+        # and max(g) <= min(v)
+        v = tuple(x - y for x, y in zip(w, gens[k]))
+        assert min(v) >= 0 and any(v)
+        assert max((t for t in range(nvars) if gens[k][t]), default=0) <= min(
+            t for t in range(nvars) if v[t])
+
+
+def test_non_borel_staircase_falls_back_to_taylor_pairs():
+    cells = frozenset({(0, 0), (1, 0)})  # the ideal (y, x^2) is not strongly stable
+    ideal = minimal_generators(StandardSet(2, cells))
+    assert _total_from_staircase(2, cells) == tangent_dimension_oracle(ideal) == 4
+    assert constraint_rank(ideal) == 0
+
+
+def _names_in(code) -> set[str]:
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names_in(const)
+    return names
+
+
+def test_oracle_shares_no_code_with_the_kernel():
+    kernel = {"_pack", "_syzygy_pairs", "_taylor_pairs", "_degree_ranks", "_forest_rank",
+              "_kernel", "_total_from_staircase", "tangent_dimension", "graded_dimension"}
+    assert kernel <= set(vars(tangent_module))
+    for trusted in (tangent_dimension_oracle, bareiss_rank):
+        assert not _names_in(trusted.__code__) & kernel
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
