@@ -3,22 +3,34 @@
 A strongly stable Artinian ideal is identified with its staircase: the
 finite set of standard exponents, which is divisor-closed and closed under
 moving one unit of exponent from a smaller-indexed variable to a larger one
-(the complement of each such move lands back in the ideal).  Staircases of
-size l are grown breadth-first from staircases of size l-1 by adding each
-minimal generator of the parent's ideal whose Borel moves toward later
-variables are cells (both rules live in :mod:`.monomials`); duplicates are
-removed via the frozenset itself.  Every admissible staircase has a
-removable maximal cell, so the growth is complete.
+(the complement of each such move lands back in the ideal).
 
-The per-colength frontier is the scaling bottleneck (all staircases of the
-current size are held in memory); measured sizes are tabulated in the
-README.
+Staircases are visited by reverse search (Avis and Fukuda, Discrete Appl.
+Math. 65, 1996).  A cell c of a staircase is *removable* when deleting it
+leaves a staircase: no c + e_t is a cell, and no c + e_s - e_t (s < t,
+c_t >= 1) is one.  The parent of a staircase deletes its largest removable
+cell in tuple order, which is simply its largest cell m: every m + e_t and
+m + e_s - e_t is larger than m, so none is a cell.  For the same reason an
+added cell c can make unremovable only cells smaller than c, so S + {c} is
+a child of S exactly when c is larger than every cell of S.  The candidates
+c are the corners of S (the minimal generators of its ideal) whose Borel
+moves toward later variables are cells; both rules live in
+:mod:`.monomials`.  Every staircase has one parent, so a depth-first walk
+from the one-cell staircase meets each staircase of each size once, with
+no frontier and no record of what it has seen.
+
+The walk keeps one mutable cell set and its corners, updated in place as it
+steps down and back: adding c drops c from the corners and adds the
+c + e_t whose every divisor is a cell.  It holds O(l) state, and each
+visited node hands its corners to its consumer, so no consumer has to
+rederive them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .monomials import (
     Exponent,
@@ -62,51 +74,98 @@ class EnumFilter:
             raise ValueError("max_results must be >= 0")
 
 
-def _grow(frontier: list[frozenset[Exponent]], nvars: int) -> list[frozenset[Exponent]]:
-    seen: set[frozenset[Exponent]] = set()
-    out: list[frozenset[Exponent]] = []
-    for cells in frontier:
-        for c in _gens_from_cells(nvars, cells):
-            if _borel_moves_in(nvars, cells, c):
-                grown = cells | {c}
-                if grown not in seen:
-                    seen.add(grown)
-                    out.append(grown)
-    return out
+#: a node of the walk as its consumers see it: the cells and their corners
+Visit = Callable[[set[Exponent], set[Exponent]], None]
+
+
+def _walk(nvars: int, cells: set[Exponent], corners: set[Exponent], top: Exponent,
+          levels: int, visit: Visit) -> None:
+    """Call ``visit(cells, corners)`` at every Borel staircase ``levels``
+    cells below the given one (``top`` is its largest cell).
+
+    ``cells`` and ``corners`` are updated in place and restored on return;
+    a consumer that keeps them must copy them.
+    """
+    if levels == 0:
+        visit(cells, corners)
+        return
+    for c in [c for c in corners if c > top and _borel_moves_in(nvars, cells, c)]:
+        cells.add(c)
+        corners.remove(c)
+        new = []
+        for t in range(nvars):
+            w = c[:t] + (c[t] + 1,) + c[t + 1:]
+            for u in range(nvars):
+                if w[u] and w[:u] + (w[u] - 1,) + w[u + 1:] not in cells:
+                    break
+            else:
+                new.append(w)
+        corners.update(new)
+        _walk(nvars, cells, corners, c, levels - 1, visit)
+        corners.difference_update(new)
+        corners.add(c)
+        cells.remove(c)
+
+
+def _descend(nvars: int, cells, corners, l: int, visit: Visit) -> None:
+    """Visit every Borel staircase of size ``l`` that contains the given
+    one on the walk, its cells and corners given as any collections."""
+    _walk(nvars, set(cells), set(corners), max(cells), l - len(cells), visit)
+
+
+def _walk_level(nvars: int, l: int, visit: Visit) -> None:
+    """Visit every Borel staircase of size l, walking from the one cell 0
+    whose corners are the unit vectors."""
+    if nvars < 1 or l < 1:
+        raise ValueError("need nvars >= 1 and l >= 1")
+    origin = (0,) * nvars
+    units = [origin[:t] + (1,) + origin[t + 1:] for t in range(nvars)]
+    _descend(nvars, [origin], units, l, visit)
+
+
+def _level(nvars: int, l: int) -> list[tuple[frozenset[Exponent], tuple[Exponent, ...]]]:
+    """(cells, corners) of every Borel staircase of size l, in walk order."""
+    nodes = []
+    _walk_level(nvars, l, lambda cells, corners: nodes.append((frozenset(cells), tuple(corners))))
+    return nodes
 
 
 def iter_staircase_levels(nvars: int, max_colength: int) -> Iterator[tuple[int, list[frozenset[Exponent]]]]:
-    """Yield (l, staircases-of-size-l) for l = 1..max_colength.
+    """Yield (l, staircases-of-size-l) for l = 1..max_colength, a walk each.
 
     The staircases within a level are in no particular order; callers that
     need the canonical stream should sort (see :func:`sorted_level`).
     """
     if nvars < 1 or max_colength < 1:
         raise ValueError("need nvars >= 1 and max_colength >= 1")
-    frontier = [frozenset([(0,) * nvars])]
-    yield 1, frontier
-    for l in range(2, max_colength + 1):
-        frontier = _grow(frontier, nvars)
-        yield l, frontier
+    for l in range(1, max_colength + 1):
+        yield l, [cells for cells, _corners in _level(nvars, l)]
 
 
-def sorted_level(nvars: int, staircases) -> list[tuple[str, tuple[Exponent, ...], frozenset[Exponent]]]:
-    """Decorate staircases with generators and canonical text, sorted by text.
+def _canonical(nvars: int, nodes) -> list[tuple[str, tuple[Exponent, ...], frozenset[Exponent]]]:
+    """Decorate (cells, corners) pairs with generators and canonical text,
+    sorted by text.
 
     The canonical stream order is the lexicographic order of the formatted
     ideal strings; this is the one place in the package that orders
-    staircases.  ``gens`` are in the order :class:`MonomialIdeal` stores.
+    staircases.  ``gens`` are the corners in the order
+    :class:`MonomialIdeal` stores.
 
     Trusted internal path: no ideal is built here.  The corners of a
     divisor-closed set are an antichain, and each consumer validates the
     ideal it builds from ``gens``.
     """
     decorated = []
-    for cells in staircases:
-        gens = tuple(sorted(_gens_from_cells(nvars, cells), key=canonical_key))
+    for cells, corners in nodes:
+        gens = tuple(sorted(corners, key=canonical_key))
         decorated.append((_format_gens(nvars, gens), gens, cells))
-    decorated.sort(key=lambda item: item[0])
+    decorated.sort(key=itemgetter(0))
     return decorated
+
+
+def sorted_level(nvars: int, staircases) -> list[tuple[str, tuple[Exponent, ...], frozenset[Exponent]]]:
+    """:func:`_canonical` on bare staircases, their corners derived here."""
+    return _canonical(nvars, ((cells, _gens_from_cells(nvars, cells)) for cells in staircases))
 
 
 def enumerate_strongly_stable(nvars: int, l: int,
@@ -122,24 +181,26 @@ def enumerate_strongly_stable(nvars: int, l: int,
         # an Artinian ideal owns a pure-power generator per variable
         raise ValueError(
             f"num_generators filter {filt.num_generators} is below nvars={nvars}")
-    for level, staircases in iter_staircase_levels(nvars, l):
-        if level < l:
+    emitted = 0
+    for _text, gens, cells in _canonical(nvars, _level(nvars, l)):
+        if filt.m1 is not None and _m1_of_cells(cells) != filt.m1:
             continue
-        emitted = 0
-        for _text, gens, cells in sorted_level(nvars, staircases):
-            if filt.m1 is not None and _m1_of_cells(cells) != filt.m1:
-                continue
-            if filt.num_generators is not None and len(gens) != filt.num_generators:
-                continue
-            if filt.max_results is not None and emitted >= filt.max_results:
-                raise EnumerationLimitError(emitted)
-            emitted += 1
-            yield MonomialIdeal(nvars, gens)
+        if filt.num_generators is not None and len(gens) != filt.num_generators:
+            continue
+        if filt.max_results is not None and emitted >= filt.max_results:
+            raise EnumerationLimitError(emitted)
+        emitted += 1
+        yield MonomialIdeal(nvars, gens)
 
 
 def count_strongly_stable(nvars: int, l: int) -> int:
-    """Number of strongly stable Artinian ideals of colength l."""
-    for level, staircases in iter_staircase_levels(nvars, l):
-        if level == l:
-            return len(staircases)
-    raise AssertionError("unreachable")
+    """Number of strongly stable Artinian ideals of colength l, counted on
+    the walk without holding any level."""
+    count = 0
+
+    def tally(_cells, _corners):
+        nonlocal count
+        count += 1
+
+    _walk_level(nvars, l, tally)
+    return count

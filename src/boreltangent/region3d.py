@@ -127,10 +127,10 @@ def iter_discrepancies(max_colength: int = 8):
     Deterministic order: colength ascending, ideals in canonical order,
     alpha lexicographic.
     """
-    from .enumeration import iter_staircase_levels, sorted_level
+    from .enumeration import _canonical, _level
 
-    for l, staircases in iter_staircase_levels(3, max_colength):
-        for _text, gens, cells in sorted_level(3, staircases):
+    for l in range(1, max_colength + 1):
+        for _text, gens, cells in _canonical(3, _level(3, l)):
             ideal = MonomialIdeal(3, gens)
             std = StandardSet(3, cells)
             box = alpha_support_box(ideal)

@@ -3,10 +3,20 @@ monotonicity / necessary-condition / tetrahedral-maximum checks.
 
 A scan of colength l computes T(I) at every Borel staircase of that
 colength and keeps the maximum and *all* attaining ideals per m1 class
-(ties carry the scientific content, so they are never discarded).  With
-``workers`` > 1 the staircases go to a pool in ``imap`` chunks.  The
-max/argmax merge ignores the order of the staircases, and each argmax list
-is sorted into canonical order, so results are identical for any worker count.
+(ties carry the scientific content, so they are never discarded).
+
+The work is cut into subtrees of the reverse-search walk of
+:mod:`.enumeration`.  The parent walks to a shallow depth d, the first
+with at least ``8 * workers`` staircases, and each pending colength l gets
+one task per staircase of depth min(l, d).  A task walks its subtree down
+to size l and runs the tangent kernel at every staircase there on the
+corners the walk carries; it returns, per m1 class, the count, the maximum
+and the staircases attaining it.  The tasks of every pending colength go
+through one ``imap_unordered`` stream of a pool (a plain ``map`` at one
+worker), and a colength is merged, cached and counted as completed as soon
+as its last task returns.  The merge ignores the order of the tasks, and
+each argmax list is sorted into canonical order, so results are identical
+for any worker count.
 
 Completed colengths are cached as JSONL files (``scan-N{N}-l{l}.jsonl``,
 one record per m1 class, schema-versioned); reruns skip cached colengths,
@@ -20,11 +30,12 @@ import json
 import multiprocessing
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .enumeration import iter_staircase_levels, sorted_level
+from .enumeration import _canonical, _descend, _level
 from .monomials import (
     MonomialIdeal,
     _m1_of_cells,
@@ -34,7 +45,7 @@ from .monomials import (
     tetrahedral,
 )
 from .published_table import TABLE_LMAX, TABLE_LMIN, expected_cells
-from .tangent import _total_from_staircase
+from .tangent import _total
 
 SCHEMA_VERSION = 1
 
@@ -45,8 +56,11 @@ CACHE_ENV_VAR = "BORELTANGENT_CACHE"
 class BudgetExceededError(RuntimeError):
     """A per-colength wall-clock budget was exceeded.
 
-    The wall clock of a colength counts the growth of its staircase level
-    and the tangent computations.
+    The clock of a colength runs from the end of the previous completed
+    colength (or the start of the scan), so it counts the walk and the
+    tangent computations.  With a pool every wait for a subtree task is
+    bounded by the time left; in process the walk checks the deadline at
+    every staircase it scans.
 
     ``completed`` holds the records of every colength finished before the
     breach (already flushed to the cache when caching is enabled).
@@ -73,9 +87,9 @@ class ScanRecord:
     """Result of maximizing T over one (nvars, l, m1) class.
 
     ``argmax`` lists every attaining ideal in canonical order.  ``elapsed``
-    is wall time for the enclosing colength scan, the growth of its level
-    included, and is excluded from equality so cached records compare
-    equal to fresh ones.
+    is the wall time from the end of the previous completed colength (or
+    the start of the scan) to the end of this one, and is excluded from
+    equality so cached records compare equal to fresh ones.
     """
 
     key: ScanKey
@@ -146,53 +160,65 @@ def _store_cached(cache_dir, nvars: int, l: int, records: dict[int, ScanRecord])
     os.replace(tmp, path)
 
 
-def _scan_level(nvars: int, l: int, staircases, pool, workers: int,
-                budget_seconds, started: float) -> dict[int, ScanRecord]:
-    """Max/argmax per m1 class over one colength's staircases, in any order."""
-    total_of = partial(_total_from_staircase, nvars)
-    if pool is not None and len(staircases) > workers:
-        chunk = max(1, min(128, len(staircases) // (workers * 4)))
-        totals_iter = pool.imap(total_of, staircases, chunksize=chunk)
-    else:
-        totals_iter = map(total_of, staircases)
+def _fold(stats: dict[int, list], m1: int, count: int, total: int, argmax: list) -> None:
+    """Fold [count, t_max, argmax] of some staircases into the per-m1 stats."""
+    entry = stats.get(m1)
+    if entry is None:
+        stats[m1] = [count, total, argmax]
+        return
+    entry[0] += count
+    if total > entry[1]:
+        entry[1:] = total, argmax
+    elif total == entry[1]:
+        entry[2].extend(argmax)
 
-    best: dict[int, int] = {}
-    argmax: dict[int, list] = {}
-    counts: dict[int, int] = {}
-    for idx, cells in enumerate(staircases):
-        # checked before waiting for a total: a budget spent growing raises at once
-        if budget_seconds is not None and (idx & 0x3F) == 0:
-            if time.monotonic() - started > budget_seconds:
-                raise BudgetExceededError(
-                    f"budget of {budget_seconds}s exceeded scanning N={nvars} l={l} "
-                    f"after {idx} of {len(staircases)} ideals")
-        total = next(totals_iter)
-        m1 = _m1_of_cells(cells)
-        counts[m1] = counts.get(m1, 0) + 1
-        prev = best.get(m1)
-        if prev is None or total > prev:
-            best[m1] = total
-            argmax[m1] = [cells]
-        elif total == prev:
-            argmax[m1].append(cells)
 
-    elapsed = time.monotonic() - started
-    records: dict[int, ScanRecord] = {}
-    for m1 in sorted(best):
-        ideals = tuple(MonomialIdeal(nvars, gens)
-                       for _text, gens, _cells in sorted_level(nvars, argmax[m1]))
-        records[m1] = ScanRecord(key=ScanKey(nvars, l, m1), ideal_count=counts[m1],
-                                 t_max=best[m1], argmax=ideals, elapsed=elapsed)
-    return records
+def _subtree_task(nvars: int, task, deadline: float | None = None) -> tuple[int, dict[int, list]]:
+    """Walk one subtree down to size l and run the kernel at every staircase
+    there: (l, {m1: [count, t_max, argmax (cells, corners) pairs]}).
+    Raises multiprocessing.TimeoutError past a ``time.monotonic()``
+    deadline.  Module-level so that pool workers can unpickle it."""
+    (cells, corners), l = task
+    stats: dict[int, list] = {}
+
+    def visit(cells, corners):
+        if deadline is not None and time.monotonic() > deadline:
+            raise multiprocessing.TimeoutError
+        gens = tuple(corners)
+        _fold(stats, _m1_of_cells(cells), 1, _total(gens, cells), [(frozenset(cells), gens)])
+
+    _descend(nvars, cells, corners, l, visit)
+    return l, stats
+
+
+def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dict[int, ScanRecord]:
+    """A colength's records from its merged stats, argmax lists in canonical order."""
+    return {m1: ScanRecord(key=ScanKey(nvars, l, m1), ideal_count=count, t_max=total,
+                           argmax=tuple(MonomialIdeal(nvars, gens)
+                                        for _text, gens, _cells in _canonical(nvars, argmax)),
+                           elapsed=elapsed)
+            for m1, (count, total, argmax) in sorted(merged.items())}
+
+
+def _tasks(nvars: int, pending: list[int], workers: int) -> list:
+    """((cells, corners), l) for every subtree of every pending colength:
+    the roots of l are its staircases of depth min(l, d), with d the first
+    depth holding at least 8 * workers staircases."""
+    levels = {1: _level(nvars, 1)}
+    depth = 1
+    while len(levels[depth]) < 8 * workers and depth < max(pending):
+        depth += 1
+        levels[depth] = _level(nvars, depth)
+    return [(root, l) for l in pending for root in levels[min(l, depth)]]
 
 
 def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
                         cache_dir=None, budget_seconds=None) -> dict[int, dict[int, ScanRecord]]:
     """Scan every colength in lmin..lmax; returns {l: {m1: ScanRecord}}.
 
-    One staircase growth pass serves the whole range.  Colengths already in
-    the cache are not recomputed; freshly scanned ones are written to the
-    cache as they complete, so an interrupted run resumes where it stopped.
+    Colengths already in the cache are not recomputed; freshly scanned ones
+    are written to the cache as they complete, so an interrupted run
+    resumes where it stopped.
     """
     if not 1 <= lmin <= lmax:
         raise ValueError("need 1 <= lmin <= lmax")
@@ -212,22 +238,39 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     # the pool's exit terminates it on every path: once the loop ends no
     # task is outstanding, and after a failure queued tasks are useless
     with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        # a colength's budget runs from the end of the previous scanned
-        # colength, so the growth of its level is charged to it
         started = time.monotonic()
-        for l, staircases in iter_staircase_levels(nvars, max(pending)):
-            if l not in pending:
-                continue
+        tasks = _tasks(nvars, pending, workers)
+        if pool is not None:
+            stream = pool.imap_unordered(partial(_subtree_task, nvars), tasks)
+        total = Counter(l for _root, l in tasks)
+        done = Counter()
+        merged: dict[int, dict[int, list]] = {l: {} for l in pending}
+        for task in tasks:
+            deadline = None if budget_seconds is None else started + budget_seconds
             try:
-                records = _scan_level(nvars, l, staircases, pool, workers,
-                                      budget_seconds, started)
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(str(exc), completed=results) from None
-            results[l] = records
-            if cache_dir:
-                _store_cached(cache_dir, nvars, l, records)
-            started = time.monotonic()
-    return results
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise multiprocessing.TimeoutError
+                if pool is None:
+                    # in process the walk itself watches the deadline
+                    l, stats = _subtree_task(nvars, task, deadline)
+                else:
+                    left = None if deadline is None else deadline - time.monotonic()
+                    l, stats = stream.next(timeout=left)
+            except multiprocessing.TimeoutError:
+                late = min(l for l in pending if l not in results)
+                raise BudgetExceededError(
+                    f"budget of {budget_seconds}s exceeded scanning N={nvars} l={late} "
+                    f"after {done[late]} of {total[late]} subtrees", completed=results) from None
+            for m1, entry in stats.items():
+                _fold(merged[l], m1, *entry)
+            done[l] += 1
+            if done[l] == total[l]:
+                now = time.monotonic()
+                results[l] = _records(nvars, l, merged.pop(l), now - started)
+                if cache_dir:
+                    _store_cached(cache_dir, nvars, l, results[l])
+                started = now
+    return dict(sorted(results.items()))
 
 
 def scan_colength(nvars: int, l: int, **kwargs) -> dict[int, ScanRecord]:

@@ -27,7 +27,10 @@ Two independent algorithms are provided by design:
   are at most (N-1)*G of them.  The package's x1-dominant convention is
   theirs.  For any other monomial ideal the kernel falls back on all
   G(G-1)/2 pairs, whose Taylor relations generate the syzygies of every
-  monomial ideal.
+  monomial ideal.  :func:`graded_dimension` asks one degree, so it takes
+  the Taylor pairs too, but only those with an active end whose lcm
+  shifted by alpha is a cell: building the whole pair list would cost it
+  more than these few lookups.
 
   The sweep over all degrees works on packed integers.  With ``top`` the
   largest exponent among the generators and the standard exponents, a
@@ -264,14 +267,16 @@ def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None =
     active = [i for i, act in enumerate(is_active) if act]
     if not active:
         return 0
-    # an active generator bounds every |alpha_t| by the largest exponent,
-    # so the packed code is injective on alpha and the lcm shifts
-    _, weights, codes, cell_codes = _pack(gens, cells)
-    al = sum(map(mul, alpha, weights))
+    # the Taylor pairs generate the syzygies; only those with an active end
+    # whose lcm shifted by alpha is a cell constrain this degree
     g = len(gens)
-    edges = [(i if is_active[i] else g, k if is_active[k] else g)
-             for i, k, lcm in _syzygy_pairs(gens, codes, weights, cell_codes)
-             if (is_active[i] or is_active[k]) and lcm + al in cell_codes]
+    edges = []
+    for i in active:
+        for k in range(g):
+            if k != i and not (is_active[k] and k < i):
+                lcm = map(max, gens[i], gens[k])
+                if tuple(map(add, lcm, alpha)) in cells:
+                    edges.append((i, k if is_active[k] else g))
     return len(active) - _forest_rank(edges, list(range(g + 1)))
 
 
@@ -312,12 +317,15 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     )
 
 
-def _total_from_staircase(nvars: int, cells) -> int:
-    """Raw total at one divisor-closed cell set, its ideal read off the
-    corners: no report object, no validation, no decoding of degrees.
-    Module-level so that pool workers can unpickle it."""
-    gens = tuple(_gens_from_cells(nvars, cells))
+def _total(gens, cells) -> int:
+    """Raw total at one divisor-closed cell set given with its corners: no
+    report object, no validation, no decoding of degrees."""
     return len(gens) * len(cells) - sum(_kernel(gens, cells)[0].values())
+
+
+def _total_from_staircase(nvars: int, cells) -> int:
+    """:func:`_total` with the corners read off the cells."""
+    return _total(tuple(_gens_from_cells(nvars, cells)), cells)
 
 
 def bareiss_rank(rows) -> int:

@@ -79,6 +79,15 @@ def one_cell_extensions(cells, nvars: int):
     return {g for g in grown if is_order_ideal(g, nvars) and is_borel_staircase(g, nvars)}
 
 
+def largest_removable_cell(cells, nvars: int):
+    """The largest cell, in tuple order, whose removal leaves a Borel
+    staircase; None when no cell is removable."""
+    cells = frozenset(cells)
+    removable = [c for c in cells if is_order_ideal(cells - {c}, nvars)
+                 and is_borel_staircase(cells - {c}, nvars)]
+    return max(removable, default=None)
+
+
 def random_borel_staircase(rng, nvars: int, size: int) -> frozenset:
     """A Borel staircase of the given size, grown one random cell at a time."""
     cells = frozenset([(0,) * nvars])

@@ -1,8 +1,10 @@
-"""The documented entry points keep working: every demo runs, and every name
+"""The documented entry points keep working: every demo runs, every name
 the README quick start, the demos and the benchmark import from the top
-level is exported there."""
+level is exported there, and every name they import from a submodule
+exists in it."""
 
 import ast
+import importlib
 import inspect
 import os
 import re
@@ -37,6 +39,13 @@ def _documented_imports() -> dict[str, set[str]]:
     return found
 
 
+def _submodule_imports(source: str) -> set[tuple[str, str]]:
+    return {(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").startswith("boreltangent.")
+            for alias in node.names}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
@@ -50,6 +59,19 @@ def test_documented_imports_are_exported():
     assert found["README.md"], "README quick start imports nothing from boreltangent"
     missing = {where: names - set(boreltangent.__all__)
                for where, names in found.items() if names - set(boreltangent.__all__)}
+    assert missing == {}
+
+
+def test_submodule_imports_resolve():
+    # the benchmark imports private-path names at load time: losing one
+    # would fail every workload
+    found = {}
+    for path in DEMOS + sorted((REPO_ROOT / "perfbench").glob("*.py")):
+        found.update(dict.fromkeys(_submodule_imports(path.read_text(encoding="utf-8")),
+                                   str(path.relative_to(REPO_ROOT))))
+    assert ("boreltangent.enumeration", "iter_staircase_levels") in found
+    missing = {f"{module}.{name}": where for (module, name), where in found.items()
+               if not hasattr(importlib.import_module(module), name)}
     assert missing == {}
 
 

@@ -6,17 +6,22 @@ from hypothesis import example, given, settings
 from oracles import (
     distinct_partition_count,
     is_borel_staircase,
+    is_order_ideal,
     iter_order_ideal_levels,
+    largest_removable_cell,
     minimal_exponents_outside,
     one_cell_extensions,
     random_borel_staircase,
 )
-from strategies import staircases
+from strategies import borel_staircases, staircases
 
 from boreltangent.enumeration import (
     EnumerationLimitError,
     EnumFilter,
-    _grow,
+    _canonical,
+    _descend,
+    _level,
+    _walk_level,
     count_strongly_stable,
     enumerate_strongly_stable,
     iter_staircase_levels,
@@ -71,6 +76,17 @@ def test_completeness_against_brute_force(nvars, lmax):
         assert {standard_set(ideal).cells for ideal in got} == expected
 
 
+def _children(nvars, cells):
+    """The walk's children of a staircase with their carried corners."""
+    found = {}
+
+    def keep(child, corners):
+        found[frozenset(child)] = set(corners)
+
+    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), len(cells) + 1, keep)
+    return found
+
+
 def test_growth_step_on_random_large_staircases():
     # the exhaustive check above stops at l = 10; here the growth step and
     # its corner routine meet the definitions on staircases of 20 to 40 cells
@@ -82,9 +98,77 @@ def test_growth_step_on_random_large_staircases():
             assert corners == minimal_exponents_outside(cells, nvars)
             for c in corners:
                 assert _borel_moves_in(nvars, cells, c) == is_borel_staircase(cells | {c}, nvars)
-            children = _grow([cells], nvars)
-            assert len(children) == len(set(children))
-            assert set(children) == one_cell_extensions(cells, nvars)
+            addable = [c for c in corners if _borel_moves_in(nvars, cells, c)]
+            assert {cells | {c} for c in addable} == one_cell_extensions(cells, nvars)
+            children = _children(nvars, cells)
+            assert set(children) == {cells | {c} for c in addable if c > max(cells)}
+            for child, carried in children.items():
+                assert carried == minimal_exponents_outside(child, nvars)
+
+
+# --- the reverse-search walk against the definitions ---
+
+@settings(max_examples=200, deadline=None)
+@given(borel_staircases())
+def test_walk_child_rule_against_largest_removable_cell(staircase):
+    # the walk keeps S + {c} exactly when c is the cell its parent rule
+    # would remove again, computed here from the definition
+    nvars, cells = staircase.nvars, staircase.cells
+    expected = {grown for grown in one_cell_extensions(cells, nvars)
+                if largest_removable_cell(grown, nvars) == next(iter(grown - cells))}
+    assert set(_children(nvars, cells)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(borel_staircases())
+def test_staircase_minus_its_largest_removable_cell_is_borel(staircase):
+    nvars, cells = staircase.nvars, staircase.cells
+    if len(cells) == 1:
+        return
+    top = largest_removable_cell(cells, nvars)
+    assert top == max(cells)
+    parent = cells - {top}
+    assert is_order_ideal(parent, nvars) and is_borel_staircase(parent, nvars)
+    assert cells in _children(nvars, parent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(borel_staircases())
+def test_walk_meets_a_staircase_once_with_its_corners(staircase):
+    nvars, cells = staircase.nvars, staircase.cells
+    met = []
+
+    def keep(node, corners):
+        if node == cells:
+            met.append(set(corners))
+
+    _walk_level(nvars, len(cells), keep)
+    assert met == [minimal_exponents_outside(cells, nvars)]
+
+
+@pytest.mark.parametrize("nvars,l", [(3, 12), (4, 10), (5, 8)])
+def test_walk_level_carries_the_corners(nvars, l):
+    nodes = _level(nvars, l)
+    assert len({cells for cells, _corners in nodes}) == len(nodes) == count_strongly_stable(nvars, l)
+    for cells, corners in nodes:
+        assert is_order_ideal(cells, nvars) and is_borel_staircase(cells, nvars)
+        assert len(corners) == len(set(corners))
+        assert set(corners) == minimal_exponents_outside(cells, nvars)
+
+
+# level sizes of the breadth-first growth the walk replaced, l = 1, 2, ...
+BFS_LEVEL_COUNTS = {
+    3: (1, 1, 2, 3, 4, 6, 9, 12, 17, 24, 32, 44, 60, 80, 107, 143, 188, 248, 326,
+        425, 553, 718, 926, 1193, 1533, 1961),
+    4: (1, 1, 2, 3, 5, 7, 11, 16, 24, 35, 50, 72, 103, 146, 206, 289, 403, 560, 775,
+        1068, 1465, 2004),
+}
+
+
+@pytest.mark.parametrize("nvars", sorted(BFS_LEVEL_COUNTS))
+def test_counts_match_breadth_first_growth(nvars):
+    counts = BFS_LEVEL_COUNTS[nvars]
+    assert tuple(count_strongly_stable(nvars, l) for l in range(1, len(counts) + 1)) == counts
 
 
 def test_soundness_n3():
@@ -139,6 +223,7 @@ def test_sorted_level_matches_validated_ideal(staircase):
 def test_sorted_level_whole_level(nvars, l):
     level = dict(iter_staircase_levels(nvars, l))[l]
     decorated = sorted_level(nvars, level)
+    assert decorated == _canonical(nvars, _level(nvars, l))
     assert {cells for _t, _g, cells in decorated} == set(level)
     texts = [text for text, _g, _c in decorated]
     assert all(a < b for a, b in zip(texts, texts[1:]))

@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 from boreltangent import scan
-from boreltangent.enumeration import enumerate_strongly_stable, iter_staircase_levels
+from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.monomials import colength, format_ideal, parse_ideal
 from boreltangent.scan import (
     CSV_HEADER,
@@ -24,7 +24,7 @@ from boreltangent.scan import (
     scan_colength_range,
     t_max,
 )
-from boreltangent.tangent import _total_from_staircase, tangent_dimension
+from boreltangent.tangent import tangent_dimension
 
 
 def test_scan_key_validation():
@@ -186,57 +186,63 @@ def test_cache_rejects_records_of_another_key(tmp_path):
     assert scan_colength(2, 8, cache_dir=tmp_path) == scan_colength(2, 8)
 
 
-def _grow_seconds(nvars, l):
-    started = time.monotonic()
-    for _level, _staircases in iter_staircase_levels(nvars, l):
-        pass
-    return time.monotonic() - started
+_subtree_task = scan._subtree_task
 
 
-def _slow_total(delay, nvars, cells):
-    time.sleep(delay)
-    return _total_from_staircase(nvars, cells)
+def _slow_subtree(delay, level, nvars, task, deadline=None):
+    if level is None or task[1] == level:
+        time.sleep(delay)
+    return _subtree_task(nvars, task, deadline)
+
+
+def _slow_subtrees(monkeypatch, seconds, level=None):
+    """Make every subtree task of one colength (of all, by default) sleep
+    first; the walk and the kernel now run inside these tasks."""
+    monkeypatch.setattr(scan, "_subtree_task", partial(_slow_subtree, seconds, level))
 
 
 def test_budget_breach_does_not_drain_the_pool(monkeypatch):
-    # each queued ideal is made to sleep, so that on 2 workers the 1193
-    # ideals at l = 24 take twice as long as growth however fast the kernel
-    # is; waiting for them would more than double the run, so a breach at
-    # the first check must stop the workers
-    before = _grow_seconds(3, 24)
-    monkeypatch.setattr(scan, "_total_from_staircase",
-                        partial(_slow_total, 2 * 2 * before / 1193))
+    # each queued subtree is made to sleep, so that draining the 2 workers
+    # would take seconds; a breach at the first check must stop them
+    tasks = len(scan._tasks(3, [24], 2))
+    delay = 0.25
+    queued = tasks * delay / 2
+    _slow_subtrees(monkeypatch, delay)
     started = time.monotonic()
-    with pytest.raises(BudgetExceededError, match="after 0 of 1193"):
+    with pytest.raises(BudgetExceededError, match=f"after 0 of {tasks} subtrees"):
         scan_colength(3, 24, workers=2, budget_seconds=0)
     elapsed = time.monotonic() - started
-    # measured on both sides of the scan, so a host slowing down meanwhile
-    # raises the bound with it
-    prep = max(before, _grow_seconds(3, 24))
-    assert elapsed - prep < prep, f"scan {elapsed:.2f}s, growth {prep:.2f}s"
+    assert elapsed < queued / 2, f"scan {elapsed:.2f}s, queued work {queued:.2f}s per worker"
     assert multiprocessing.active_children() == []
 
 
-def _slow_growth_of_level(monkeypatch, level, seconds):
-    real_levels = scan.iter_staircase_levels
+def test_budget_bounds_each_wait(monkeypatch):
+    # a subtree that runs past the budget is not waited for
+    _slow_subtrees(monkeypatch, 2.0)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="N=3 l=10 after 0 of"):
+        scan_colength(3, 10, workers=2, budget_seconds=0.3)
+    assert time.monotonic() - started < 1.2
+    assert multiprocessing.active_children() == []
 
-    def slow_levels(nvars, max_colength):
-        for l, staircases in real_levels(nvars, max_colength):
-            if l == level:
-                time.sleep(seconds)
-            yield l, staircases
 
-    monkeypatch.setattr(scan, "iter_staircase_levels", slow_levels)
+def test_budget_bounds_the_walk_in_process():
+    # at one worker nothing can time out a wait: the walk checks the
+    # deadline itself, though one subtree holds nearly all of l = 30
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="N=3 l=30 after"):
+        scan_colength(3, 30, budget_seconds=0.3)
+    assert time.monotonic() - started < 1.5
 
 
 def test_budget_counts_growth(monkeypatch):
-    _slow_growth_of_level(monkeypatch, 10, 0.5)
+    _slow_subtrees(monkeypatch, 0.5, level=10)
     with pytest.raises(BudgetExceededError, match="N=3 l=10"):
         scan_colength(3, 10, budget_seconds=0.3)
 
 
 def test_budget_breach_keeps_finished_colengths(monkeypatch, tmp_path):
-    _slow_growth_of_level(monkeypatch, 8, 0.5)
+    _slow_subtrees(monkeypatch, 0.5, level=8)
     with pytest.raises(BudgetExceededError, match="N=3 l=8") as err:
         scan_colength_range(3, 5, 9, budget_seconds=0.3, cache_dir=tmp_path)
     completed = err.value.completed
@@ -244,8 +250,10 @@ def test_budget_breach_keeps_finished_colengths(monkeypatch, tmp_path):
     for l in (5, 6, 7):
         assert (tmp_path / f"scan-N3-l{l}.jsonl").is_file()
     assert not (tmp_path / "scan-N3-l8.jsonl").exists()
-    # a rerun without the budget serves the flushed colengths from the cache
-    # (their elapsed is the first run's) and scans the rest
+    # a rerun without the budget (or the sleeps) serves the flushed
+    # colengths from the cache (their elapsed is the first run's) and scans
+    # the rest
+    monkeypatch.undo()
     full = scan_colength_range(3, 5, 9, cache_dir=tmp_path)
     assert sorted(full) == [5, 6, 7, 8, 9]
     for l in (5, 6, 7):
@@ -254,13 +262,27 @@ def test_budget_breach_keeps_finished_colengths(monkeypatch, tmp_path):
 
 
 def test_budget_seconds_zero(monkeypatch):
-    # the budget is spent by growth alone, so the scan must raise without
-    # waiting for a total; each total here would take a second
-    monkeypatch.setattr(scan, "_total_from_staircase", partial(_slow_total, 1.0))
+    # the budget is spent before the first task returns, so the scan must
+    # raise without waiting for one; each task here would take a second
+    _slow_subtrees(monkeypatch, 1.0)
     started = time.monotonic()
     with pytest.raises(BudgetExceededError, match="after 0 of"):
         scan_colength(3, 10, budget_seconds=0.0)
     assert time.monotonic() - started < 1.0
+
+
+def test_subtree_tasks_cover_each_level_once():
+    # the roots of a colength are one level of the walk, at the first depth
+    # with 8 staircases per worker, or the colength's own level when shallower
+    for workers in (1, 2):
+        tasks = scan._tasks(3, [5, 9, 20], workers)
+        roots = {l: [root for root, level in tasks if level == l] for l in (5, 9, 20)}
+        assert len(roots[5]) == 4
+        assert len(roots[9]) == len(roots[20]) >= 8 * workers
+        for l in (5, 9, 20):
+            stats = [_subtree_task(3, (root, l))[1] for root in roots[l]]
+            assert sum(c for s in stats for c, _t, _a in s.values()) == \
+                len(list(enumerate_strongly_stable(3, l)))
 
 
 def test_scan_range_shares_one_pass():
