@@ -78,11 +78,9 @@ def _load_ideal(args) -> MonomialIdeal:
 
 
 def _cache_dir(args):
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    if getattr(args, "cache", None):
-        return args.cache
-    return os.environ.get(CACHE_ENV_VAR) or None
+    return args.cache or os.environ.get(CACHE_ENV_VAR) or None
 
 
 def _scan_kwargs(args) -> dict:
@@ -112,7 +110,7 @@ def build_parser() -> _Parser:
                                  "tangent space dimensions.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("enumerate", parents=[], help="list strongly stable ideals "
+    p = subs.add_parser("enumerate", help="list strongly stable ideals "
                         "of a colength in canonical order")
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
@@ -142,7 +140,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ideal", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--size-filter", type=int, default=None)
-    _add_format_flag(p, choices=("text", "json"))
+    _add_format_flag(p)
     p.set_defaults(func=_cmd_region)
 
     p = subs.add_parser("scan", help="T_max and argmax ideals per m1 class")

@@ -36,6 +36,7 @@ from .monomials import (
     Exponent,
     MonomialIdeal,
     _borel_moves_in,
+    _divisors_in,
     _format_gens,
     _gens_from_cells,
     _m1_of_cells,
@@ -92,14 +93,8 @@ def _walk(nvars: int, cells: set[Exponent], corners: set[Exponent], top: Exponen
     for c in [c for c in corners if c > top and _borel_moves_in(nvars, cells, c)]:
         cells.add(c)
         corners.remove(c)
-        new = []
-        for t in range(nvars):
-            w = c[:t] + (c[t] + 1,) + c[t + 1:]
-            for u in range(nvars):
-                if w[u] and w[:u] + (w[u] - 1,) + w[u + 1:] not in cells:
-                    break
-            else:
-                new.append(w)
+        new = [w for w in (c[:t] + (c[t] + 1,) + c[t + 1:] for t in range(nvars))
+               if _divisors_in(nvars, cells, w)]
         corners.update(new)
         _walk(nvars, cells, corners, c, levels - 1, visit)
         corners.difference_update(new)
@@ -142,14 +137,16 @@ def iter_staircase_levels(nvars: int, max_colength: int) -> Iterator[tuple[int, 
         yield l, [cells for cells, _corners in _level(nvars, l)]
 
 
-def _canonical(nvars: int, nodes) -> list[tuple[str, tuple[Exponent, ...], frozenset[Exponent]]]:
-    """Decorate (cells, corners) pairs with generators and canonical text,
+def _canonical(nvars: int, nodes) -> list[tuple[str, tuple[Exponent, ...], object]]:
+    """Turn (payload, corners) pairs into (text, gens, payload) triples
     sorted by text.
 
     The canonical stream order is the lexicographic order of the formatted
     ideal strings; this is the one place in the package that orders
     staircases.  ``gens`` are the corners in the order
-    :class:`MonomialIdeal` stores.
+    :class:`MonomialIdeal` stores.  The payload passes through untouched:
+    the cells for :func:`sorted_level`, m1 for the enumeration, None for
+    the scan's argmax lists.
 
     Trusted internal path: no ideal is built here.  The corners of a
     divisor-closed set are an antichain, and each consumer validates the
@@ -181,9 +178,12 @@ def enumerate_strongly_stable(nvars: int, l: int,
         # an Artinian ideal owns a pure-power generator per variable
         raise ValueError(
             f"num_generators filter {filt.num_generators} is below nvars={nvars}")
+    nodes = []
+    _walk_level(nvars, l, lambda cells, corners:
+                nodes.append((_m1_of_cells(cells), tuple(corners))))
     emitted = 0
-    for _text, gens, cells in _canonical(nvars, _level(nvars, l)):
-        if filt.m1 is not None and _m1_of_cells(cells) != filt.m1:
+    for _text, gens, m1 in _canonical(nvars, nodes):
+        if filt.m1 is not None and m1 != filt.m1:
             continue
         if filt.num_generators is not None and len(gens) != filt.num_generators:
             continue

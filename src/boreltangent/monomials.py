@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import product
 from math import comb
+from operator import le
 
 Exponent = tuple[int, ...]
 
@@ -54,7 +55,7 @@ def divides(a: Exponent, b: Exponent) -> bool:
     """True iff x^a divides x^b, i.e. a <= b componentwise."""
     if len(a) != len(b):
         raise DimensionMismatchError(f"exponent lengths differ: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def canonical_key(e: Exponent) -> tuple[int, Exponent]:
@@ -106,9 +107,10 @@ class MonomialIdeal:
                     f"generator {g} has length {len(g)}, expected {self.nvars}")
             if any(e < 0 for e in g):
                 raise ValueError(f"negative exponent in generator {g}")
+        # every length is checked above, so the pairs compare unchecked
         for i, g in enumerate(gens):
             for h in gens[:i]:
-                if divides(h, g):
+                if all(map(le, h, g)):
                     raise ValueError(
                         f"generators are not an antichain: {h} divides {g}; "
                         "use MonomialIdeal.from_generators to minimalize")
@@ -117,6 +119,7 @@ class MonomialIdeal:
     @classmethod
     def from_generators(cls, nvars: int, gens, warn: bool = False) -> "MonomialIdeal":
         """Build the ideal generated by ``gens``, dropping redundant ones."""
+        # lengths are not validated yet: compare through the checked divides
         uniq = sorted({tuple(int(e) for e in g) for g in gens}, key=canonical_key)
         keep = [g for i, g in enumerate(uniq)
                 if not any(divides(h, g) for h in uniq[:i])]
@@ -130,7 +133,7 @@ class MonomialIdeal:
         if len(e) != self.nvars:
             raise DimensionMismatchError(
                 f"exponent {e} has length {len(e)}, expected {self.nvars}")
-        return any(all(x <= y for x, y in zip(g, e)) for g in self.gens)
+        return any(all(map(le, g, e)) for g in self.gens)
 
     @property
     def num_generators(self) -> int:
@@ -274,14 +277,18 @@ def _gens_from_cells(nvars: int, cells) -> set[Exponent]:
     for v in cells:
         for t in range(nvars):
             w = v[:t] + (v[t] + 1,) + v[t + 1:]
-            if w in cells or w in gens:
-                continue
-            for u in range(nvars):
-                if w[u] > 0 and w[:u] + (w[u] - 1,) + w[u + 1:] not in cells:
-                    break
-            else:
+            if w not in cells and w not in gens and _divisors_in(nvars, cells, w):
                 gens.add(w)
     return gens
+
+
+def _divisors_in(nvars: int, cells, w: Exponent) -> bool:
+    """Whether every w - e_u with w_u > 0 is a cell: the corner rule, for a
+    w outside a divisor-closed cell set."""
+    for u in range(nvars):
+        if w[u] and w[:u] + (w[u] - 1,) + w[u + 1:] not in cells:
+            return False
+    return True
 
 
 def _borel_moves_in(nvars: int, cells, c: Exponent) -> bool:

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .enumeration import enumerate_strongly_stable
 from .monomials import (
     DimensionMismatchError,
     Exponent,
     MonomialIdeal,
     StandardSet,
     format_ideal,
+    standard_set,
 )
 from .tangent import _cells_of, alpha_support_box, graded_dimension
 
@@ -127,12 +129,9 @@ def iter_discrepancies(max_colength: int = 8):
     Deterministic order: colength ascending, ideals in canonical order,
     alpha lexicographic.
     """
-    from .enumeration import _canonical, _level
-
     for l in range(1, max_colength + 1):
-        for _text, gens, cells in _canonical(3, _level(3, l)):
-            ideal = MonomialIdeal(3, gens)
-            std = StandardSet(3, cells)
+        for ideal in enumerate_strongly_stable(3, l):
+            std = standard_set(ideal)
             box = alpha_support_box(ideal)
             ranges = [range(lo, hi + 1) for lo, hi in box]
             for a0 in ranges[0]:

@@ -175,7 +175,7 @@ def _fold(stats: dict[int, list], m1: int, count: int, total: int, argmax: list)
 
 def _subtree_task(nvars: int, task, deadline: float | None = None) -> tuple[int, dict[int, list]]:
     """Walk one subtree down to size l and run the kernel at every staircase
-    there: (l, {m1: [count, t_max, argmax (cells, corners) pairs]}).
+    there: (l, {m1: [count, t_max, the argmax staircases' corner tuples]}).
     Raises multiprocessing.TimeoutError past a ``time.monotonic()``
     deadline.  Module-level so that pool workers can unpickle it."""
     (cells, corners), l = task
@@ -185,7 +185,7 @@ def _subtree_task(nvars: int, task, deadline: float | None = None) -> tuple[int,
         if deadline is not None and time.monotonic() > deadline:
             raise multiprocessing.TimeoutError
         gens = tuple(corners)
-        _fold(stats, _m1_of_cells(cells), 1, _total(gens, cells), [(frozenset(cells), gens)])
+        _fold(stats, _m1_of_cells(cells), 1, _total(gens, cells), [gens])
 
     _descend(nvars, cells, corners, l, visit)
     return l, stats
@@ -194,8 +194,8 @@ def _subtree_task(nvars: int, task, deadline: float | None = None) -> tuple[int,
 def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dict[int, ScanRecord]:
     """A colength's records from its merged stats, argmax lists in canonical order."""
     return {m1: ScanRecord(key=ScanKey(nvars, l, m1), ideal_count=count, t_max=total,
-                           argmax=tuple(MonomialIdeal(nvars, gens)
-                                        for _text, gens, _cells in _canonical(nvars, argmax)),
+                           argmax=tuple(MonomialIdeal(nvars, gens) for _text, gens, _
+                                        in _canonical(nvars, ((None, g) for g in argmax))),
                            elapsed=elapsed)
             for m1, (count, total, argmax) in sorted(merged.items())}
 

@@ -67,7 +67,6 @@ from .monomials import (
     MonomialIdeal,
     NonArtinianIdealError,
     StandardSet,
-    _gens_from_cells,
     ideal_to_json,
     standard_set,
 )
@@ -321,11 +320,6 @@ def _total(gens, cells) -> int:
     """Raw total at one divisor-closed cell set given with its corners: no
     report object, no validation, no decoding of degrees."""
     return len(gens) * len(cells) - sum(_kernel(gens, cells)[0].values())
-
-
-def _total_from_staircase(nvars: int, cells) -> int:
-    """:func:`_total` with the corners read off the cells."""
-    return _total(tuple(_gens_from_cells(nvars, cells)), cells)
 
 
 def bareiss_rank(rows) -> int:

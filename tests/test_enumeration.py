@@ -232,16 +232,20 @@ def test_sorted_level_whole_level(nvars, l):
 
 
 def test_filters_equal_post_filtering():
-    everything = list(enumerate_strongly_stable(3, 9))
-    by_m1 = list(enumerate_strongly_stable(3, 9, EnumFilter(m1=2)))
-
     def m1_of(ideal):
         return ideal.pure_powers()[0]
-    assert by_m1 == [i for i in everything if m1_of(i) == 2]
-    by_gens = list(enumerate_strongly_stable(3, 9, EnumFilter(num_generators=6)))
-    assert by_gens == [i for i in everything if i.num_generators == 6]
-    both = list(enumerate_strongly_stable(3, 9, EnumFilter(m1=2, num_generators=6)))
-    assert both == [i for i in everything if m1_of(i) == 2 and i.num_generators == 6]
+
+    # N=4 too: the enumeration carries each staircase's m1 beside its corners
+    for nvars, l in ((3, 9), (4, 10)):
+        everything = list(enumerate_strongly_stable(nvars, l))
+        by_m1 = list(enumerate_strongly_stable(nvars, l, EnumFilter(m1=2)))
+        assert 0 < len(by_m1) < len(everything)
+        assert by_m1 == [i for i in everything if m1_of(i) == 2]
+        by_gens = list(enumerate_strongly_stable(nvars, l, EnumFilter(num_generators=6)))
+        assert 0 < len(by_gens) < len(everything)
+        assert by_gens == [i for i in everything if i.num_generators == 6]
+        both = list(enumerate_strongly_stable(nvars, l, EnumFilter(m1=2, num_generators=6)))
+        assert both == [i for i in everything if m1_of(i) == 2 and i.num_generators == 6]
 
 
 def test_max_results_cap_raises_with_count():

@@ -65,6 +65,12 @@ def test_ideal_rejects_bad_exponents():
         MonomialIdeal(2, ((1, -1),))
     with pytest.raises(DimensionMismatchError):
         MonomialIdeal(2, ((1, 0, 0),))
+    # unvalidated input is minimalized through the checked divides; an
+    # unchecked comparison would drop (1, 0, 0) and return (x)
+    with pytest.raises(DimensionMismatchError):
+        MonomialIdeal.from_generators(2, [(1, 0), (1, 0, 0)])
+    with pytest.raises(DimensionMismatchError):
+        ideal_from_json({"vars": 2, "gens": [[1, 0], [1, 0, 0]]})
     with pytest.raises(ValueError):
         MonomialIdeal(0, ((0,),))
 
