@@ -44,11 +44,17 @@ Two independent algorithms are provided by design:
   code decodes as balanced base-B digits; only the degrees reported with a
   positive dimension are decoded.
 
-* :func:`tangent_dimension_oracle` — the trusted slow path: assemble the
-  integer constraint matrix on all G*l coordinates of candidate generator
-  images (one row per generator pair and standard target monomial) and
-  return G*l minus its exact rank, computed by fraction-free Bareiss
-  elimination over arbitrary-precision integers.
+* :func:`tangent_dimension_oracle` — the trusted independent path:
+  assemble the integer constraint matrix on all G*l coordinates of
+  candidate generator images (one row per generator pair and standard
+  target monomial) and return G*l minus its exact rank, computed by
+  one-step fraction-free Bareiss elimination over arbitrary-precision
+  integers (Bareiss, Math. Comp. 22, 1968).  The rows are sparse
+  {column: entry} dicts, and an index from each column to the rows that
+  hold it lets a pivot step update only those rows.  Dense Bareiss would
+  also multiply every other row by pivot/previous pivot; a row skipped
+  that way records the divisor current at its last update and is rescaled
+  when next read (see :func:`_bareiss_rank`).
 
 The two must agree; the CLI --verify flag and the test suite enforce this.
 Disagreement is an internal-consistency failure.
@@ -322,44 +328,68 @@ def _total(gens, cells) -> int:
     return len(gens) * len(cells) - sum(_kernel(gens, cells)[0].values())
 
 
+def _bareiss_rank(rows: list[dict[int, int]]) -> int:
+    """Exact rank of an integer matrix given as sparse rows {column: entry}
+    with no zero entries, by one-step fraction-free Bareiss elimination.
+
+    ``holders[c]`` indexes the live rows with an entry in column c, and a
+    step updates only those: (pv*r - f*p) // prev.  Dense Bareiss would
+    also scale every other row by pv/prev; over a run of such steps these
+    factors telescope, so a row instead keeps the divisor ``prev`` current
+    at its last update and is rescaled by prev_now/prev_then when it is next
+    read.  That is entry for entry the row dense Bareiss holds after the
+    same pivots, and every division is exact because every Bareiss entry is
+    a minor of the input (Sylvester's identity).  The rows are consumed.
+    """
+    then = [1] * len(rows)
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for k, row in enumerate(rows):
+        for c in row:
+            holders[c].add(k)
+    rank = 0
+    prev = 1
+    for c in sorted(holders):
+        hit = holders.pop(c)
+        if not hit:
+            continue
+        # the sparsest candidate pivot keeps the fill-in small
+        p = min(hit, key=lambda k: len(rows[k]))
+        hit.discard(p)
+        piv = rows[p]
+        if then[p] != prev:
+            piv = {j: v * prev // then[p] for j, v in piv.items()}
+        pv = piv.pop(c)
+        for j in piv:
+            holders[j].discard(p)
+        for k in hit:
+            row = rows[k]
+            if then[k] != prev:
+                row = {j: v * prev // then[k] for j, v in row.items()}
+            f = row.pop(c)
+            new = {j: pv * v // prev for j, v in row.items() if j not in piv}
+            for j, w in piv.items():
+                v = (pv * row.get(j, 0) - f * w) // prev
+                if v:
+                    new[j] = v
+                    if j not in row:
+                        holders[j].add(k)
+                elif j in row:
+                    holders[j].discard(k)
+            rows[k] = new
+            then[k] = pv
+        prev = pv
+        rank += 1
+    return rank
+
+
 def bareiss_rank(rows) -> int:
     """Exact rank of an integer matrix via fraction-free elimination.
 
     One-step Bareiss: all divisions are exact over the integers, so the
     result is immune to overflow and to the unlucky-prime undercounting a
-    modular rank could suffer.
+    modular rank could suffer.  The dense rows are stored sparse.
     """
-    m = [list(row) for row in rows if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot_row = m[rank]
-        pv = pivot_row[c]
-        for i in range(rank + 1, len(m)):
-            row = m[i]
-            f = row[c]
-            # the update must hit every row, f == 0 included: exactness of
-            # the division by the previous pivot rests on every entry being
-            # a minor of the original matrix (Sylvester identity)
-            for j in range(c + 1, ncols):
-                row[j] = (pv * row[j] - f * pivot_row[j]) // prev
-            row[c] = 0
-        prev = pv
-        rank += 1
-        if rank == len(m) or rank == ncols:
-            break
-    return rank
+    return _bareiss_rank([{j: v for j, v in enumerate(row) if v} for row in rows])
 
 
 def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None = None) -> int:
@@ -368,8 +398,15 @@ def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None 
     Columns are (generator i, standard monomial s); each generator pair
     (i, j) contributes, for every standard target t, a row saying the
     coefficient of t in u_ij * image(a_i) - u_ji * image(a_j) vanishes,
-    where u_ij = lcm(a_i, a_j) / a_i.  Returns G*l - rank.  Intended for
-    small instances; raises OracleSizeError above ``ORACLE_SIZE_CAP``.
+    where u_ij = lcm(a_i, a_j) / a_i.  Returns G*l - rank.
+
+    A row holds +1, -1 or both, so the matrix is the incidence matrix of a
+    graph with a ground vertex: every minor, hence every Bareiss entry, is
+    0 or +-1, and elimination keeps each row at two entries or fewer.  The
+    cost thus follows the number of rows, at most G(G-1)/2 * l, and not
+    rows times G*l.  Above ``ORACLE_SIZE_CAP`` the call raises
+    OracleSizeError: the cap bounds that row count, and with it the time
+    and memory one call may take.
     """
     cells = _cells_of(ideal, standard)
     gens = ideal.gens
@@ -379,7 +416,6 @@ def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None 
         raise OracleSizeError(f"G*l = {g}*{l} = {g * l} exceeds the cap {ORACLE_SIZE_CAP}")
     ordered = sorted(cells)
     col = {s: idx for idx, s in enumerate(ordered)}
-    ncols = g * l
     rows = []
     for i, j in combinations(range(g), 2):
         lcm = tuple(max(x, y) for x, y in zip(gens[i], gens[j]))
@@ -392,13 +428,13 @@ def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None 
             cj = col.get(sj)
             if ci is None and cj is None:
                 continue
-            row = [0] * ncols
+            row = {}
             if ci is not None:
-                row[i * l + ci] += 1
+                row[i * l + ci] = 1
             if cj is not None:
-                row[j * l + cj] -= 1
+                row[j * l + cj] = -1
             rows.append(row)
-    return g * l - bareiss_rank(rows)
+    return g * l - _bareiss_rank(rows)
 
 
 def constraint_rank(ideal: MonomialIdeal, standard: StandardSet | None = None) -> int:
@@ -411,6 +447,8 @@ def constraint_rank(ideal: MonomialIdeal, standard: StandardSet | None = None) -
 
 def verify_tangent(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:
     """Run both algorithms and raise VerificationError on disagreement."""
+    if standard is None:
+        standard = standard_set(ideal)
     report = tangent_dimension(ideal, standard)
     oracle = tangent_dimension_oracle(ideal, standard)
     if oracle != report.total:

@@ -222,3 +222,10 @@ def test_scan_verify_flag(capsys):
     code, out, _ = run(capsys, "scan", "--vars", "3", "--l", "8", "--verify")
     assert code == 0
     assert "t_max" in out
+
+
+def test_scan_verify_at_l16(capsys):
+    # 34 argmax ideals, the largest with G*l = 11*16 = 176
+    code, out, _ = run(capsys, "scan", "--vars", "3", "--l", "16", "--verify")
+    assert code == 0
+    assert "N=3 l=16 m1=" in out

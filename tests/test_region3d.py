@@ -1,7 +1,9 @@
+import os
 import random
 import subprocess
 import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +134,8 @@ def test_import_needs_no_numpy_or_scipy():
     code = ("import boreltangent, sys; "
             "boreltangent.region_component_count(boreltangent.parse_ideal('x,y,z'), (-1, 0, 0)); "
             "assert not {'numpy', 'scipy'} & set(sys.modules)")
-    subprocess.run([sys.executable, "-c", code], check=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_square_box_totals_reconcile():

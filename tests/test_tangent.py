@@ -22,11 +22,12 @@ from boreltangent.monomials import (
     parse_ideal,
     standard_set,
 )
-from boreltangent.scan import power_ideal
+from boreltangent.scan import power_ideal, scan_colength
 from boreltangent.tangent import (
     ORACLE_SIZE_CAP,
     OracleSizeError,
     VerificationError,
+    _bareiss_rank,
     _degree_ranks,
     _kernel,
     _pack,
@@ -211,6 +212,41 @@ def test_bareiss_rank_matches_fraction_elimination():
         assert bareiss_rank(matrix) == fraction_rank(matrix)
 
 
+def _sparse_matrix(rng, nrows, ncols):
+    """A sparse integer matrix with non-unit entries and a few rows that are
+    combinations of others."""
+    density = rng.choice((0.15, 0.3, 0.6))
+    rows = [[rng.choice((-6, -3, -2, -1, 1, 2, 3, 4, 5, 7)) if rng.random() < density else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 3) if nrows > 2 else 0):
+        a, b, dest = rng.sample(range(nrows), 3)
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[dest] = [x * u + y * v for u, v in zip(rows[a], rows[b])]
+    return rows
+
+
+def test_bareiss_rank_matches_fraction_rank_on_sparse_matrices():
+    # the oracle's own matrices have entries +-1, so their pivots are +-1 and
+    # no row is ever rescaled; general matrices exercise the lazy rescale
+    rng = random.Random(1968)
+    for _trial in range(400):
+        matrix = _sparse_matrix(rng, rng.randint(1, 13), rng.randint(1, 13))
+        assert bareiss_rank(matrix) == fraction_rank(matrix)
+
+
+@pytest.mark.parametrize("nvars, k", [(3, 3), (3, 4), (3, 5), (3, 6), (4, 2), (4, 3)])
+def test_oracle_agrees_on_power_ideals(nvars, k):
+    ideal = power_ideal(nvars, k)
+    assert tangent_dimension(ideal).total == tangent_dimension_oracle(ideal)
+
+
+def test_oracle_agrees_on_argmax_ideals_at_l16():
+    argmax = [ideal for record in scan_colength(3, 16).values() for ideal in record.argmax]
+    assert len(argmax) == 34
+    for ideal in argmax:
+        assert tangent_dimension(ideal).total == tangent_dimension_oracle(ideal)
+
+
 def test_oracle_size_cap():
     big = power_ideal(3, 8)  # G*l = 45*120, over the cap
     assert len(big.gens) * colength(big) > ORACLE_SIZE_CAP
@@ -223,6 +259,18 @@ def test_oracle_size_cap():
 def test_verify_tangent():
     report = verify_tangent(SQUARE)
     assert report.total == 36
+
+
+def test_verify_tangent_builds_the_standard_set_once(monkeypatch):
+    calls = []
+
+    def counted(ideal):
+        calls.append(ideal)
+        return standard_set(ideal)
+
+    monkeypatch.setattr(tangent_module, "standard_set", counted)
+    assert verify_tangent(SQUARE).total == 36
+    assert calls == [SQUARE]
 
 
 def test_verify_tangent_raises_on_mismatch(monkeypatch):
@@ -327,6 +375,12 @@ def test_oracle_shares_no_code_with_the_kernel():
     assert kernel <= set(vars(tangent_module))
     for trusted in (tangent_dimension_oracle, bareiss_rank):
         assert not _names_in(trusted.__code__) & kernel
+
+
+def test_sparse_elimination_shares_no_code_with_the_kernel():
+    kernel = {"_pack", "_syzygy_pairs", "_taylor_pairs", "_degree_ranks", "_forest_rank",
+              "_kernel", "_total", "tangent_dimension", "graded_dimension"}
+    assert not _names_in(_bareiss_rank.__code__) & kernel
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
