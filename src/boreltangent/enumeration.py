@@ -36,11 +36,11 @@ from .monomials import (
     Exponent,
     MonomialIdeal,
     _borel_moves_in,
+    _canonical_order,
     _divisors_in,
     _format_gens,
     _gens_from_cells,
     _m1_of_cells,
-    canonical_key,
 )
 
 
@@ -154,7 +154,7 @@ def _canonical(nvars: int, nodes) -> list[tuple[str, tuple[Exponent, ...], objec
     """
     decorated = []
     for cells, corners in nodes:
-        gens = tuple(sorted(corners, key=canonical_key))
+        gens = tuple(_canonical_order(corners))
         decorated.append((_format_gens(nvars, gens), gens, cells))
     decorated.sort(key=itemgetter(0))
     return decorated

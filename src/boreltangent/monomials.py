@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 from operator import le
 
@@ -65,6 +64,15 @@ def canonical_key(e: Exponent) -> tuple[int, Exponent]:
     return (sum(e), tuple(-c for c in e))
 
 
+def _canonical_order(exps) -> list[Exponent]:
+    """Distinct exponents in :func:`canonical_key` order, by two stable
+    sorts on C-level keys: descending tuple order, then total degree
+    (ascending -e is descending e)."""
+    order = sorted(exps, reverse=True)
+    order.sort(key=sum)
+    return order
+
+
 def tetrahedral(nvars: int, k: int) -> int:
     """Colength of m^k in nvars variables: C(nvars-1+k, nvars)."""
     if nvars < 1 or k < 0:
@@ -82,6 +90,37 @@ def k_of_l(nvars: int, l: int) -> tuple[int, int]:
     return k, l - tetrahedral(nvars, k)
 
 
+def _minimal_gens(nvars: int, gens, strict: bool) -> tuple[tuple[Exponent, ...], int]:
+    """Validated generators in canonical order, and how many were dropped
+    as multiples of others; ``strict`` raises on such a multiple instead."""
+    if nvars < 1:
+        raise ValueError("nvars must be >= 1")
+    uniq = _canonical_order({tuple(map(int, g)) for g in gens})
+    if not uniq:
+        raise ValueError("need at least one generator")
+    for g in uniq:
+        if len(g) != nvars:
+            raise DimensionMismatchError(
+                f"generator {g} has length {len(g)}, expected {nvars}")
+        if min(g) < 0:
+            raise ValueError(f"negative exponent in generator {g}")
+    # every length is checked above, so the pairs compare unchecked; a
+    # divisor of g has a smaller degree and sits before g, and a dropped
+    # divisor has a kept one of its own
+    keep = []
+    for g in uniq:
+        for h in keep:
+            if all(map(le, h, g)):
+                if strict:
+                    raise ValueError(
+                        f"generators are not an antichain: {h} divides {g}; "
+                        "use MonomialIdeal.from_generators to minimalize")
+                break
+        else:
+            keep.append(g)
+    return tuple(keep), len(uniq) - len(keep)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators (an antichain).
@@ -96,37 +135,21 @@ class MonomialIdeal:
     gens: tuple[Exponent, ...]
 
     def __post_init__(self) -> None:
-        if self.nvars < 1:
-            raise ValueError("nvars must be >= 1")
-        gens = sorted({tuple(int(e) for e in g) for g in self.gens}, key=canonical_key)
-        if not gens:
-            raise ValueError("need at least one generator")
-        for g in gens:
-            if len(g) != self.nvars:
-                raise DimensionMismatchError(
-                    f"generator {g} has length {len(g)}, expected {self.nvars}")
-            if any(e < 0 for e in g):
-                raise ValueError(f"negative exponent in generator {g}")
-        # every length is checked above, so the pairs compare unchecked
-        for i, g in enumerate(gens):
-            for h in gens[:i]:
-                if all(map(le, h, g)):
-                    raise ValueError(
-                        f"generators are not an antichain: {h} divides {g}; "
-                        "use MonomialIdeal.from_generators to minimalize")
-        object.__setattr__(self, "gens", tuple(gens))
+        gens, _ = _minimal_gens(self.nvars, self.gens, strict=True)
+        object.__setattr__(self, "gens", gens)
 
     @classmethod
     def from_generators(cls, nvars: int, gens, warn: bool = False) -> "MonomialIdeal":
         """Build the ideal generated by ``gens``, dropping redundant ones."""
-        # lengths are not validated yet: compare through the checked divides
-        uniq = sorted({tuple(int(e) for e in g) for g in gens}, key=canonical_key)
-        keep = [g for i, g in enumerate(uniq)
-                if not any(divides(h, g) for h in uniq[:i])]
-        if warn and len(keep) != len(uniq):
+        gens, dropped = _minimal_gens(nvars, gens, strict=False)
+        if warn and dropped:
             warnings.warn("generator list was not minimal; redundant generators dropped",
                           RedundantGeneratorWarning, stacklevel=2)
-        return cls(nvars, tuple(keep))
+        # validated above: the constructor would only repeat those checks
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "nvars", nvars)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
 
     def contains(self, e: Exponent) -> bool:
         """Monomial membership: x^e lies in the ideal."""
@@ -142,16 +165,17 @@ class MonomialIdeal:
     def pure_powers(self) -> tuple[int, ...] | None:
         """(m_1, ..., m_N) with m_t minimal such that x_t^(m_t) lies in the
         ideal, or None if some variable has no pure power (non-Artinian)."""
-        m = []
-        for t in range(self.nvars):
-            best = None
-            for g in self.gens:
-                if all(g[s] == 0 for s in range(self.nvars) if s != t):
-                    best = g[t] if best is None else min(best, g[t])
-            if best is None:
-                return None
-            m.append(best)
-        return tuple(m)
+        m = [0] * self.nvars
+        for g in self.gens:
+            d = sum(g)
+            if not d:
+                # the unit ideal: x_t^0 = 1 lies in it for every t
+                return tuple(m)
+            if d in g:
+                # a pure power's one nonzero exponent is its degree, and an
+                # antichain holds at most one pure power per variable
+                m[g.index(d)] = d
+        return tuple(m) if all(m) else None
 
     def __str__(self) -> str:
         return format_ideal(self)
@@ -171,12 +195,12 @@ class StandardSet:
     def __post_init__(self) -> None:
         if self.nvars < 1:
             raise ValueError("nvars must be >= 1")
-        cells = frozenset(tuple(int(e) for e in c) for c in self.cells)
+        cells = frozenset(tuple(map(int, c)) for c in self.cells)
         for c in cells:
             if len(c) != self.nvars:
                 raise DimensionMismatchError(
                     f"cell {c} has length {len(c)}, expected {self.nvars}")
-            if any(e < 0 for e in c):
+            if min(c) < 0:
                 raise InvalidStaircaseError(f"negative exponent in cell {c}")
             for t in range(self.nvars):
                 if c[t] > 0:
@@ -229,17 +253,33 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
 def standard_set(ideal: MonomialIdeal) -> StandardSet:
     """The exponents of all monomials outside the ideal.
 
-    Raises NonArtinianIdealError when the ideal has infinite colength.
-    Every standard exponent satisfies e_t < m_t, so scanning the pure-power
-    box suffices.
+    Raises NonArtinianIdealError when the ideal has infinite colength,
+    before any growth, which would then never stop.  Otherwise the cells
+    grow one total degree at a time from (0, ..., 0): an exponent w lies
+    outside the ideal iff it is not a generator and every w - e_u with
+    w_u > 0 lies outside (a generator g != w dividing w also divides some
+    w - e_u), which is the corner rule of :func:`_divisors_in` on the cells
+    of the degree below.  That is O(N^2) set lookups per cell, and no
+    membership is tested generator by generator.
     """
-    m = ideal.pure_powers()
-    if m is None:
+    if ideal.pure_powers() is None:
         raise NonArtinianIdealError(
             "ideal has no pure power in some variable; standard set is infinite")
-    cells = frozenset(v for v in product(*(range(mt) for mt in m))
-                      if not ideal.contains(v))
-    return StandardSet(ideal.nvars, cells)
+    nvars = ideal.nvars
+    gens = set(ideal.gens)
+    zero = (0,) * nvars
+    cells: set[Exponent] = set()
+    level = set() if zero in gens else {zero}
+    while level:
+        cells |= level
+        above = set()
+        for v in level:
+            for t in range(nvars):
+                w = v[:t] + (v[t] + 1,) + v[t + 1:]
+                if w not in above and w not in gens and _divisors_in(nvars, cells, w):
+                    above.add(w)
+        level = above
+    return StandardSet(nvars, frozenset(cells))
 
 
 def colength(ideal: MonomialIdeal) -> int:

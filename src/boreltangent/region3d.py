@@ -67,14 +67,15 @@ def default_size_filter(ideal: MonomialIdeal) -> int:
 def region_cells(ideal: MonomialIdeal, alpha,
                  standard: StandardSet | None = None) -> frozenset[Exponent]:
     """Standard cells p with p - alpha outside the nonnegative octant or
-    inside the ideal region."""
-    alpha = _check_three_vars(ideal, alpha)
-    out = set()
-    for p in _cells_of(ideal, standard):
-        q = (p[0] - alpha[0], p[1] - alpha[1], p[2] - alpha[2])
-        if q[0] < 0 or q[1] < 0 or q[2] < 0 or ideal.contains(q):
-            out.add(p)
-    return frozenset(out)
+    inside the ideal region.
+
+    Every cell is nonnegative, and a nonnegative exponent lies in the ideal
+    iff it is not a cell, so these are the cells p with p - alpha not a
+    cell.
+    """
+    a0, a1, a2 = _check_three_vars(ideal, alpha)
+    cells = _cells_of(ideal, standard)
+    return frozenset(p for p in cells if (p[0] - a0, p[1] - a1, p[2] - a2) not in cells)
 
 
 def _components(cells) -> tuple[frozenset[Exponent], ...]:

@@ -49,7 +49,16 @@ Two independent algorithms are provided by design:
   candidate generator images (one row per generator pair and standard
   target monomial) and return G*l minus its exact rank, computed by
   one-step fraction-free Bareiss elimination over arbitrary-precision
-  integers (Bareiss, Math. Comp. 22, 1968).  The rows are sparse
+  integers (Bareiss, Math. Comp. 22, 1968).  The oracle packs exponents
+  itself, sharing no code with the sweep: a cell s has code
+  sum_t s_t * B^t in the balanced base B = 2*top + 1, ``top`` again the
+  largest exponent, and a row's two columns are the codes of t - u_ij and
+  t - u_ji for a cell t, each one integer subtraction and one dictionary
+  lookup.  A target t - u has digits in [-top, top] and a cell digits in
+  [0, top], so the two differ by a vector with entries in [-2*top, 2*top],
+  strictly inside (-B, B): the codes agree only when the target is that
+  cell.  A base of top + 1 would let a target with a negative digit alias
+  a cell.  The rows are sparse
   {column: entry} dicts, and an index from each column to the rows that
   hold it lets a pivot step update only those rows.  Dense Bareiss would
   also multiply every other row by pivot/previous pivot; a row skipped
@@ -65,7 +74,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import add, mul
+from operator import add, mul, sub
 
 from .monomials import (
     DimensionMismatchError,
@@ -414,18 +423,19 @@ def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None 
     l = len(cells)
     if g * l > ORACLE_SIZE_CAP:
         raise OracleSizeError(f"G*l = {g}*{l} = {g * l} exceeds the cap {ORACLE_SIZE_CAP}")
-    ordered = sorted(cells)
-    col = {s: idx for idx, s in enumerate(ordered)}
+    # packed codes in the balanced base 2*top + 1 (see the module
+    # docstring): t - u has a cell's code only if it is that cell
+    radix = 2 * max(map(max, chain(gens, cells))) + 1
+    place = [radix ** t for t in range(ideal.nvars)]
+    col = {sum(map(mul, s, place)): idx for idx, s in enumerate(sorted(cells))}
     rows = []
     for i, j in combinations(range(g), 2):
-        lcm = tuple(max(x, y) for x, y in zip(gens[i], gens[j]))
-        uij = tuple(x - y for x, y in zip(lcm, gens[i]))
-        uji = tuple(x - y for x, y in zip(lcm, gens[j]))
-        for t in ordered:
-            si = tuple(x - y for x, y in zip(t, uij))
-            sj = tuple(x - y for x, y in zip(t, uji))
-            ci = col.get(si)
-            cj = col.get(sj)
+        lcm = tuple(map(max, gens[i], gens[j]))
+        uij = sum(map(mul, map(sub, lcm, gens[i]), place))
+        uji = sum(map(mul, map(sub, lcm, gens[j]), place))
+        for t in col:
+            ci = col.get(t - uij)
+            cj = col.get(t - uji)
             if ci is None and cj is None:
                 continue
             row = {}

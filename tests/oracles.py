@@ -114,6 +114,23 @@ def minimal_exponents_outside(cells, nvars: int) -> set:
     return set(minimal)
 
 
+def standard_exponents_in_box(gens, nvars: int) -> frozenset:
+    """Exponents that no generator divides, from the definition: scan the
+    box below the smallest pure power of each variable (an exponent with
+    u_t >= m_t is a multiple of x_t^m_t)."""
+    tops = [min(g[t] for g in gens if all(g[s] == 0 for s in range(nvars) if s != t))
+            for t in range(nvars)]
+    return frozenset(u for u in product(*(range(m) for m in tops))
+                     if not any(all(a <= b for a, b in zip(g, u)) for g in gens))
+
+
+def minimal_elements(exps) -> set:
+    """The exponents of a finite set that no other exponent of it divides."""
+    exps = set(exps)
+    return {u for u in exps
+            if not any(v != u and all(a <= b for a, b in zip(v, u)) for v in exps)}
+
+
 def brute_force_strongly_stable(gens, nvars: int, pure_powers) -> bool:
     """Definition-level check: apply every Borel move to every monomial of
     the ideal inside the pure-power bounding box."""

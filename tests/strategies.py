@@ -27,11 +27,11 @@ def borel_staircases(draw, max_nvars=5):
 
 
 @st.composite
-def artinian_ideals(draw, max_nvars=4):
-    """A random Artinian ideal in 1..max_nvars variables (at most 5): half
-    of them Borel (grown by the test oracle), half an arbitrary antichain
-    with pure powers."""
-    nvars = draw(st.integers(1, max_nvars))
+def artinian_ideals(draw, max_nvars=4, min_nvars=1):
+    """A random Artinian ideal in min_nvars..max_nvars variables (at most
+    5): half of them Borel (grown by the test oracle), half an arbitrary
+    antichain with pure powers."""
+    nvars = draw(st.integers(min_nvars, max_nvars))
     if draw(st.booleans()):
         cells = _borel_cells(draw, nvars)
         return MonomialIdeal(nvars, tuple(minimal_exponents_outside(cells, nvars)))

@@ -5,18 +5,23 @@ from oracles import (
     brute_force_strongly_stable,
     is_borel_staircase,
     iter_order_ideal_levels,
+    minimal_elements,
+    standard_exponents_in_box,
 )
 from strategies import artinian_ideals, staircases
 
+import boreltangent.monomials as monomials_module
 from boreltangent.monomials import (
     DimensionMismatchError,
     IdealSyntaxError,
     InvalidStaircaseError,
     MonomialIdeal,
     NonArtinianIdealError,
+    PurePowerProfile,
     RedundantGeneratorWarning,
     StandardSet,
     UnknownVariableError,
+    canonical_key,
     colength,
     divides,
     format_ideal,
@@ -65,10 +70,14 @@ def test_ideal_rejects_bad_exponents():
         MonomialIdeal(2, ((1, -1),))
     with pytest.raises(DimensionMismatchError):
         MonomialIdeal(2, ((1, 0, 0),))
-    # unvalidated input is minimalized through the checked divides; an
-    # unchecked comparison would drop (1, 0, 0) and return (x)
+    # lengths are checked before minimalizing; an unchecked comparison
+    # would drop (1, 0, 0) and return (x)
     with pytest.raises(DimensionMismatchError):
         MonomialIdeal.from_generators(2, [(1, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match="negative"):
+        MonomialIdeal.from_generators(2, [(1, -1), (0, 1)])
+    with pytest.raises(ValueError, match="at least one"):
+        MonomialIdeal.from_generators(2, [])
     with pytest.raises(DimensionMismatchError):
         ideal_from_json({"vars": 2, "gens": [[1, 0], [1, 0, 0]]})
     with pytest.raises(ValueError):
@@ -78,6 +87,40 @@ def test_ideal_rejects_bad_exponents():
 def test_from_generators_minimalizes():
     ideal = MonomialIdeal.from_generators(2, [(1, 0), (2, 0), (1, 1), (0, 2)])
     assert ideal.gens == ((1, 0), (0, 2))
+
+
+def _pure_powers_by_definition(exps, nvars):
+    """Smallest m_t with x_t^m_t a multiple of some exponent, per variable."""
+    m = []
+    for t in range(nvars):
+        powers = [e[t] for e in exps if all(e[s] == 0 for s in range(nvars) if s != t)]
+        if not powers:
+            return None
+        m.append(min(powers))
+    return tuple(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=10))))
+def test_from_generators_keeps_the_minimal_elements(case):
+    # redundant, duplicated and non-Artinian lists, the unit ideal included
+    nvars, exps = case
+    ideal = MonomialIdeal.from_generators(nvars, exps)
+    assert ideal.gens == tuple(sorted(minimal_elements(exps), key=canonical_key))
+    assert ideal == MonomialIdeal(nvars, ideal.gens)
+    assert ideal.pure_powers() == _pure_powers_by_definition(exps, nvars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(artinian_ideals(5), st.data())
+def test_canonical_order_of_shuffled_generators(ideal, data):
+    gens = list(ideal.gens)
+    repeats = data.draw(st.lists(st.sampled_from(gens), max_size=4))
+    shuffled = data.draw(st.permutations(gens + repeats))
+    expect = tuple(sorted(set(shuffled), key=canonical_key))
+    assert MonomialIdeal(ideal.nvars, shuffled).gens == expect
+    assert MonomialIdeal.from_generators(ideal.nvars, shuffled).gens == expect
 
 
 def test_parse_warns_on_redundant_generators():
@@ -121,6 +164,34 @@ def test_standard_set_examples():
 def test_standard_set_requires_artinian():
     with pytest.raises(NonArtinianIdealError):
         standard_set(parse_ideal("x,y", nvars=3))
+
+
+def test_non_artinian_ideal_raises_before_any_growth(monkeypatch):
+    # growing these degree by degree would never stop
+    def no_growth(*_args):
+        raise AssertionError("standard_set grew cells of a non-Artinian ideal")
+
+    monkeypatch.setattr(monomials_module, "_divisors_in", no_growth)
+    for text, nvars in (("x,y", 3), ("x^2,x*y,y^2", 3), ("x*y", 2), ("y^2,z", 3),
+                        ("x^3,y^2,x*z", 4)):
+        ideal = parse_ideal(text, nvars=nvars)
+        assert ideal.pure_powers() is None
+        with pytest.raises(NonArtinianIdealError):
+            standard_set(ideal)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_unit_ideal_pure_powers_and_staircase(nvars):
+    unit = MonomialIdeal(nvars, ((0,) * nvars,))
+    assert unit.pure_powers() == (0,) * nvars
+    assert standard_set(unit).cells == frozenset()
+    assert pure_power_profile(unit) == PurePowerProfile((0,) * nvars, 0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(artinian_ideals(5))
+def test_standard_set_matches_the_box_scan(ideal):
+    assert standard_set(ideal).cells == standard_exponents_in_box(ideal.gens, ideal.nvars)
 
 
 def test_colength_examples():

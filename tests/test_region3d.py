@@ -6,6 +6,9 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import artinian_ideals
 
 from boreltangent.monomials import DimensionMismatchError, StandardSet, parse_ideal, standard_set
 from boreltangent.region3d import (
@@ -112,6 +115,17 @@ def _check_labelling(cells):
     least = [min(comp) for comp in comps]
     assert least == sorted(least)
     return comps
+
+
+@settings(max_examples=200, deadline=None)
+@given(artinian_ideals(3, min_nvars=3), st.data())
+def test_region_cells_match_the_membership_definition(ideal, data):
+    std = standard_set(ideal)
+    alpha = tuple(data.draw(st.integers(lo - 1, hi + 1)) for lo, hi in alpha_support_box(ideal))
+    shifted = {p: tuple(a - b for a, b in zip(p, alpha)) for p in std.cells}
+    expect = {p for p, q in shifted.items() if min(q) < 0 or ideal.contains(q)}
+    assert region_cells(ideal, alpha) == expect
+    assert region_cells(ideal, alpha, standard=std) == expect
 
 
 def test_components_by_definition():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import fraction_rank, iter_partitions, partition_staircase
-from strategies import artinian_ideals, borel_staircases, staircases
+from strategies import TOP, artinian_ideals, borel_staircases, staircases
 
 import boreltangent.tangent as tangent_module
+from boreltangent.region3d import region_component_count
 from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.monomials import (
     DimensionMismatchError,
@@ -18,6 +19,7 @@ from boreltangent.monomials import (
     StandardSet,
     _gens_from_cells,
     colength,
+    is_strongly_stable,
     minimal_generators,
     parse_ideal,
     standard_set,
@@ -240,6 +242,29 @@ def test_oracle_agrees_on_power_ideals(nvars, k):
     assert tangent_dimension(ideal).total == tangent_dimension_oracle(ideal)
 
 
+@st.composite
+def top_heavy_ideals(draw):
+    """An Artinian ideal in 1..4 variables whose x1 pure power m_1 is its
+    largest exponent, so that the oracle's targets minus shifts reach
+    digits down to -m_1."""
+    nvars = draw(st.integers(1, 4))
+    top = draw(st.integers(1, TOP[nvars - 1]))
+    powers = [top] + draw(st.lists(st.integers(1, top), min_size=nvars - 1, max_size=nvars - 1))
+    pure = [tuple(p if s == t else 0 for s in range(nvars)) for t, p in enumerate(powers)]
+    # an extra generator that is a pure power of x1 would lower m_1
+    extra = draw(st.lists(st.tuples(*(st.integers(0, p - 1) for p in powers))
+                          .filter(lambda e: any(e[1:])), max_size=6))
+    return MonomialIdeal.from_generators(nvars, pure + extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(top_heavy_ideals())
+def test_oracle_agrees_when_m1_is_the_largest_exponent(ideal):
+    std = standard_set(ideal)
+    assert max(map(max, ideal.gens)) == ideal.pure_powers()[0]
+    assert tangent_dimension_oracle(ideal, std) == tangent_dimension(ideal, std).total
+
+
 def test_oracle_agrees_on_argmax_ideals_at_l16():
     argmax = [ideal for record in scan_colength(3, 16).values() for ideal in record.argmax]
     assert len(argmax) == 34
@@ -278,6 +303,32 @@ def test_verify_tangent_raises_on_mismatch(monkeypatch):
                         lambda ideal, standard=None: -1)
     with pytest.raises(VerificationError):
         tangent_module.verify_tangent(SQUARE)
+
+
+def test_request_path_scans_no_box(monkeypatch):
+    # every layer answers from the cells; none tests membership generator
+    # by generator, which is what a box scan would do per cell
+    ideals = [SQUARE, SESSION, power_ideal(3, 3), parse_ideal("x^3,y^2,z^2,x*y*z"),
+              power_ideal(4, 2), parse_ideal("x^2,x*y,y^2,z^2,w^3,x*w,y*z*w"),
+              parse_ideal("x^3,y,z^2,w^2,x*z*w")]
+
+    def refuse(self, e):
+        raise AssertionError(f"membership test of {e} in {self}")
+
+    monkeypatch.setattr(MonomialIdeal, "contains", refuse)
+    with pytest.raises(AssertionError):
+        is_strongly_stable(SQUARE)
+    for ideal in ideals:
+        std = standard_set(ideal)
+        report = tangent_dimension(ideal)
+        assert verify_tangent(ideal).total == report.total
+        alphas = [alpha for alpha, _dim in report.graded[:6]]
+        alphas.append(tuple(lo for lo, _hi in alpha_support_box(ideal)))
+        for alpha in alphas:
+            graded_dimension(ideal, alpha, std)
+            if ideal.nvars == 3:
+                region_component_count(ideal, alpha)
+                region_component_count(ideal, alpha, standard=std)
 
 
 def test_report_json_schema():
