@@ -32,17 +32,41 @@ Two independent algorithms are provided by design:
   shifted by alpha is a cell: building the whole pair list would cost it
   more than these few lookups.
 
-  The sweep over all degrees works on packed integers.  With ``top`` the
-  largest exponent among the generators and the standard exponents, a
-  vector v is encoded as sum_t v_t * B^t in base B = 2*top + 1.  The code
-  is linear, so each degree s - a_i or s - lcm(a_i, a_j) costs one integer
-  subtraction and every set and dictionary is keyed by an integer.  It is
-  injective on degrees: every degree the sweep generates has entries in
-  [-top, top], so two of them differ by a vector with entries in
-  [-2*top, 2*top], strictly inside (-B, B), and such a vector has code 0
-  only if it is 0 (its lowest nonzero entry is not divisible by B).  A
-  code decodes as balanced base-B digits; only the degrees reported with a
-  positive dimension are decoded.
+  The sweep over all degrees is bit-parallel: a set of degrees is one
+  integer with a bit per degree.  With maxgen_t and maxcell_t the largest
+  exponent of x_t among the generators and among the cells, lo_t =
+  maxgen_t + 1 and radix R_t = maxcell_t + lo_t + 1, degree alpha sits at
+  bit sum_t (alpha_t + lo_t) * W_t, a mixed radix with coordinate 0 most
+  significant (W_{N-1} = 1, W_t = W_{t+1} * R_{t+1}).  The radix needs no
+  pass over the cells: a finite staircase has a pure power x_t^m among its
+  minimal generators, no other one has an exponent of x_t as large, and
+  the cells reach exactly m - 1, so R_t = 2 * maxgen_t + 1.  (The unit
+  ideal has no cells, and its radix 1 is never used.)  Every vector the
+  sweep subtracts from a cell has digits in [0, lo_t]: a generator a_i, a
+  Taylor lcm, or an Eliahou-Kervaire lcm x_j * u, which exceeds a
+  generator by one in one variable.  So every degree s - v it forms has
+  alpha_t + lo_t in [0, maxcell_t + lo_t] = [0, R_t - 1], a genuine digit:
+  distinct degrees get distinct bits, and with the linear code code(v) =
+  sum_t v_t * W_t the shift C >> code(v) of the cell mask C is exactly the
+  set {s - v}, no bit aliasing another and none lost below bit 0.
+  Integer order of the bits is lex order of the degrees.  The pair rule
+  runs on the same linear codes: every vector it forms (a generator moved
+  one step toward an earlier variable, x_j * u stripped from the end) is
+  nonnegative with digits below R_t, where the code is injective too.
+
+  Generator i's active degrees are A_i = C >> code(a_i), and pair (i, k)
+  meets H = C >> code(lcm).  Its link h_i & h_k, with h_i = H & A_i, holds
+  the degrees where it joins two active ends; at the rest of h_i it joins
+  i to the ground.  At one degree let V be the generators with an edge
+  (the ``touched`` masks) and c the number of components of the links
+  that contain no grounded generator.  A spanning forest has |V| + [some
+  ground edge] - (c + [some ground edge]) edges, so the rank there is
+  |V| - c and T(I) = G*l - sum popcount(touched_i) + sum c.  Groundedness
+  spreads along the links until no mask changes; a degree whose loose
+  (ungrounded) links all come from one pair has c = 1, and only degrees
+  with loose links from two pairs or more go through a union-find.  The
+  degree-alpha dimension is the number of active generators with no edge
+  at alpha, plus c.  Only degrees with a positive dimension are decoded.
 
 * :func:`tangent_dimension_oracle` — the trusted independent path:
   assemble the integer constraint matrix on all G*l coordinates of
@@ -152,12 +176,18 @@ def alpha_support_box(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     return tuple((-maxgen[t], m[t] - 1) for t in range(ideal.nvars))
 
 
-def _pack(gens, cells) -> tuple[int, list[int], list[int], set[int]]:
-    """Packing base, per-variable weights, generator codes and cell codes."""
-    base = 2 * max(map(max, chain(gens, cells))) + 1
-    weights = [base ** t for t in range(len(gens[0]))]
+def _pack(gens, cells) -> tuple[list[int], list[int], list[int], set[int], int]:
+    """Per-variable weights and digit offsets, generator codes, cell codes and
+    the cell mask (see the module docstring)."""
+    nvars = len(gens[0])
+    lo = [1 + max(a[t] for a in gens) for t in range(nvars)]
+    weights = [1] * nvars
+    for t in range(nvars - 1, 0, -1):
+        weights[t - 1] = weights[t] * (2 * lo[t] - 1)
     codes = [sum(map(mul, a, weights)) for a in gens]
-    return base, weights, codes, {sum(map(mul, s, weights)) for s in cells}
+    cell_codes = {sum(map(mul, s, weights)) for s in cells}
+    offset = sum(map(mul, lo, weights))
+    return weights, lo, codes, cell_codes, sum(1 << (c + offset) for c in cell_codes)
 
 
 def _taylor_pairs(gens, weights) -> list[tuple[int, int, int]]:
@@ -216,8 +246,8 @@ def _forest_rank(edges, parent: list[int]) -> int:
     end.  An edge (i, k) between active generators identifies their
     coefficients, an edge (i, G) forces coefficient i to 0, and the rank of
     these rows is that of the graphic matroid.  ``parent`` is a flat
-    union-find over all G + 1 vertices with parent[v] == v on entry, and
-    again on return, so one list serves every degree of a sweep.
+    union-find over the vertices with parent[v] == v on entry, and again on
+    return, so one list serves every degree of a sweep.
     """
     rank = 0
     for i, k in edges:
@@ -234,39 +264,90 @@ def _forest_rank(edges, parent: list[int]) -> int:
     return rank
 
 
-def _degree_ranks(pairs, act, cell_codes) -> dict[int, int]:
-    """Rank of the vanishing constraints at each packed degree where some
-    pair constrains an active generator.
+def _positions(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    ``act[i]`` is the set of degrees {s - a_i} where generator i is
-    active.  Pair (i, k) meets the degrees {s - lcm}; at one where both
-    ends are active it is an edge (i, k), at one where only i is, an edge
-    (i, G) to the ground vertex.  A degree with a single edge has rank 1.
+
+def _sweep(pairs, active: list[int], mask: int) -> tuple[list[int], int, dict[int, int]]:
+    """Every degree's constraint graph at once, one bit per degree.
+
+    ``active[i]`` is the mask of the degrees where generator i is active and
+    ``mask`` that of the cells.  Pair (i, k) meets the degrees mask >> lcm:
+    at those where both ends are active it is a link (i, k), at those where
+    only i is, an edge from i to the ground.  Returns the masks
+    ``touched[i]`` of the degrees where generator i has an edge, the mask
+    of the degrees whose links without a grounded end form exactly one
+    component, and the number of such loose components at every degree with
+    two loose links or more.
     """
-    g = len(act)
-    edges: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    g = len(active)
+    touched = [0] * g
+    ground = [0] * g
+    links = []
     for i, k, lcm in pairs:
-        hit = {cs - lcm for cs in cell_codes}
-        hit_i = hit & act[i]
-        hit_k = hit & act[k]
-        for al in hit_i & hit_k:
-            edges[al].append((i, k))
-        for al in hit_i - hit_k:
-            edges[al].append((i, g))
-        for al in hit_k - hit_i:
-            edges[al].append((k, g))
-    parent = list(range(g + 1))
-    return {al: 1 if len(ev) == 1 else _forest_rank(ev, parent)
-            for al, ev in edges.items()}
+        hit = mask >> lcm
+        hit_i = hit & active[i]
+        hit_k = hit & active[k]
+        link = hit_i & hit_k
+        touched[i] |= hit_i
+        touched[k] |= hit_k
+        ground[i] |= hit_i ^ link
+        ground[k] |= hit_k ^ link
+        if link:
+            links.append((i, k, link))
+    # the ends of a link share their component, so a degree grounded at one
+    # end is grounded at the other: pass along the links until none changes
+    changed = bool(links)
+    while changed:
+        changed = False
+        for i, k, link in links:
+            diff = (ground[i] ^ ground[k]) & link
+            if diff:
+                ground[i] |= diff
+                ground[k] |= diff
+                changed = True
+    once = twice = 0
+    loose = []
+    for i, k, link in links:
+        link &= ~ground[i]
+        if link:
+            twice |= once & link
+            once |= link
+            loose.append((i, k, link))
+    parent = list(range(g))
+    multi = {}
+    for p in _positions(twice):
+        edges = [(i, k) for i, k, link in loose if link >> p & 1]
+        multi[p] = len(set(chain.from_iterable(edges))) - _forest_rank(edges, parent)
+    return touched, once & ~twice, multi
 
 
-def _kernel(gens, cells) -> tuple[dict[int, int], list[set[int]], int]:
-    """Ranks by packed degree, each generator's active degrees, and the
-    packing base."""
-    base, weights, codes, cell_codes = _pack(gens, cells)
-    act = [{cs - c for cs in cell_codes} for c in codes]
+def _zero_rank(touched: list[int], single: int, multi: dict[int, int]) -> int:
+    """Sum over the degrees of |V_alpha| - c_alpha (see the module docstring)."""
+    return sum(map(int.bit_count, touched)) - single.bit_count() - sum(multi.values())
+
+
+def _dims(active: list[int], touched: list[int], single: int, multi: dict[int, int]) -> Counter:
+    """Positive dimension by degree position: the active generators with no
+    edge there, plus the loose components."""
+    dims = Counter(_positions(single))
+    dims.update(multi)
+    for a, t in zip(active, touched):
+        dims.update(_positions(a & ~t))
+    return dims
+
+
+def _kernel(gens, cells) -> tuple[list[int], list[int], list[int], tuple[list[int], int, dict[int, int]]]:
+    """Weights, digit offsets, each generator's active mask, and the sweep
+    over the syzygy pairs."""
+    weights, lo, codes, cell_codes, mask = _pack(gens, cells)
+    active = [mask >> c for c in codes]
     pairs = _syzygy_pairs(gens, codes, weights, cell_codes)
-    return _degree_ranks(pairs, act, cell_codes), act, base
+    return weights, lo, active, _sweep(pairs, active, mask)
 
 
 def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None = None) -> int:
@@ -294,17 +375,14 @@ def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None =
     return len(active) - _forest_rank(edges, list(range(g + 1)))
 
 
-def _unpack(code: int, nvars: int, base: int) -> Exponent:
-    """The degree of a packed code: balanced digits in [-top, top]."""
-    top = base // 2
-    digits = []
-    for _ in range(nvars):
-        d = code % base
-        if d > top:
-            d -= base
-        digits.append(d)
-        code = (code - d) // base
-    return tuple(digits)
+def _degree(position: int, weights: list[int], lo: list[int]) -> Exponent:
+    """The degree at a bit position: digit t, most significant first, less
+    its offset."""
+    alpha = []
+    for w, o in zip(weights, lo):
+        d, position = divmod(position, w)
+        alpha.append(d - o)
+    return tuple(alpha)
 
 
 def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:
@@ -314,13 +392,12 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     recomputation.
     """
     cells = _cells_of(ideal, standard)
-    ranks, act, base = _kernel(ideal.gens, cells)
-    active = Counter(chain.from_iterable(act))
-    graded = sorted((_unpack(al, ideal.nvars, base), n - ranks.get(al, 0))
-                    for al, n in active.items() if n > ranks.get(al, 0))
-    g = len(act)
+    weights, lo, active, sweep = _kernel(ideal.gens, cells)
+    dims = _dims(active, *sweep)
+    graded = [(_degree(p, weights, lo), dims[p]) for p in sorted(dims)]
+    g = len(active)
     l = len(cells)
-    zero_rank = sum(ranks.values())
+    zero_rank = _zero_rank(*sweep)
     return GradedTangentReport(
         ideal=ideal,
         total=g * l - zero_rank,
@@ -334,7 +411,7 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
 def _total(gens, cells) -> int:
     """Raw total at one divisor-closed cell set given with its corners: no
     report object, no validation, no decoding of degrees."""
-    return len(gens) * len(cells) - sum(_kernel(gens, cells)[0].values())
+    return len(gens) * len(cells) - _zero_rank(*_kernel(gens, cells)[3])
 
 
 def _bareiss_rank(rows: list[dict[int, int]]) -> int:
@@ -452,7 +529,7 @@ def constraint_rank(ideal: MonomialIdeal, standard: StandardSet | None = None) -
 
     Equals the oracle matrix rank whenever the oracle runs.
     """
-    return sum(_kernel(ideal.gens, _cells_of(ideal, standard))[0].values())
+    return _zero_rank(*_kernel(ideal.gens, _cells_of(ideal, standard))[3])
 
 
 def verify_tangent(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:

@@ -8,8 +8,9 @@ distinct-part partition numbers come from their own recurrence.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 
 def iter_order_ideal_levels(nvars: int, max_size: int):
@@ -192,6 +193,50 @@ def iter_partitions(n: int):
 def partition_staircase(partition) -> frozenset:
     """Cells of the 2-variable staircase whose column heights are the parts."""
     return frozenset((i, j) for i, part in enumerate(partition) for j in range(part))
+
+
+def graded_tangent_dims(gens, cells) -> dict:
+    """Every positive graded dimension of Hom(I, R/I), {alpha: dim}, from
+    the syzygy graph on all Taylor pairs, degree by degree over tuples.
+
+    At degree alpha generator i is active when a_i + alpha is a cell.  Pair
+    (i, k) constrains alpha when lcm(a_i, a_k) + alpha is a cell: two
+    active ends are joined, an active end with an inactive partner is
+    joined to a ground vertex.  The dimension is the number of active
+    generators minus the edge count of a spanning forest.
+    """
+    ground = len(gens)
+    active = Counter()
+    for a in gens:
+        active.update(tuple(x - y for x, y in zip(s, a)) for s in cells)
+    edges = defaultdict(list)
+    for i, k in combinations(range(len(gens)), 2):
+        lcm = tuple(map(max, gens[i], gens[k]))
+        for s in cells:
+            alpha = tuple(x - y for x, y in zip(s, lcm))
+            ends = [j for j in (i, k) if tuple(map(sum, zip(gens[j], alpha))) in cells]
+            if len(ends) == 2:
+                edges[alpha].append((i, k))
+            elif ends:
+                edges[alpha].append((ends[0], ground))
+
+    def find(root, v):
+        while root.get(v, v) != v:
+            v = root[v]
+        return v
+
+    dims = {}
+    for alpha, count in active.items():
+        root = {}
+        rank = 0
+        for u, v in edges.get(alpha, ()):
+            u, v = find(root, u), find(root, v)
+            if u != v:
+                root[u] = v
+                rank += 1
+        if count > rank:
+            dims[alpha] = count - rank
+    return dims
 
 
 def fraction_rank(rows) -> int:

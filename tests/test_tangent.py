@@ -1,12 +1,12 @@
+import inspect
 import random
 import time
-from collections import Counter
-from itertools import chain, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fraction_rank, iter_partitions, partition_staircase
+from oracles import fraction_rank, graded_tangent_dims, iter_partitions, partition_staircase
 from strategies import TOP, artinian_ideals, borel_staircases, staircases
 
 import boreltangent.tangent as tangent_module
@@ -30,9 +30,9 @@ from boreltangent.tangent import (
     OracleSizeError,
     VerificationError,
     _bareiss_rank,
-    _degree_ranks,
-    _kernel,
+    _dims,
     _pack,
+    _sweep,
     _syzygy_pairs,
     _taylor_pairs,
     _total,
@@ -369,15 +369,24 @@ def test_kernel_properties_on_random_ideals(ideal, data):
 
 @settings(max_examples=150, deadline=None)
 @given(staircases())
+def test_graded_report_matches_the_reference_sweep(staircase):
+    ideal = minimal_generators(staircase)
+    report = tangent_dimension(ideal, staircase)
+    reference = graded_tangent_dims(ideal.gens, staircase.cells)
+    assert report.graded == tuple(sorted(reference.items()))
+    assert report.total == sum(reference.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircases())
 def test_ek_pairs_match_taylor_pairs_per_degree(staircase):
     nvars, cells = staircase.nvars, staircase.cells
     gens = tuple(_gens_from_cells(nvars, cells))
-    _, weights, _, cell_codes = _pack(gens, cells)
-    ranks, act, _ = _kernel(gens, cells)
-    taylor = _degree_ranks(_taylor_pairs(gens, weights), act, cell_codes)
-    active = Counter(chain.from_iterable(act))
-    assert ({al: n - ranks.get(al, 0) for al, n in active.items()}
-            == {al: n - taylor.get(al, 0) for al, n in active.items()})
+    weights, _, codes, cell_codes, mask = _pack(gens, cells)
+    active = [mask >> c for c in codes]
+    ek = _sweep(_syzygy_pairs(gens, codes, weights, cell_codes), active, mask)
+    taylor = _sweep(_taylor_pairs(gens, weights), active, mask)
+    assert _dims(active, *ek) == _dims(active, *taylor)
 
 
 @settings(max_examples=150, deadline=None)
@@ -385,7 +394,7 @@ def test_ek_pairs_match_taylor_pairs_per_degree(staircase):
 def test_ek_pair_structure(staircase):
     nvars, cells = staircase.nvars, staircase.cells
     gens = tuple(_gens_from_cells(nvars, cells))
-    _, weights, codes, cell_codes = _pack(gens, cells)
+    weights, _, codes, cell_codes, _ = _pack(gens, cells)
     pairs = _syzygy_pairs(gens, codes, weights, cell_codes)
     # max(u), variables counted from 1
     last = [max(t + 1 for t in range(nvars) if u[t]) for u in gens]
@@ -420,18 +429,41 @@ def _names_in(code) -> set[str]:
     return names
 
 
+KERNEL = {"_pack", "_syzygy_pairs", "_taylor_pairs", "_positions", "_sweep", "_forest_rank",
+          "_zero_rank", "_dims", "_kernel", "_degree", "_total", "tangent_dimension",
+          "graded_dimension"}
+
+
+def _reached(function) -> set[str]:
+    """Names of the tangent module's own functions that a function calls,
+    directly or through one another."""
+    own = {name for name, value in vars(tangent_module).items()
+           if inspect.isfunction(value) and value.__module__ == tangent_module.__name__}
+    reached, todo = set(), [function]
+    while todo:
+        names = (_names_in(todo.pop().__code__) & own) - reached
+        reached |= names
+        todo.extend(getattr(tangent_module, name) for name in names)
+    return reached
+
+
+def test_kernel_names_cover_the_kernel():
+    # _cells_of only validates the caller's standard set; the oracle uses it too
+    assert _reached(tangent_dimension) | _reached(_total) <= KERNEL | {"_cells_of"}
+    assert KERNEL <= set(vars(tangent_module))
+
+
 def test_oracle_shares_no_code_with_the_kernel():
-    kernel = {"_pack", "_syzygy_pairs", "_taylor_pairs", "_degree_ranks", "_forest_rank",
-              "_kernel", "_total", "tangent_dimension", "graded_dimension"}
-    assert kernel <= set(vars(tangent_module))
     for trusted in (tangent_dimension_oracle, bareiss_rank):
-        assert not _names_in(trusted.__code__) & kernel
+        assert not _reached(trusted) & KERNEL
 
 
 def test_sparse_elimination_shares_no_code_with_the_kernel():
-    kernel = {"_pack", "_syzygy_pairs", "_taylor_pairs", "_degree_ranks", "_forest_rank",
-              "_kernel", "_total", "tangent_dimension", "graded_dimension"}
-    assert not _names_in(_bareiss_rank.__code__) & kernel
+    assert not _reached(_bareiss_rank) & KERNEL
+
+
+def test_graded_dimension_shares_only_the_union_find_with_the_sweep():
+    assert _reached(graded_dimension) & KERNEL == {"_forest_rank"}
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
