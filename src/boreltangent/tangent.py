@@ -41,10 +41,11 @@ Two independent algorithms are provided by design:
   pass over the cells: a finite staircase has a pure power x_t^m among its
   minimal generators, no other one has an exponent of x_t as large, and
   the cells reach exactly m - 1, so R_t = 2 * maxgen_t + 1.  (The unit
-  ideal has no cells, and its radix 1 is never used.)  Every vector the
-  sweep subtracts from a cell has digits in [0, lo_t]: a generator a_i, a
-  Taylor lcm, or an Eliahou-Kervaire lcm x_j * u, which exceeds a
-  generator by one in one variable.  So every degree s - v it forms has
+  ideal has no cells, and its radix 1 is never used.)  A standard set
+  passed in by the caller is checked against the pure powers for that
+  reason.  Every vector the sweep subtracts from a cell has digits in
+  [0, lo_t]: a generator a_i, a Taylor lcm, or an Eliahou-Kervaire lcm
+  x_j * u, which exceeds a generator by one in one variable.  So every degree s - v it forms has
   alpha_t + lo_t in [0, maxcell_t + lo_t] = [0, R_t - 1], a genuine digit:
   distinct degrees get distinct bits, and with the linear code code(v) =
   sum_t v_t * W_t the shift C >> code(v) of the cell mask C is exactly the
@@ -67,6 +68,18 @@ Two independent algorithms are provided by design:
   with loose links from two pairs or more go through a union-find.  The
   degree-alpha dimension is the number of active generators with no edge
   at alpha, plus c.  Only degrees with a positive dimension are decoded.
+
+  Every mask spans the whole box, prod_t R_t bits, where a set of degrees
+  holds at most l: a staircase thin in several variables (x^200, y^200,
+  z^200 and the three products xy, xz, yz have l = 598 in a box of 6.4e7
+  positions) would make each mask megabytes long.  Per pair and per
+  generator a sweep over masks costs a few operations on box-sized
+  integers and one over sets a few operations on l codes, so what decides
+  between them is the number of box positions per cell.  Past
+  ``BOX_PER_CELL`` of them the same counts are taken over sets of degree
+  codes, one edge list per constrained degree and :func:`_forest_rank` at
+  each degree with two edges or more.  The compact staircases of the scans
+  and of random ideals stay below it (``BENCH_bit_kernel.json``).
 
 * :func:`tangent_dimension_oracle` — the trusted independent path:
   assemble the integer constraint matrix on all G*l coordinates of
@@ -97,12 +110,14 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations
 from operator import add, mul, sub
 
 from .monomials import (
     DimensionMismatchError,
     Exponent,
+    InvalidStaircaseError,
     MonomialIdeal,
     NonArtinianIdealError,
     StandardSet,
@@ -113,6 +128,10 @@ from .monomials import (
 
 #: largest G*l (candidate coordinates) the exact matrix oracle accepts
 ORACLE_SIZE_CAP = 2000
+
+#: degree-box positions per cell above which the kernel counts over sets of
+#: degrees instead of bit masks spanning the box (see :func:`_kernel`)
+BOX_PER_CELL = 512
 
 
 class OracleSizeError(RuntimeError):
@@ -162,6 +181,23 @@ def _cells_of(ideal: MonomialIdeal, standard: StandardSet | None) -> frozenset[E
     return standard.cells
 
 
+def _kernel_cells(ideal: MonomialIdeal, standard: StandardSet | None) -> frozenset[Exponent]:
+    """:func:`_cells_of` for the kernel, which reads the reach of the cells
+    off the pure powers (see the module docstring).  A standard set that
+    reaches one, or one given with a non-Artinian ideal, is not the ideal's
+    own staircase and is refused.  A standard set is divisor-closed, so it
+    reaches x_t^m exactly when it holds that cell: N lookups."""
+    cells = _cells_of(ideal, standard)
+    if standard is not None:
+        m = ideal.pure_powers()
+        if m is None:
+            raise NonArtinianIdealError("the tangent kernel requires an Artinian ideal")
+        zero = (0,) * ideal.nvars
+        if any(zero[:t] + (d,) + zero[t + 1:] in cells for t, d in enumerate(m)):
+            raise InvalidStaircaseError("standard set reaches a pure power of the ideal")
+    return cells
+
+
 def alpha_support_box(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     """Inclusive per-coordinate bounds [-maxgen_t, m_t - 1] containing every
     alpha with nonzero graded dimension.
@@ -177,8 +213,8 @@ def alpha_support_box(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
 
 
 def _pack(gens, cells) -> tuple[list[int], list[int], list[int], set[int], int]:
-    """Per-variable weights and digit offsets, generator codes, cell codes and
-    the cell mask (see the module docstring)."""
+    """Per-variable weights and digit offsets, generator codes, cell codes
+    and the box size prod_t R_t (see the module docstring)."""
     nvars = len(gens[0])
     lo = [1 + max(a[t] for a in gens) for t in range(nvars)]
     weights = [1] * nvars
@@ -186,8 +222,7 @@ def _pack(gens, cells) -> tuple[list[int], list[int], list[int], set[int], int]:
         weights[t - 1] = weights[t] * (2 * lo[t] - 1)
     codes = [sum(map(mul, a, weights)) for a in gens]
     cell_codes = {sum(map(mul, s, weights)) for s in cells}
-    offset = sum(map(mul, lo, weights))
-    return weights, lo, codes, cell_codes, sum(1 << (c + offset) for c in cell_codes)
+    return weights, lo, codes, cell_codes, weights[0] * (2 * lo[0] - 1)
 
 
 def _taylor_pairs(gens, weights) -> list[tuple[int, int, int]]:
@@ -341,13 +376,69 @@ def _dims(active: list[int], touched: list[int], single: int, multi: dict[int, i
     return dims
 
 
-def _kernel(gens, cells) -> tuple[list[int], list[int], list[int], tuple[list[int], int, dict[int, int]]]:
-    """Weights, digit offsets, each generator's active mask, and the sweep
-    over the syzygy pairs."""
-    weights, lo, codes, cell_codes, mask = _pack(gens, cells)
+def _bit_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, partial]:
+    """The zero rank, and a callable giving the positive dimensions by
+    position, from masks over the whole degree box."""
+    # a byte array, not a sum of one-bit integers, each of which would copy
+    # the mask; a cell's digits are below lo_t, so its bit is below 2*offset
+    bits = bytearray((2 * offset + 7) >> 3)
+    for c in cell_codes:
+        c += offset
+        bits[c >> 3] |= 1 << (c & 7)
+    mask = int.from_bytes(bits, "little")
     active = [mask >> c for c in codes]
+    sweep = _sweep(pairs, active, mask)
+    return _zero_rank(*sweep), partial(_dims, active, *sweep)
+
+
+def _set_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, partial]:
+    """What :func:`_bit_sweep` returns, from sets of degree codes.
+
+    Generator i is active at the codes {s - a_i}, pair (i, k) meets
+    {s - lcm}, and every degree it constrains gets its edges listed: a link
+    (i, k) where both ends are active, an edge to the ground vertex G where
+    one is.  A degree's rank is that of its edge list (one edge: rank 1).
+    The cost follows the cells, l codes per generator and per pair, where
+    the masks follow the box.
+    """
+    g = len(codes)
+    active = [{c - a for c in cell_codes} for a in codes]
+    edges: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for i, k, lcm in pairs:
+        hit = {c - lcm for c in cell_codes}
+        hit_i = hit & active[i]
+        hit_k = hit & active[k]
+        for al in hit_i & hit_k:
+            edges[al].append((i, k))
+        for al in hit_i - hit_k:
+            edges[al].append((i, g))
+        for al in hit_k - hit_i:
+            edges[al].append((k, g))
+    parent = list(range(g + 1))
+    ranks = {al + offset: 1 if len(ev) == 1 else _forest_rank(ev, parent)
+             for al, ev in edges.items()}
+    return sum(ranks.values()), partial(_set_dims, active, ranks, offset)
+
+
+def _set_dims(active: list[set[int]], ranks: dict[int, int], offset: int) -> Counter:
+    """Positive dimension by degree position: active generators less rank."""
+    dims = Counter(al + offset for al in chain.from_iterable(active))
+    dims.subtract(ranks)
+    return +dims
+
+
+def _kernel(gens, cells) -> tuple[list[int], list[int], int, partial]:
+    """Weights, digit offsets, the zero rank and a callable giving the
+    positive dimensions by position.
+
+    The masks cost the box, prod_t R_t bits each, and the sets cost the
+    cells: a staircase whose box holds more than ``BOX_PER_CELL`` positions
+    per cell goes through the set sweep.
+    """
+    weights, lo, codes, cell_codes, box = _pack(gens, cells)
     pairs = _syzygy_pairs(gens, codes, weights, cell_codes)
-    return weights, lo, active, _sweep(pairs, active, mask)
+    sweep = _set_sweep if box > BOX_PER_CELL * len(cells) else _bit_sweep
+    return weights, lo, *sweep(pairs, codes, cell_codes, sum(map(mul, lo, weights)))
 
 
 def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None = None) -> int:
@@ -389,15 +480,15 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     """T(I) with its multigraded decomposition, by the syzygy-graph method.
 
     Pass ``standard`` when the standard set is already known to skip its
-    recomputation.
+    recomputation; it must be the ideal's own, and one that holds a pure
+    power of the ideal is refused.
     """
-    cells = _cells_of(ideal, standard)
-    weights, lo, active, sweep = _kernel(ideal.gens, cells)
-    dims = _dims(active, *sweep)
+    cells = _kernel_cells(ideal, standard)
+    weights, lo, zero_rank, dims = _kernel(ideal.gens, cells)
+    dims = dims()
     graded = [(_degree(p, weights, lo), dims[p]) for p in sorted(dims)]
-    g = len(active)
+    g = len(ideal.gens)
     l = len(cells)
-    zero_rank = _zero_rank(*sweep)
     return GradedTangentReport(
         ideal=ideal,
         total=g * l - zero_rank,
@@ -411,7 +502,7 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
 def _total(gens, cells) -> int:
     """Raw total at one divisor-closed cell set given with its corners: no
     report object, no validation, no decoding of degrees."""
-    return len(gens) * len(cells) - _zero_rank(*_kernel(gens, cells)[3])
+    return len(gens) * len(cells) - _kernel(gens, cells)[2]
 
 
 def _bareiss_rank(rows: list[dict[int, int]]) -> int:
@@ -529,7 +620,7 @@ def constraint_rank(ideal: MonomialIdeal, standard: StandardSet | None = None) -
 
     Equals the oracle matrix rank whenever the oracle runs.
     """
-    return _zero_rank(*_kernel(ideal.gens, _cells_of(ideal, standard))[3])
+    return _kernel(ideal.gens, _kernel_cells(ideal, standard))[2]
 
 
 def verify_tangent(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:

@@ -14,6 +14,7 @@ from boreltangent.region3d import region_component_count
 from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.monomials import (
     DimensionMismatchError,
+    InvalidStaircaseError,
     MonomialIdeal,
     NonArtinianIdealError,
     StandardSet,
@@ -30,9 +31,9 @@ from boreltangent.tangent import (
     OracleSizeError,
     VerificationError,
     _bareiss_rank,
-    _dims,
+    _bit_sweep,
     _pack,
-    _sweep,
+    _set_sweep,
     _syzygy_pairs,
     _taylor_pairs,
     _total,
@@ -380,13 +381,61 @@ def test_graded_report_matches_the_reference_sweep(staircase):
 @settings(max_examples=150, deadline=None)
 @given(staircases())
 def test_ek_pairs_match_taylor_pairs_per_degree(staircase):
+    # both pair rules through both sweeps: one zero rank, one graded report
     nvars, cells = staircase.nvars, staircase.cells
     gens = tuple(_gens_from_cells(nvars, cells))
-    weights, _, codes, cell_codes, mask = _pack(gens, cells)
-    active = [mask >> c for c in codes]
-    ek = _sweep(_syzygy_pairs(gens, codes, weights, cell_codes), active, mask)
-    taylor = _sweep(_taylor_pairs(gens, weights), active, mask)
-    assert _dims(active, *ek) == _dims(active, *taylor)
+    weights, lo, codes, cell_codes, _ = _pack(gens, cells)
+    offset = sum(a * b for a, b in zip(lo, weights))
+    results = set()
+    for pairs in (_syzygy_pairs(gens, codes, weights, cell_codes), _taylor_pairs(gens, weights)):
+        for sweep in (_bit_sweep, _set_sweep):
+            zero_rank, dims = sweep(pairs, codes, cell_codes, offset)
+            results.add((zero_rank, frozenset(dims().items())))
+    assert len(results) == 1
+
+
+THIN = [parse_ideal("x^200,y^200,z^200,x*y,x*z,y*z"),
+        parse_ideal(",".join([f"x{i}^10" for i in range(1, 7)]
+                             + [f"x{i}*x{j}" for i in range(1, 7) for j in range(i + 1, 7)])),
+        parse_ideal("x^1000,x*y,y^1000")]
+
+
+@pytest.mark.parametrize("ideal", THIN, ids=["xyz200", "n6_power10", "xy1000"])
+def test_thin_staircases_are_counted_over_sets(ideal, monkeypatch):
+    # the boxes hold 6.4e7, 8.6e7 and 4.0e6 positions against 598, 55 and
+    # 1999 cells: masks over them would take seconds, and over the first
+    # two hundreds of megabytes
+    def refuse(*args):
+        raise AssertionError("bit masks over a sparse box")
+
+    monkeypatch.setattr(tangent_module, "_bit_sweep", refuse)
+    std = standard_set(ideal)
+    start = time.monotonic()
+    report = tangent_dimension(ideal, std)
+    assert constraint_rank(ideal, std) == report.zero_rank
+    assert time.monotonic() - start < 2.0
+    assert report.graded == tuple(sorted(graded_tangent_dims(ideal.gens, std.cells).items()))
+
+
+def test_compact_staircases_are_counted_over_masks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sets over a dense box")
+
+    monkeypatch.setattr(tangent_module, "_set_sweep", refuse)
+    for ideal in (SQUARE, SESSION, power_ideal(4, 3), parse_ideal("x^40,x*y,y^40")):
+        assert tangent_dimension(ideal).total == tangent_dimension_oracle(ideal)
+
+
+def test_kernel_refuses_a_standard_set_past_the_pure_powers():
+    std = standard_set(SQUARE)
+    wide = StandardSet(3, std.cells | {(2, 0, 0)})  # x^2 is a generator
+    wider = StandardSet(3, wide.cells | {(3, 0, 0), (2, 0, 1)})
+    for kernel in (tangent_dimension, constraint_rank):
+        for cells in (wide, wider):
+            with pytest.raises(InvalidStaircaseError):
+                kernel(SQUARE, cells)
+        with pytest.raises(NonArtinianIdealError):
+            kernel(parse_ideal("x^2,x*y,y^2", nvars=3), std)
 
 
 @settings(max_examples=150, deadline=None)
@@ -430,8 +479,8 @@ def _names_in(code) -> set[str]:
 
 
 KERNEL = {"_pack", "_syzygy_pairs", "_taylor_pairs", "_positions", "_sweep", "_forest_rank",
-          "_zero_rank", "_dims", "_kernel", "_degree", "_total", "tangent_dimension",
-          "graded_dimension"}
+          "_zero_rank", "_dims", "_bit_sweep", "_set_sweep", "_set_dims", "_kernel",
+          "_kernel_cells", "_degree", "_total", "tangent_dimension", "graded_dimension"}
 
 
 def _reached(function) -> set[str]:
