@@ -149,8 +149,8 @@ def _canonical(nvars: int, nodes) -> list[tuple[str, tuple[Exponent, ...], objec
     the scan's argmax lists.
 
     Trusted internal path: no ideal is built here.  The corners of a
-    divisor-closed set are an antichain, and each consumer validates the
-    ideal it builds from ``gens``.
+    divisor-closed set are an antichain, so a consumer builds its ideal
+    from ``gens`` with ``MonomialIdeal._trusted``, which checks nothing.
     """
     decorated = []
     for cells, corners in nodes:
@@ -190,7 +190,7 @@ def enumerate_strongly_stable(nvars: int, l: int,
         if filt.max_results is not None and emitted >= filt.max_results:
             raise EnumerationLimitError(emitted)
         emitted += 1
-        yield MonomialIdeal(nvars, gens)
+        yield MonomialIdeal._trusted(nvars, gens)
 
 
 def count_strongly_stable(nvars: int, l: int) -> int:

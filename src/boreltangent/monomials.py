@@ -145,7 +145,12 @@ class MonomialIdeal:
         if warn and dropped:
             warnings.warn("generator list was not minimal; redundant generators dropped",
                           RedundantGeneratorWarning, stacklevel=2)
-        # validated above: the constructor would only repeat those checks
+        return cls._trusted(nvars, gens)
+
+    @classmethod
+    def _trusted(cls, nvars: int, gens: tuple[Exponent, ...]) -> "MonomialIdeal":
+        """The ideal of an antichain already in canonical order (see
+        :func:`_canonical_order`), built without the constructor's checks."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "nvars", nvars)
         object.__setattr__(ideal, "gens", gens)
@@ -209,6 +214,15 @@ class StandardSet:
                         raise InvalidStaircaseError(
                             f"not divisor-closed: {c} present but {below} missing")
         object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def _trusted(cls, nvars: int, cells: frozenset[Exponent]) -> "StandardSet":
+        """The standard set of a divisor-closed frozenset of exponents,
+        built without the constructor's checks."""
+        standard = object.__new__(cls)
+        object.__setattr__(standard, "nvars", nvars)
+        object.__setattr__(standard, "cells", cells)
+        return standard
 
     @property
     def size(self) -> int:
@@ -279,7 +293,8 @@ def standard_set(ideal: MonomialIdeal) -> StandardSet:
                 if w not in above and w not in gens and _divisors_in(nvars, cells, w):
                     above.add(w)
         level = above
-    return StandardSet(nvars, frozenset(cells))
+    # grown divisor-closed, each cell from its divisors
+    return StandardSet._trusted(nvars, frozenset(cells))
 
 
 def colength(ideal: MonomialIdeal) -> int:

@@ -20,6 +20,7 @@ nothing in the production pipeline consumes region counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .enumeration import enumerate_strongly_stable
 from .monomials import (
@@ -52,7 +53,8 @@ def _check_three_vars(ideal: MonomialIdeal, alpha) -> Exponent:
     if ideal.nvars != 3:
         raise UnsupportedDimensionError(
             f"region method needs exactly 3 variables, got {ideal.nvars}")
-    alpha = tuple(int(a) for a in alpha)
+    # index, not int: a float or a string must not be rounded to a degree
+    alpha = tuple(map(index, alpha))
     if len(alpha) != 3:
         raise DimensionMismatchError(f"alpha must have length 3, got {len(alpha)}")
     return alpha

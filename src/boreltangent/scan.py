@@ -194,7 +194,7 @@ def _subtree_task(nvars: int, task, deadline: float | None = None) -> tuple[int,
 def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dict[int, ScanRecord]:
     """A colength's records from its merged stats, argmax lists in canonical order."""
     return {m1: ScanRecord(key=ScanKey(nvars, l, m1), ideal_count=count, t_max=total,
-                           argmax=tuple(MonomialIdeal(nvars, gens) for _text, gens, _
+                           argmax=tuple(MonomialIdeal._trusted(nvars, gens) for _text, gens, _
                                         in _canonical(nvars, ((None, g) for g in argmax))),
                            elapsed=elapsed)
             for m1, (count, total, argmax) in sorted(merged.items())}

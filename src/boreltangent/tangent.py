@@ -27,16 +27,13 @@ Two independent algorithms are provided by design:
   are at most (N-1)*G of them.  The package's x1-dominant convention is
   theirs.  For any other monomial ideal the kernel falls back on all
   G(G-1)/2 pairs, whose Taylor relations generate the syzygies of every
-  monomial ideal.  :func:`graded_dimension` asks one degree, so it takes
-  the Taylor pairs too, but only those with an active end whose lcm
-  shifted by alpha is a cell: building the whole pair list would cost it
-  more than these few lookups.
+  monomial ideal.
 
-  The sweep over all degrees is bit-parallel: a set of degrees is one
-  integer with a bit per degree.  With maxgen_t and maxcell_t the largest
-  exponent of x_t among the generators and among the cells, lo_t =
-  maxgen_t + 1 and radix R_t = maxcell_t + lo_t + 1, degree alpha sits at
-  bit sum_t (alpha_t + lo_t) * W_t, a mixed radix with coordinate 0 most
+  One sweep counts every degree at once, on sets of degree positions.
+  With maxgen_t and maxcell_t the largest exponent of x_t among the
+  generators and among the cells, lo_t = maxgen_t + 1 and radix R_t =
+  maxcell_t + lo_t + 1, degree alpha sits at position
+  sum_t (alpha_t + lo_t) * W_t, a mixed radix with coordinate 0 most
   significant (W_{N-1} = 1, W_t = W_{t+1} * R_{t+1}).  The radix needs no
   pass over the cells: a finite staircase has a pure power x_t^m among its
   minimal generators, no other one has an exponent of x_t as large, and
@@ -45,41 +42,44 @@ Two independent algorithms are provided by design:
   passed in by the caller is checked against the pure powers for that
   reason.  Every vector the sweep subtracts from a cell has digits in
   [0, lo_t]: a generator a_i, a Taylor lcm, or an Eliahou-Kervaire lcm
-  x_j * u, which exceeds a generator by one in one variable.  So every degree s - v it forms has
-  alpha_t + lo_t in [0, maxcell_t + lo_t] = [0, R_t - 1], a genuine digit:
-  distinct degrees get distinct bits, and with the linear code code(v) =
-  sum_t v_t * W_t the shift C >> code(v) of the cell mask C is exactly the
-  set {s - v}, no bit aliasing another and none lost below bit 0.
-  Integer order of the bits is lex order of the degrees.  The pair rule
-  runs on the same linear codes: every vector it forms (a generator moved
-  one step toward an earlier variable, x_j * u stripped from the end) is
-  nonnegative with digits below R_t, where the code is injective too.
+  x_j * u, which exceeds a generator by one in one variable.  So every
+  degree s - v it forms has alpha_t + lo_t in [0, R_t - 1], a genuine
+  digit: distinct degrees get distinct positions, and with the linear code
+  code(v) = sum_t v_t * W_t the set {s - v} is the cell positions less
+  code(v), none negative.  Position order is lex order of the degrees.
+  The pair rule runs on the same linear codes: every vector it forms (a
+  generator moved one step toward an earlier variable, x_j * u stripped
+  from the end) is nonnegative with digits below R_t, where the code is
+  injective too.
 
-  Generator i's active degrees are A_i = C >> code(a_i), and pair (i, k)
-  meets H = C >> code(lcm).  Its link h_i & h_k, with h_i = H & A_i, holds
-  the degrees where it joins two active ends; at the rest of h_i it joins
-  i to the ground.  At one degree let V be the generators with an edge
-  (the ``touched`` masks) and c the number of components of the links
+  A set of positions is a bit mask, where C >> code(v) shifts the cell
+  mask C, or a frozenset; the sweep only intersects, unites and
+  symmetric-differences them, tests them for emptiness and lists their
+  members.  Generator i's active degrees are A_i = C - code(a_i), and pair
+  (i, k) meets H = C - code(lcm).  Its link h_i & h_k, with h_i = H & A_i,
+  holds the degrees where it joins two active ends; at the rest of h_i it
+  joins i to the ground.  At one degree let V be the generators with an
+  edge (the ``touched`` sets) and c the number of components of the links
   that contain no grounded generator.  A spanning forest has |V| + [some
   ground edge] - (c + [some ground edge]) edges, so the rank there is
-  |V| - c and T(I) = G*l - sum popcount(touched_i) + sum c.  Groundedness
-  spreads along the links until no mask changes; a degree whose loose
-  (ungrounded) links all come from one pair has c = 1, and only degrees
-  with loose links from two pairs or more go through a union-find.  The
-  degree-alpha dimension is the number of active generators with no edge
-  at alpha, plus c.  Only degrees with a positive dimension are decoded.
+  |V| - c and T(I) = G*l - sum |touched_i| + sum c.  Groundedness spreads
+  along the links until no set changes; a degree whose loose (ungrounded)
+  links all come from one pair has c = 1, and the links of the degrees
+  where loose links of two pairs or more meet are grouped by degree and
+  go through a union-find.  The degree-alpha dimension is the number of
+  active generators with no edge at alpha, plus c.  Only degrees with a
+  positive dimension are decoded.
 
-  Every mask spans the whole box, prod_t R_t bits, where a set of degrees
-  holds at most l: a staircase thin in several variables (x^200, y^200,
+  A mask spans the whole box, prod_t R_t bits, where a frozenset holds at
+  most l positions: a staircase thin in several variables (x^200, y^200,
   z^200 and the three products xy, xz, yz have l = 598 in a box of 6.4e7
-  positions) would make each mask megabytes long.  Per pair and per
-  generator a sweep over masks costs a few operations on box-sized
-  integers and one over sets a few operations on l codes, so what decides
-  between them is the number of box positions per cell.  Past
-  ``BOX_PER_CELL`` of them the same counts are taken over sets of degree
-  codes, one edge list per constrained degree and :func:`_forest_rank` at
-  each degree with two edges or more.  The compact staircases of the scans
-  and of random ideals stay below it (``BENCH_bit_kernel.json``).
+  positions) would make each mask megabytes long.  Past ``BOX_PER_CELL``
+  box positions per cell the sweep runs on frozensets; the compact
+  staircases of the scans and of random ideals stay below it
+  (``BENCH_bit_kernel.json``).  :func:`graded_dimension` is the sweep's
+  one-degree case: its masks have one bit, the degree asked, and its pairs
+  are the Taylor pairs with an active end, a few lookups where packing the
+  box and building the whole pair list would cost more.
 
 * :func:`tangent_dimension_oracle` — the trusted independent path:
   assemble the integer constraint matrix on all G*l coordinates of
@@ -112,7 +112,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
-from operator import add, mul, sub
+from operator import add, index, mul, rshift, sub
+from typing import Callable
 
 from .monomials import (
     DimensionMismatchError,
@@ -307,24 +308,26 @@ def _positions(mask: int):
         mask ^= low
 
 
-def _sweep(pairs, active: list[int], mask: int) -> tuple[list[int], int, dict[int, int]]:
-    """Every degree's constraint graph at once, one bit per degree.
+def _sweep(pairs, active: list, meet, members, size) -> tuple[int, Callable[[], Counter]]:
+    """The zero rank and a callable giving the positive dimensions by
+    position, every degree's constraint graph at once (see the module
+    docstring).
 
-    ``active[i]`` is the mask of the degrees where generator i is active and
-    ``mask`` that of the cells.  Pair (i, k) meets the degrees mask >> lcm:
-    at those where both ends are active it is a link (i, k), at those where
-    only i is, an edge from i to the ground.  Returns the masks
-    ``touched[i]`` of the degrees where generator i has an edge, the mask
-    of the degrees whose links without a grounded end form exactly one
-    component, and the number of such loose components at every degree with
-    two loose links or more.
+    A set of positions is a mask or a frozenset, combined only by ``&``,
+    ``|``, ``^`` and truthiness; ``members`` lists its positions and
+    ``size`` counts them.  ``active[i]`` holds the degrees where generator
+    i is active, and pair (i, k, lcm) meets the degrees ``meet(lcm)``,
+    built one pair at a time.
     """
     g = len(active)
-    touched = [0] * g
-    ground = [0] * g
+    none = active[0] ^ active[0]
+    touched = [none] * g
+    ground = [none] * g
     links = []
     for i, k, lcm in pairs:
-        hit = mask >> lcm
+        hit = meet(lcm)
+        if not hit:  # the pair constrains no degree
+            continue
         hit_i = hit & active[i]
         hit_k = hit & active[k]
         link = hit_i & hit_k
@@ -345,38 +348,38 @@ def _sweep(pairs, active: list[int], mask: int) -> tuple[list[int], int, dict[in
                 ground[i] |= diff
                 ground[k] |= diff
                 changed = True
-    once = twice = 0
+    once = twice = none
     loose = []
     for i, k, link in links:
-        link &= ~ground[i]
+        link ^= link & ground[i]
         if link:
             twice |= once & link
             once |= link
             loose.append((i, k, link))
-    parent = list(range(g))
+    # the degrees with one loose component, and the count at the others
+    single = once ^ twice
     multi = {}
-    for p in _positions(twice):
-        edges = [(i, k) for i, k, link in loose if link >> p & 1]
-        multi[p] = len(set(chain.from_iterable(edges))) - _forest_rank(edges, parent)
-    return touched, once & ~twice, multi
+    if twice:
+        edges = defaultdict(list)
+        for i, k, link in loose:
+            for p in members(link & twice):
+                edges[p].append((i, k))
+        parent = list(range(g))
+        for p, ev in edges.items():
+            multi[p] = len(set(chain.from_iterable(ev))) - _forest_rank(ev, parent)
+
+    def dims() -> Counter:
+        # the active generators with no edge there, plus the loose components
+        found = Counter(members(single))
+        found.update(multi)
+        for a, t in zip(active, touched):
+            found.update(members(a ^ (a & t)))
+        return found
+
+    return sum(map(size, touched)) - size(single) - sum(multi.values()), dims
 
 
-def _zero_rank(touched: list[int], single: int, multi: dict[int, int]) -> int:
-    """Sum over the degrees of |V_alpha| - c_alpha (see the module docstring)."""
-    return sum(map(int.bit_count, touched)) - single.bit_count() - sum(multi.values())
-
-
-def _dims(active: list[int], touched: list[int], single: int, multi: dict[int, int]) -> Counter:
-    """Positive dimension by degree position: the active generators with no
-    edge there, plus the loose components."""
-    dims = Counter(_positions(single))
-    dims.update(multi)
-    for a, t in zip(active, touched):
-        dims.update(_positions(a & ~t))
-    return dims
-
-
-def _bit_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, partial]:
+def _bit_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, Callable[[], Counter]]:
     """The zero rank, and a callable giving the positive dimensions by
     position, from masks over the whole degree box."""
     # a byte array, not a sum of one-bit integers, each of which would copy
@@ -386,48 +389,23 @@ def _bit_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, partial]:
         c += offset
         bits[c >> 3] |= 1 << (c & 7)
     mask = int.from_bytes(bits, "little")
-    active = [mask >> c for c in codes]
-    sweep = _sweep(pairs, active, mask)
-    return _zero_rank(*sweep), partial(_dims, active, *sweep)
+    meet = partial(rshift, mask)
+    return _sweep(pairs, list(map(meet, codes)), meet, _positions, int.bit_count)
 
 
-def _set_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, partial]:
-    """What :func:`_bit_sweep` returns, from sets of degree codes.
+def _set_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, Callable[[], Counter]]:
+    """What :func:`_bit_sweep` returns, from frozensets of the positions the
+    masks would set.  Their cost follows the cells, l positions per
+    generator and per pair, where the masks follow the box."""
+    cells = [c + offset for c in cell_codes]
 
-    Generator i is active at the codes {s - a_i}, pair (i, k) meets
-    {s - lcm}, and every degree it constrains gets its edges listed: a link
-    (i, k) where both ends are active, an edge to the ground vertex G where
-    one is.  A degree's rank is that of its edge list (one edge: rank 1).
-    The cost follows the cells, l codes per generator and per pair, where
-    the masks follow the box.
-    """
-    g = len(codes)
-    active = [{c - a for c in cell_codes} for a in codes]
-    edges: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i, k, lcm in pairs:
-        hit = {c - lcm for c in cell_codes}
-        hit_i = hit & active[i]
-        hit_k = hit & active[k]
-        for al in hit_i & hit_k:
-            edges[al].append((i, k))
-        for al in hit_i - hit_k:
-            edges[al].append((i, g))
-        for al in hit_k - hit_i:
-            edges[al].append((k, g))
-    parent = list(range(g + 1))
-    ranks = {al + offset: 1 if len(ev) == 1 else _forest_rank(ev, parent)
-             for al, ev in edges.items()}
-    return sum(ranks.values()), partial(_set_dims, active, ranks, offset)
+    def meet(code):
+        return frozenset([c - code for c in cells])
+
+    return _sweep(pairs, list(map(meet, codes)), meet, iter, len)
 
 
-def _set_dims(active: list[set[int]], ranks: dict[int, int], offset: int) -> Counter:
-    """Positive dimension by degree position: active generators less rank."""
-    dims = Counter(al + offset for al in chain.from_iterable(active))
-    dims.subtract(ranks)
-    return +dims
-
-
-def _kernel(gens, cells) -> tuple[list[int], list[int], int, partial]:
+def _kernel(gens, cells) -> tuple[list[int], list[int], int, Callable[[], Counter]]:
     """Weights, digit offsets, the zero rank and a callable giving the
     positive dimensions by position.
 
@@ -443,27 +421,26 @@ def _kernel(gens, cells) -> tuple[list[int], list[int], int, partial]:
 
 def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None = None) -> int:
     """Dimension of the degree-alpha piece of Hom(I, R/I)."""
-    alpha = tuple(int(a) for a in alpha)
+    # index, not int: a float or a string must not be rounded to a degree
+    alpha = tuple(map(index, alpha))
     if len(alpha) != ideal.nvars:
         raise DimensionMismatchError(
             f"alpha has length {len(alpha)}, expected {ideal.nvars}")
     cells = _cells_of(ideal, standard)
-    gens = ideal.gens
-    is_active = [tuple(map(add, a, alpha)) in cells for a in gens]
-    active = [i for i, act in enumerate(is_active) if act]
-    if not active:
+    # a_i + alpha is generator i's target, and lcm + alpha is the max of two
+    shifted = [tuple(map(add, a, alpha)) for a in ideal.gens]
+    # the sweep over one-bit masks, bit 0 the degree asked: a bool is one
+    meet = cells.__contains__
+    active = list(map(meet, shifted))
+    ends = [i for i, a in enumerate(active) if a]
+    if not ends:
         return 0
     # the Taylor pairs generate the syzygies; only those with an active end
-    # whose lcm shifted by alpha is a cell constrain this degree
-    g = len(gens)
-    edges = []
-    for i in active:
-        for k in range(g):
-            if k != i and not (is_active[k] and k < i):
-                lcm = map(max, gens[i], gens[k])
-                if tuple(map(add, lcm, alpha)) in cells:
-                    edges.append((i, k if is_active[k] else g))
-    return len(active) - _forest_rank(edges, list(range(g + 1)))
+    # can constrain this degree
+    pairs = [(i, k, tuple(map(max, shifted[i], shifted[k])))
+             for i in ends for k in range(len(active)) if not (active[k] and k <= i)]
+    zero_rank, _ = _sweep(pairs, active, meet, _positions, int.bit_count)
+    return len(ends) - zero_rank
 
 
 def _degree(position: int, weights: list[int], lo: list[int]) -> Exponent:

@@ -231,6 +231,13 @@ def test_sorted_level_whole_level(nvars, l):
         _check_decorated(nvars, item)
 
 
+@pytest.mark.parametrize("nvars,l", [(3, 12), (4, 9)])
+def test_enumerated_ideals_pass_the_validator_they_skip(nvars, l):
+    # the stream builds its ideals unchecked from the walk's corners
+    for ideal in enumerate_strongly_stable(nvars, l):
+        assert MonomialIdeal(nvars, ideal.gens) == ideal
+
+
 def test_filters_equal_post_filtering():
     def m1_of(ideal):
         return ideal.pure_powers()[0]

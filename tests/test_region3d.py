@@ -78,6 +78,15 @@ def test_dimension_guards():
             region_component_count(MAXIMAL, (-1, 0, 0), standard=std)
 
 
+@pytest.mark.parametrize("alpha", [(0.9, 0.2, -0.7), ("0", "0", "0"), (-1, 0.0, 0)])
+def test_region_refuses_a_degree_that_is_not_integer(alpha):
+    # int() would round the first two to (0, 0, 0) and answer for it
+    for region in (region_cells, region_slice, region_component_count):
+        with pytest.raises(TypeError):
+            region(SESSION, alpha)
+    assert region_slice(SESSION, [True, 0, 0]).alpha == (1, 0, 0)
+
+
 def test_default_size_filter_value():
     # generator maxima 2, 3, 3 -> (2+3+3+3)^2
     assert default_size_filter(SESSION) == 121

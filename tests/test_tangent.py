@@ -107,6 +107,14 @@ def test_graded_length_mismatch():
         graded_dimension(SQUARE, (0, 1))
 
 
+@pytest.mark.parametrize("alpha", [(0.9, 0.2, -0.7), ("0", "0", "0"), (0, 2.0, -3)])
+def test_graded_dimension_refuses_a_degree_that_is_not_integer(alpha):
+    # int() would round the first two to (0, 0, 0) and answer for it
+    with pytest.raises(TypeError):
+        graded_dimension(SESSION, alpha)
+    assert graded_dimension(SESSION, [False, True, 0]) == graded_dimension(SESSION, (0, 1, 0))
+
+
 def test_support_box_examples():
     assert alpha_support_box(parse_ideal("x,y,z")) == ((-1, 0), (-1, 0), (-1, 0))
     assert alpha_support_box(SQUARE) == ((-2, 1), (-2, 1), (-4, 3))
@@ -415,6 +423,14 @@ def test_thin_staircases_are_counted_over_sets(ideal, monkeypatch):
     assert constraint_rank(ideal, std) == report.zero_rank
     assert time.monotonic() - start < 2.0
     assert report.graded == tuple(sorted(graded_tangent_dims(ideal.gens, std.cells).items()))
+    # the one-degree query at every reported degree and at seeded degrees
+    # of the support box
+    per_alpha = report.per_alpha
+    rng = random.Random(1301)
+    box = alpha_support_box(ideal)
+    for alpha in list(per_alpha) + [tuple(rng.randint(lo, hi) for lo, hi in box)
+                                    for _ in range(50)]:
+        assert graded_dimension(ideal, alpha, std) == per_alpha.get(alpha, 0)
 
 
 def test_compact_staircases_are_counted_over_masks(monkeypatch):
@@ -479,7 +495,7 @@ def _names_in(code) -> set[str]:
 
 
 KERNEL = {"_pack", "_syzygy_pairs", "_taylor_pairs", "_positions", "_sweep", "_forest_rank",
-          "_zero_rank", "_dims", "_bit_sweep", "_set_sweep", "_set_dims", "_kernel",
+          "_bit_sweep", "_set_sweep", "_kernel",
           "_kernel_cells", "_degree", "_total", "tangent_dimension", "graded_dimension"}
 
 
@@ -511,8 +527,10 @@ def test_sparse_elimination_shares_no_code_with_the_kernel():
     assert not _reached(_bareiss_rank) & KERNEL
 
 
-def test_graded_dimension_shares_only_the_union_find_with_the_sweep():
-    assert _reached(graded_dimension) & KERNEL == {"_forest_rank"}
+def test_graded_dimension_is_the_sweep_at_one_degree():
+    # one counting rule: the one-degree query runs the report's sweep, on
+    # masks of one bit, and packs no box and builds no syzygy pair list
+    assert _reached(graded_dimension) & KERNEL == {"_sweep", "_positions", "_forest_rank"}
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
