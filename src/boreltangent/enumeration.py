@@ -14,33 +14,49 @@ m + e_s - e_t is larger than m, so none is a cell.  For the same reason an
 added cell c can make unremovable only cells smaller than c, so S + {c} is
 a child of S exactly when c is larger than every cell of S.  The candidates
 c are the corners of S (the minimal generators of its ideal) whose Borel
-moves toward later variables are cells; both rules live in
-:mod:`.monomials`.  Every staircase has one parent, so a depth-first walk
-from the one-cell staircase meets each staircase of each size once, with
-no frontier and no record of what it has seen.
+moves c + e_t - e_s (s < t, c_s >= 1) are all cells.  Every staircase has
+one parent, so a depth-first walk from the one-cell staircase meets each
+staircase of each size once, with no frontier and no record of what it
+has seen.
 
 The walk keeps one mutable cell set and its corners, updated in place as it
 steps down and back: adding c drops c from the corners and adds the
 c + e_t whose every divisor is a cell.  It holds O(l) state, and each
-visited node hands its corners to its consumer, so no consumer has to
-rederive them.
+visited node hands its cells, its corners and its largest cell to its
+consumer, so no consumer has to rederive them; m1 is one more than the
+largest cell's first coordinate.
+
+A walk to size l packs every exponent e it forms into the integer
+code(e) = sum_t e_t * W_t, W_t = B^(N-1-t), in the single radix B = l + 1,
+coordinate 0 most significant.  Every digit it forms lies in [0, l]: a
+cell of a staircase of at most l cells has e_t <= l - 1 (its divisors
+along x_t are cells), and everything else the walk forms is a cell plus
+one unit vector: a corner c is (c - e_s) + e_s, its Borel move is
+(c - e_s) + e_t, and a divisor of a new corner c + e_t is (c - e_u) + e_t.
+With every digit below B the code is injective, and code order is tuple
+order, which the child rule "c above the largest cell" compares.  The
+code is linear, so a move or a divisor is one add of a fixed offset to
+code(c): W_t - W_s for c + e_t - e_s, W_t - W_u for c + e_t - e_u.  Each
+corner carries the bit mask of the variables where it is positive, and two
+tables indexed by that mask, built once per walk, list the offsets that
+subtract only from those variables.  So no digit goes below zero and no
+add carries: every Borel test and every corner test is a few adds and set
+lookups on the true codes.  The walk keeps the cell tuples beside the
+codes, one add or remove a step, for its consumers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterator
 
 from .monomials import (
     Exponent,
     MonomialIdeal,
-    _borel_moves_in,
     _canonical_order,
-    _divisors_in,
     _format_gens,
     _gens_from_cells,
-    _m1_of_cells,
 )
 
 
@@ -75,37 +91,92 @@ class EnumFilter:
             raise ValueError("max_results must be >= 0")
 
 
-#: a node of the walk as its consumers see it: the cells and their corners
-Visit = Callable[[set[Exponent], set[Exponent]], None]
+#: a node of the walk as its consumers see it: its cells, its corners and
+#: its largest cell, whose first coordinate is m1 - 1
+Visit = Callable[[set[Exponent], tuple[Exponent, ...], Exponent], None]
 
 
-def _walk(nvars: int, cells: set[Exponent], corners: set[Exponent], top: Exponent,
-          levels: int, visit: Visit) -> None:
-    """Call ``visit(cells, corners)`` at every Borel staircase ``levels``
-    cells below the given one (``top`` is its largest cell).
+def _tables(nvars: int, base: int) -> tuple[list[int], list[tuple[int, ...]], list[tuple]]:
+    """The weights of radix ``base`` and the walk's two offset tables, both
+    indexed by the support mask of a corner c.
 
-    ``cells`` and ``corners`` are updated in place and restored on return;
-    a consumer that keeps them must copy them.
+    ``moves[s]`` holds the offsets of the Borel moves of c, W_t - W_u for u
+    in the support and t > u.  ``grows[s]`` holds, for each variable t,
+    (t, W_t, the support of c + e_t, the offsets W_t - W_u from c to the
+    divisors c + e_t - e_u with u != t in that support).
+    """
+    weights = [base ** (nvars - 1 - t) for t in range(nvars)]
+    moves, grows = [], []
+    for support in range(1 << nvars):
+        on = [u for u in range(nvars) if support >> u & 1]
+        moves.append(tuple(weights[t] - weights[u] for u in on for t in range(u + 1, nvars)))
+        grows.append(tuple((t, weights[t], support | 1 << t,
+                            tuple(weights[t] - weights[u] for u in on if u != t))
+                           for t in range(nvars)))
+    return weights, moves, grows
+
+
+def _support(e: Exponent) -> int:
+    """Bit mask of the variables with a positive exponent in e."""
+    return sum(1 << t for t, x in enumerate(e) if x)
+
+
+def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: Exponent,
+          levels: int, visit: Visit, moves, grows) -> None:
+    """Call ``visit`` at every Borel staircase ``levels`` cells below the
+    given one, whose largest cell is ``last`` with code ``top``.
+
+    ``codes`` and ``cells`` hold the cells packed and as tuples, and
+    ``corners`` maps a corner's code to the corner and its support mask;
+    ``moves`` and ``grows`` are the tables of :func:`_tables`.  All three
+    are updated in place and restored on return; a consumer that keeps the
+    cells must copy them.
     """
     if levels == 0:
-        visit(cells, corners)
+        visit(cells, tuple([e for e, _mask in corners.values()]), last)
         return
-    for c in [c for c in corners if c > top and _borel_moves_in(nvars, cells, c)]:
-        cells.add(c)
-        corners.remove(c)
-        new = [w for w in (c[:t] + (c[t] + 1,) + c[t + 1:] for t in range(nvars))
-               if _divisors_in(nvars, cells, w)]
-        corners.update(new)
-        _walk(nvars, cells, corners, c, levels - 1, visit)
-        corners.difference_update(new)
-        corners.add(c)
-        cells.remove(c)
+    levels -= 1
+    children = []
+    for c, item in corners.items():
+        if c > top:
+            # the child rule, then the Borel moves of c
+            for d in moves[item[1]]:
+                if c + d not in codes:
+                    break
+            else:
+                children.append((c, item))
+    for c, item in children:
+        e, support = item
+        codes.add(c)
+        cells.add(e)
+        del corners[c]
+        new = []
+        for t, step, grown, offsets in grows[support]:
+            # c + e_t is a corner when its other divisors c + e_t - e_u are cells
+            for d in offsets:
+                if c + d not in codes:
+                    break
+            else:
+                new.append(c + step)
+                corners[c + step] = (e[:t] + (e[t] + 1,) + e[t + 1:], grown)
+        _walk(codes, cells, corners, c, e, levels, visit, moves, grows)
+        for w in new:
+            del corners[w]
+        corners[c] = item
+        cells.remove(e)
+        codes.remove(c)
 
 
 def _descend(nvars: int, cells, corners, l: int, visit: Visit) -> None:
     """Visit every Borel staircase of size ``l`` that contains the given
     one on the walk, its cells and corners given as any collections."""
-    _walk(nvars, set(cells), set(corners), max(cells), l - len(cells), visit)
+    if l < len(cells):
+        raise ValueError(f"a staircase of {len(cells)} cells lies below no size {l}")
+    weights, moves, grows = _tables(nvars, l + 1)
+    codes = {sum(map(mul, e, weights)): e for e in cells}
+    top = max(codes)
+    packed = {sum(map(mul, e, weights)): (e, _support(e)) for e in corners}
+    _walk(set(codes), set(cells), packed, top, codes[top], l - len(cells), visit, moves, grows)
 
 
 def _walk_level(nvars: int, l: int, visit: Visit) -> None:
@@ -121,7 +192,8 @@ def _walk_level(nvars: int, l: int, visit: Visit) -> None:
 def _level(nvars: int, l: int) -> list[tuple[frozenset[Exponent], tuple[Exponent, ...]]]:
     """(cells, corners) of every Borel staircase of size l, in walk order."""
     nodes = []
-    _walk_level(nvars, l, lambda cells, corners: nodes.append((frozenset(cells), tuple(corners))))
+    _walk_level(nvars, l, lambda cells, corners, _top:
+                nodes.append((frozenset(cells), corners)))
     return nodes
 
 
@@ -179,8 +251,7 @@ def enumerate_strongly_stable(nvars: int, l: int,
         raise ValueError(
             f"num_generators filter {filt.num_generators} is below nvars={nvars}")
     nodes = []
-    _walk_level(nvars, l, lambda cells, corners:
-                nodes.append((_m1_of_cells(cells), tuple(corners))))
+    _walk_level(nvars, l, lambda _cells, corners, top: nodes.append((top[0] + 1, corners)))
     emitted = 0
     for _text, gens, m1 in _canonical(nvars, nodes):
         if filt.m1 is not None and m1 != filt.m1:
@@ -198,7 +269,7 @@ def count_strongly_stable(nvars: int, l: int) -> int:
     the walk without holding any level."""
     count = 0
 
-    def tally(_cells, _corners):
+    def tally(_cells, _corners, _top):
         nonlocal count
         count += 1
 

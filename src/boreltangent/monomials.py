@@ -346,23 +346,6 @@ def _divisors_in(nvars: int, cells, w: Exponent) -> bool:
     return True
 
 
-def _borel_moves_in(nvars: int, cells, c: Exponent) -> bool:
-    """Whether every unit move of c toward a later variable is a cell; for a
-    corner c of a Borel staircase, whether cells + {c} is one too."""
-    for s in range(nvars - 1):
-        if c[s] == 0:
-            continue
-        for t in range(s + 1, nvars):
-            if c[:s] + (c[s] - 1,) + c[s + 1:t] + (c[t] + 1,) + c[t + 1:] not in cells:
-                return False
-    return True
-
-
-def _m1_of_cells(cells) -> int:
-    """Pure x1 exponent of the complement ideal of a divisor-closed set."""
-    return 1 + max(c[0] for c in cells)
-
-
 def _variable_names(nvars: int) -> tuple[str, ...]:
     if nvars <= 4:
         return ALIASES[:nvars]

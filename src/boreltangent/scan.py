@@ -38,7 +38,6 @@ from pathlib import Path
 from .enumeration import _canonical, _descend, _level
 from .monomials import (
     MonomialIdeal,
-    _m1_of_cells,
     format_ideal,
     k_of_l,
     parse_ideal,
@@ -181,11 +180,10 @@ def _subtree_task(nvars: int, task, deadline: float | None = None) -> tuple[int,
     (cells, corners), l = task
     stats: dict[int, list] = {}
 
-    def visit(cells, corners):
+    def visit(cells, gens, top):
         if deadline is not None and time.monotonic() > deadline:
             raise multiprocessing.TimeoutError
-        gens = tuple(corners)
-        _fold(stats, _m1_of_cells(cells), 1, _total(gens, cells), [gens])
+        _fold(stats, top[0] + 1, 1, _total(gens, cells), [gens])
 
     _descend(nvars, cells, corners, l, visit)
     return l, stats

@@ -443,14 +443,12 @@ def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None =
     return len(ends) - zero_rank
 
 
-def _degree(position: int, weights: list[int], lo: list[int]) -> Exponent:
-    """The degree at a bit position: digit t, most significant first, less
-    its offset."""
-    alpha = []
-    for w, o in zip(weights, lo):
-        d, position = divmod(position, w)
-        alpha.append(d - o)
-    return tuple(alpha)
+def _degrees(positions: list[int], weights: list[int], lo: list[int]) -> list[Exponent]:
+    """The degrees at some bit positions, decoded a coordinate at a time:
+    digit t is p // W_t % R_t with R_t = 2 * lo_t - 1, less its offset."""
+    radix = [2 * o - 1 for o in lo]
+    return list(zip(*[[p // w % r - o for p in positions]
+                      for w, r, o in zip(weights, radix, lo)]))
 
 
 def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:
@@ -463,7 +461,8 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     cells = _kernel_cells(ideal, standard)
     weights, lo, zero_rank, dims = _kernel(ideal.gens, cells)
     dims = dims()
-    graded = [(_degree(p, weights, lo), dims[p]) for p in sorted(dims)]
+    positions = sorted(dims)
+    graded = list(zip(_degrees(positions, weights, lo), map(dims.__getitem__, positions)))
     g = len(ideal.gens)
     l = len(cells)
     return GradedTangentReport(

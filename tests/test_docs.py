@@ -1,7 +1,7 @@
-"""The documented entry points keep working: every demo runs, every name
-the README quick start, the demos and the benchmark import from the top
-level is exported there, and every name they import from a submodule
-exists in it."""
+"""The documented entry points keep working: every demo runs, the
+benchmark's self-test passes, every name the README quick start, the demos
+and the benchmark import from the top level is exported there, and every
+name they import from a submodule exists in it."""
 
 import ast
 import importlib
@@ -52,6 +52,14 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=env, cwd=REPO_ROOT,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks: its output pins, its exit codes and a
+    # smoke run of every workload; it writes only under .perfbench/
+    done = subprocess.run([sys.executable, str(REPO_ROOT / "perfbench" / "selftest.py")],
+                          cwd=REPO_ROOT, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-4000:]
 
 
 def test_documented_imports_are_exported():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 
@@ -21,6 +22,9 @@ from boreltangent.enumeration import (
     _canonical,
     _descend,
     _level,
+    _support,
+    _tables,
+    _walk,
     _walk_level,
     count_strongly_stable,
     enumerate_strongly_stable,
@@ -30,7 +34,6 @@ from boreltangent.enumeration import (
 from boreltangent.monomials import (
     MonomialIdeal,
     StandardSet,
-    _borel_moves_in,
     _gens_from_cells,
     colength,
     format_ideal,
@@ -80,10 +83,32 @@ def _children(nvars, cells):
     """The walk's children of a staircase with their carried corners."""
     found = {}
 
-    def keep(child, corners):
+    def keep(child, corners, top):
+        assert top == max(child)
         found[frozenset(child)] = set(corners)
 
     _descend(nvars, cells, minimal_exponents_outside(cells, nvars), len(cells) + 1, keep)
+    return found
+
+
+def _packed_extensions(nvars, cells):
+    """Every corner c that the walk's packed Borel test adds to a staircase,
+    not only those above its largest cell, with the corners it carries to
+    cells + {c}: a one-step walk below code -1, in the radix of a walk to
+    size len(cells) + 1."""
+    weights, moves, grows = _tables(nvars, len(cells) + 2)
+
+    def code(e):
+        return sum(x * w for x, w in zip(e, weights))
+
+    found = {}
+
+    def keep(child, corners, added):
+        found[added] = (frozenset(child), set(corners))
+
+    corners = minimal_exponents_outside(cells, nvars)
+    _walk({code(e) for e in cells}, set(cells), {code(e): (e, _support(e)) for e in corners},
+          -1, max(cells), 1, keep, moves, grows)
     return found
 
 
@@ -96,14 +121,47 @@ def test_growth_step_on_random_large_staircases():
             cells = random_borel_staircase(rng, nvars, rng.randint(20, 40))
             corners = _gens_from_cells(nvars, cells)
             assert corners == minimal_exponents_outside(cells, nvars)
-            for c in corners:
-                assert _borel_moves_in(nvars, cells, c) == is_borel_staircase(cells | {c}, nvars)
-            addable = [c for c in corners if _borel_moves_in(nvars, cells, c)]
-            assert {cells | {c} for c in addable} == one_cell_extensions(cells, nvars)
+            extensions = _packed_extensions(nvars, cells)
+            assert set(extensions) == {c for c in corners if is_borel_staircase(cells | {c}, nvars)}
+            assert {child for child, _carried in extensions.values()} == \
+                one_cell_extensions(cells, nvars)
+            for c, (child, carried) in extensions.items():
+                assert child == cells | {c}
+                assert carried == minimal_exponents_outside(child, nvars)
             children = _children(nvars, cells)
-            assert set(children) == {cells | {c} for c in addable if c > max(cells)}
+            assert set(children) == {cells | {c} for c in extensions if c > max(cells)}
             for child, carried in children.items():
                 assert carried == minimal_exponents_outside(child, nvars)
+
+
+@pytest.mark.parametrize("l", [2, 3, 7, 16])
+def test_walk_at_the_edge_of_its_radix(l):
+    # a column of l - 1 cells grown to size l: the new corner (0, 0, l) has
+    # the digit l = B - 1 of the walk's radix B = l + 1
+    nvars = 3
+    cells = frozenset((0, 0, k) for k in range(l - 1))
+    found = {}
+
+    def keep(child, corners, top):
+        found[frozenset(child)] = (set(corners), top)
+
+    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), l, keep)
+    expected = {grown for grown in one_cell_extensions(cells, nvars)
+                if largest_removable_cell(grown, nvars) == next(iter(grown - cells))}
+    assert set(found) == expected
+    assert cells | {(0, 0, l - 1)} in found
+    for child, (carried, top) in found.items():
+        assert is_order_ideal(child, nvars) and is_borel_staircase(child, nvars)
+        assert top == max(child)
+        assert carried == minimal_exponents_outside(child, nvars)
+    assert (0, 0, l) in found[cells | {(0, 0, l - 1)}][0]
+
+
+def test_descend_refuses_a_target_below_the_staircase():
+    # the walk's radix l + 1 holds the digits of staircases of at most l cells
+    cells = {(0, 0), (0, 1), (1, 0)}
+    with pytest.raises(ValueError):
+        _descend(2, cells, minimal_exponents_outside(cells, 2), 2, print)
 
 
 # --- the reverse-search walk against the definitions ---
@@ -138,7 +196,7 @@ def test_walk_meets_a_staircase_once_with_its_corners(staircase):
     nvars, cells = staircase.nvars, staircase.cells
     met = []
 
-    def keep(node, corners):
+    def keep(node, corners, _top):
         if node == cells:
             met.append(set(corners))
 
@@ -146,7 +204,7 @@ def test_walk_meets_a_staircase_once_with_its_corners(staircase):
     assert met == [minimal_exponents_outside(cells, nvars)]
 
 
-@pytest.mark.parametrize("nvars,l", [(3, 12), (4, 10), (5, 8)])
+@pytest.mark.parametrize("nvars,l", [(1, 6), (2, 15), (3, 12), (4, 10), (5, 8), (6, 7)])
 def test_walk_level_carries_the_corners(nvars, l):
     nodes = _level(nvars, l)
     assert len({cells for cells, _corners in nodes}) == len(nodes) == count_strongly_stable(nvars, l)
@@ -169,6 +227,19 @@ BFS_LEVEL_COUNTS = {
 def test_counts_match_breadth_first_growth(nvars):
     counts = BFS_LEVEL_COUNTS[nvars]
     assert tuple(count_strongly_stable(nvars, l) for l in range(1, len(counts) + 1)) == counts
+
+
+def test_n4_l20_stream_is_pinned():
+    # the canonical stream hashed one text and newline per ideal, as the
+    # benchmark's enum_n4 workload checks it: a walk that drops, adds or
+    # misorders a staircase changes the digest
+    digest = hashlib.sha256()
+    count = 0
+    for ideal in enumerate_strongly_stable(4, 20):
+        digest.update(format_ideal(ideal).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (
+        1068, "13aa62f93cd0c3f34e302de886a79b74813f3276f81b7e1800e434fdc460de36")
 
 
 def test_soundness_n3():

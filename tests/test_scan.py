@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import shutil
@@ -283,6 +284,21 @@ def test_subtree_tasks_cover_each_level_once():
             stats = [_subtree_task(3, (root, l))[1] for root in roots[l]]
             assert sum(c for s in stats for c, _t, _a in s.values()) == \
                 len(list(enumerate_strongly_stable(3, l)))
+
+
+def _records_digest(records):
+    """SHA-256 over every record's key, ideal count, t_max and argmax
+    texts, as the benchmark's table_n3 workload pins it; elapsed is left out."""
+    rows = [[l, m1, rec.ideal_count, rec.t_max, [format_ideal(a) for a in rec.argmax]]
+            for l in sorted(records) for m1, rec in sorted(records[l].items())]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_records_are_pinned(workers):
+    records = scan_colength_range(3, 10, 18, workers=workers)
+    assert _records_digest(records) == \
+        "8f97fd43a4d6b8bd040c36bce680f353d52f7a268884a1f295238c25612d13d0"
 
 
 def test_scan_range_shares_one_pass():

@@ -496,7 +496,7 @@ def _names_in(code) -> set[str]:
 
 KERNEL = {"_pack", "_syzygy_pairs", "_taylor_pairs", "_positions", "_sweep", "_forest_rank",
           "_bit_sweep", "_set_sweep", "_kernel",
-          "_kernel_cells", "_degree", "_total", "tangent_dimension", "graded_dimension"}
+          "_kernel_cells", "_degrees", "_total", "tangent_dimension", "graded_dimension"}
 
 
 def _reached(function) -> set[str]:
