@@ -48,7 +48,8 @@ codes, one add or remove a step, for its consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from functools import lru_cache, partial
+from operator import add, itemgetter, mul
 from typing import Callable, Iterator
 
 from .monomials import (
@@ -96,16 +97,19 @@ class EnumFilter:
 Visit = Callable[[set[Exponent], tuple[Exponent, ...], Exponent], None]
 
 
-def _tables(nvars: int, base: int) -> tuple[list[int], list[tuple[int, ...]], list[tuple]]:
+@lru_cache(maxsize=64)
+def _tables(nvars: int, base: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                                            tuple[tuple, ...]]:
     """The weights of radix ``base`` and the walk's two offset tables, both
     indexed by the support mask of a corner c.
 
     ``moves[s]`` holds the offsets of the Borel moves of c, W_t - W_u for u
     in the support and t > u.  ``grows[s]`` holds, for each variable t,
     (t, W_t, the support of c + e_t, the offsets W_t - W_u from c to the
-    divisors c + e_t - e_u with u != t in that support).
+    divisors c + e_t - e_u with u != t in that support).  Built once per
+    (nvars, base) and shared by every walk of that radix, so all immutable.
     """
-    weights = [base ** (nvars - 1 - t) for t in range(nvars)]
+    weights = tuple(base ** (nvars - 1 - t) for t in range(nvars))
     moves, grows = [], []
     for support in range(1 << nvars):
         on = [u for u in range(nvars) if support >> u & 1]
@@ -113,7 +117,7 @@ def _tables(nvars: int, base: int) -> tuple[list[int], list[tuple[int, ...]], li
         grows.append(tuple((t, weights[t], support | 1 << t,
                             tuple(weights[t] - weights[u] for u in on if u != t))
                            for t in range(nvars)))
-    return weights, moves, grows
+    return weights, tuple(moves), tuple(grows)
 
 
 def _support(e: Exponent) -> int:
@@ -122,9 +126,11 @@ def _support(e: Exponent) -> int:
 
 
 def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: Exponent,
-          levels: int, visit: Visit, moves, grows) -> None:
-    """Call ``visit`` at every Borel staircase ``levels`` cells below the
-    given one, whose largest cell is ``last`` with code ``top``.
+          levels: int, visits, moves, grows) -> None:
+    """Walk the Borel staircases down to ``levels`` cells below the given
+    one, whose largest cell is ``last`` with code ``top``, calling
+    ``visits[k]``, where it is not None, at each staircase k cells short of
+    that depth, the given one included.
 
     ``codes`` and ``cells`` hold the cells packed and as tuples, and
     ``corners`` maps a corner's code to the corner and its support mask;
@@ -132,8 +138,10 @@ def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: 
     are updated in place and restored on return; a consumer that keeps the
     cells must copy them.
     """
-    if levels == 0:
+    visit = visits[levels]
+    if visit is not None:
         visit(cells, tuple([e for e, _mask in corners.values()]), last)
+    if not levels:
         return
     levels -= 1
     children = []
@@ -159,7 +167,7 @@ def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: 
             else:
                 new.append(c + step)
                 corners[c + step] = (e[:t] + (e[t] + 1,) + e[t + 1:], grown)
-        _walk(codes, cells, corners, c, e, levels, visit, moves, grows)
+        _walk(codes, cells, corners, c, e, levels, visits, moves, grows)
         for w in new:
             del corners[w]
         corners[c] = item
@@ -167,26 +175,98 @@ def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: 
         codes.remove(c)
 
 
-def _descend(nvars: int, cells, corners, l: int, visit: Visit) -> None:
-    """Visit every Borel staircase of size ``l`` that contains the given
-    one on the walk, its cells and corners given as any collections."""
-    if l < len(cells):
-        raise ValueError(f"a staircase of {len(cells)} cells lies below no size {l}")
+def _descend(nvars: int, cells, corners, visits: dict[int, Visit]) -> None:
+    """Walk the Borel staircases that contain the given one, its cells and
+    corners given as any collections, calling ``visits[n]`` at each of n
+    cells: a walk down to the largest size asked for."""
+    l = max(visits)
+    if min(visits) < len(cells):
+        raise ValueError(f"a staircase of {len(cells)} cells lies below no size {min(visits)}")
     weights, moves, grows = _tables(nvars, l + 1)
     codes = {sum(map(mul, e, weights)): e for e in cells}
     top = max(codes)
     packed = {sum(map(mul, e, weights)): (e, _support(e)) for e in corners}
-    _walk(set(codes), set(cells), packed, top, codes[top], l - len(cells), visit, moves, grows)
+    levels = l - len(cells)
+    _walk(set(codes), set(cells), packed, top, codes[top], levels,
+          [visits.get(l - k) for k in range(levels + 1)], moves, grows)
+
+
+def _origin(nvars: int) -> tuple[list[Exponent], list[Exponent]]:
+    """The cells and corners of the one-cell staircase, where every walk
+    starts: the cell 0, whose corners are the unit vectors."""
+    origin = (0,) * nvars
+    return [origin], [origin[:t] + (1,) + origin[t + 1:] for t in range(nvars)]
 
 
 def _walk_level(nvars: int, l: int, visit: Visit) -> None:
-    """Visit every Borel staircase of size l, walking from the one cell 0
-    whose corners are the unit vectors."""
+    """Visit every Borel staircase of size l, walking from the one-cell
+    staircase."""
     if nvars < 1 or l < 1:
         raise ValueError("need nvars >= 1 and l >= 1")
-    origin = (0,) * nvars
-    units = [origin[:t] + (1,) + origin[t + 1:] for t in range(nvars)]
-    _descend(nvars, [origin], units, l, visit)
+    _descend(nvars, *_origin(nvars), {l: visit})
+
+
+class _Node:
+    """A node of the walk's tree as a weighing records it: the cell the walk
+    added to reach it, its corners, its parent and its children, and
+    ``weights[i]``, the number of staircases of the i-th weighed size at or
+    below it."""
+
+    __slots__ = ("cell", "corners", "parent", "children", "weights")
+
+    def __init__(self, cell, corners, parent, weights):
+        self.cell = cell
+        self.corners = corners
+        self.parent = parent
+        self.children = []
+        self.weights = weights
+
+    def cells(self) -> list[Exponent]:
+        """The node's staircase: the cells added on the path down to it."""
+        node, cells = self, []
+        while node is not None:
+            cells.append(node.cell)
+            node = node.parent
+        return cells
+
+
+def _weigh(nvars: int, sizes: list[int], depth: int, check: Callable[[], None]) -> _Node:
+    """One walk to the largest of ``sizes`` (ascending) that records every
+    node of at most ``depth`` cells and weighs it at each size; returns the
+    one-cell staircase's node.
+
+    A staircase of a weighed size deeper than ``depth`` is counted at its
+    ancestor of ``depth`` cells, the last one the depth-first walk recorded
+    there, and each node's weights are then summed into its parent's.
+    ``check`` runs at every recorded or counted staircase; what it raises
+    stops the walk.
+    """
+    index = {l: i for i, l in enumerate(sizes)}
+    path: list = [None] * (depth + 1)
+    nodes = []
+
+    def record(cells, corners, last):
+        check()
+        n = len(cells)
+        parent = path[n - 1]
+        weights = [0] * len(sizes)
+        if n in index:
+            weights[index[n]] = 1
+        path[n] = node = _Node(last, corners, parent, weights)
+        if parent is not None:
+            parent.children.append(node)
+        nodes.append(node)
+
+    def count(i, _cells, _corners, _last):
+        check()
+        path[depth].weights[i] += 1
+
+    visits = {n: record for n in range(1, min(depth, sizes[-1]) + 1)}
+    visits.update((l, partial(count, i)) for l, i in index.items() if l > depth)
+    _descend(nvars, *_origin(nvars), visits)
+    for node in reversed(nodes[1:]):
+        node.parent.weights[:] = map(add, node.parent.weights, node.weights)
+    return nodes[0]
 
 
 def _level(nvars: int, l: int) -> list[tuple[frozenset[Exponent], tuple[Exponent, ...]]]:

@@ -6,17 +6,23 @@ colength and keeps the maximum and *all* attaining ideals per m1 class
 (ties carry the scientific content, so they are never discarded).
 
 The work is cut into subtrees of the reverse-search walk of
-:mod:`.enumeration`.  The parent walks to a shallow depth d, the first
-with at least ``8 * workers`` staircases, and each pending colength l gets
-one task per staircase of depth min(l, d).  A task walks its subtree down
-to size l and runs the tangent kernel at every staircase there on the
-corners the walk carries; it returns, per m1 class, the count, the maximum
-and the staircases attaining it.  The tasks of every pending colength go
-through one ``imap_unordered`` stream of a pool (a plain ``map`` at one
-worker), and a colength is merged, cached and counted as completed as soon
-as its last task returns.  The merge ignores the order of the tasks, and
-each argmax list is sorted into canonical order, so results are identical
-for any worker count.
+:mod:`.enumeration`, packed into tasks of about equal weight.  At one
+worker nothing is cut: each colength is one walk from the one-cell
+staircase, in process.  With a pool, one counting walk to the largest
+pending size weighs every walk-tree node of up to two thirds of that size
+at each pending size, counting the staircases below it.  The grain is the
+range's staircase count over ``GRAINS_PER_WORKER * workers``.  Per
+colength, a node heavier than a grain is split into its children, and the
+roots left are packed, heaviest first, into bins of at most one grain.  A
+task is one bin and its colength l: it walks each root's subtree down to
+size l and runs the tangent kernel at every staircase there on the corners
+the walk carries; it returns, per m1 class, the count, the maximum and the
+staircases attaining it.  The tasks go out in ascending l, the heaviest
+first within a colength, through one ``imap_unordered`` stream, and a
+colength is merged, cached and counted as completed as soon as its last
+task returns.  The merge ignores the order of the tasks, and each argmax
+list is sorted into canonical order, so results are identical for any
+worker count.
 
 Completed colengths are cached as JSONL files (``scan-N{N}-l{l}.jsonl``,
 one record per m1 class, schema-versioned); reruns skip cached colengths,
@@ -33,9 +39,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
-from .enumeration import _canonical, _descend, _level
+from .enumeration import _canonical, _descend, _origin, _weigh
 from .monomials import (
     MonomialIdeal,
     format_ideal,
@@ -48,6 +56,12 @@ from .tangent import _total
 
 SCHEMA_VERSION = 1
 
+#: a pool's tasks hold about 1 / (GRAINS_PER_WORKER * workers) of the
+#: staircases of the range each: few enough that dispatch stays cheap,
+#: small enough that the last task of a deep colength leaves no worker
+#: idle for long
+GRAINS_PER_WORKER = 8
+
 #: environment variable holding the default cache directory
 CACHE_ENV_VAR = "BORELTANGENT_CACHE"
 
@@ -57,9 +71,10 @@ class BudgetExceededError(RuntimeError):
 
     The clock of a colength runs from the end of the previous completed
     colength (or the start of the scan), so it counts the walk and the
-    tangent computations.  With a pool every wait for a subtree task is
-    bounded by the time left; in process the walk checks the deadline at
-    every staircase it scans.
+    tangent computations, and for the first pending colength the weighing
+    walk too, which checks the deadline at every staircase it counts.
+    With a pool every wait for a task is bounded by the time left; in
+    process the walk checks the deadline at every staircase it scans.
 
     ``completed`` holds the records of every colength finished before the
     breach (already flushed to the cache when caching is enabled).
@@ -172,20 +187,31 @@ def _fold(stats: dict[int, list], m1: int, count: int, total: int, argmax: list)
         entry[2].extend(argmax)
 
 
-def _subtree_task(nvars: int, task, deadline: float | None = None) -> tuple[int, dict[int, list]]:
-    """Walk one subtree down to size l and run the kernel at every staircase
-    there: (l, {m1: [count, t_max, the argmax staircases' corner tuples]}).
-    Raises multiprocessing.TimeoutError past a ``time.monotonic()``
-    deadline.  Module-level so that pool workers can unpickle it."""
-    (cells, corners), l = task
-    stats: dict[int, list] = {}
-
-    def visit(cells, gens, top):
+def _watch(deadline: float | None) -> Callable[[], None]:
+    """A check that raises multiprocessing.TimeoutError past a
+    ``time.monotonic()`` deadline (never, for None)."""
+    def check():
         if deadline is not None and time.monotonic() > deadline:
             raise multiprocessing.TimeoutError
+    return check
+
+
+def _subtree_task(nvars: int, task, deadline: float | None = None) -> tuple[int, dict[int, list]]:
+    """Walk each root's subtree down to size l and run the kernel at every
+    staircase there: (l, {m1: [count, t_max, the argmax staircases' corner
+    tuples]}).  Raises multiprocessing.TimeoutError past a
+    ``time.monotonic()`` deadline.  Module-level so that pool workers can
+    unpickle it."""
+    roots, l = task
+    stats: dict[int, list] = {}
+    check = _watch(deadline)
+
+    def visit(cells, gens, top):
+        check()
         _fold(stats, top[0] + 1, 1, _total(gens, cells), [gens])
 
-    _descend(nvars, cells, corners, l, visit)
+    for cells, corners in roots:
+        _descend(nvars, cells, corners, {l: visit})
     return l, stats
 
 
@@ -198,16 +224,45 @@ def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dic
             for m1, (count, total, argmax) in sorted(merged.items())}
 
 
-def _tasks(nvars: int, pending: list[int], workers: int) -> list:
-    """((cells, corners), l) for every subtree of every pending colength:
-    the roots of l are its staircases of depth min(l, d), with d the first
-    depth holding at least 8 * workers staircases."""
-    levels = {1: _level(nvars, 1)}
-    depth = 1
-    while len(levels[depth]) < 8 * workers and depth < max(pending):
-        depth += 1
-        levels[depth] = _level(nvars, depth)
-    return [(root, l) for l in pending for root in levels[min(l, depth)]]
+def _tasks(nvars: int, pending: list[int], workers: int, deadline: float | None = None) -> list:
+    """(roots, l) tasks for the pending colengths (ascending), in the order
+    they go out (see the module docstring).  A root is (cells, corners) of
+    a staircase whose subtree the task walks.  A task is heavier than a
+    grain only when it is a single root the weighing recorded nothing
+    below.  Raises multiprocessing.TimeoutError when the weighing runs
+    past the deadline.
+    """
+    if workers == 1:
+        return [((_origin(nvars),), l) for l in pending]
+    # nodes of two thirds of the largest size are light enough to split
+    # down to: the heaviest holds 1.8 % of N=3 l=38, 4.8 % of N=3 l=30
+    # and 3.1 % of N=4 l=26
+    top = _weigh(nvars, pending, (2 * pending[-1] + 2) // 3, _watch(deadline))
+    grain = sum(top.weights) / (GRAINS_PER_WORKER * workers)
+    tasks = []
+    for i, l in enumerate(pending):
+        roots, todo = [], [top]
+        while todo:
+            node = todo.pop()
+            below = [child for child in node.children if child.weights[i]]
+            if node.weights[i] > grain and below:
+                todo.extend(below)
+            else:
+                roots.append(node)
+        bins: list[list] = []
+        for node in sorted(roots, key=lambda node: node.weights[i], reverse=True):
+            weight = node.weights[i]
+            for b in bins:
+                if b[0] + weight <= grain:
+                    b[0] += weight
+                    b[1].append(node)
+                    break
+            else:
+                bins.append([weight, [node]])
+        bins.sort(key=itemgetter(0), reverse=True)
+        tasks.extend((tuple((node.cells(), node.corners) for node in nodes), l)
+                     for _weight, nodes in bins)
+    return tasks
 
 
 def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
@@ -237,10 +292,16 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     # task is outstanding, and after a failure queued tasks are useless
     with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         started = time.monotonic()
-        tasks = _tasks(nvars, pending, workers)
+        try:
+            tasks = _tasks(nvars, pending, workers,
+                           None if budget_seconds is None else started + budget_seconds)
+        except multiprocessing.TimeoutError:
+            raise BudgetExceededError(
+                f"budget of {budget_seconds}s exceeded scanning N={nvars} l={pending[0]} "
+                f"while weighing the tasks", completed=results) from None
         if pool is not None:
             stream = pool.imap_unordered(partial(_subtree_task, nvars), tasks)
-        total = Counter(l for _root, l in tasks)
+        total = Counter(l for _roots, l in tasks)
         done = Counter()
         merged: dict[int, dict[int, list]] = {l: {} for l in pending}
         for task in tasks:
@@ -258,7 +319,7 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
                 late = min(l for l in pending if l not in results)
                 raise BudgetExceededError(
                     f"budget of {budget_seconds}s exceeded scanning N={nvars} l={late} "
-                    f"after {done[late]} of {total[late]} subtrees", completed=results) from None
+                    f"after {done[late]} of {total[late]} tasks", completed=results) from None
             for m1, entry in stats.items():
                 _fold(merged[l], m1, *entry)
             done[l] += 1

@@ -238,13 +238,8 @@ def _taylor_pairs(gens, weights) -> list[tuple[int, int, int]]:
 def _syzygy_pairs(gens, codes, weights, cell_codes) -> list[tuple[int, int, int]]:
     """Generator pairs (i, k, packed lcm) whose relations generate the
     syzygies: the Eliahou-Kervaire pairs of a Borel staircase, every pair
-    otherwise.
-
-    Borel is decided by the generator rule of ``is_strongly_stable`` on
-    packed codes.  The EK partner of generator u and j < max(u) is
-    g(x_j*u), found by stripping the last variable of x_j*u while what
-    remains is not a cell, that is, lies in I; the pair's lcm is x_j*u.
-    """
+    otherwise.  Borel is decided by the generator rule of
+    ``is_strongly_stable`` on packed codes."""
     nvars = len(weights)
     for a, c in zip(gens, codes):
         for t in range(1, nvars):
@@ -253,6 +248,18 @@ def _syzygy_pairs(gens, codes, weights, cell_codes) -> list[tuple[int, int, int]
                 for s in range(t):
                     if down + weights[s] in cell_codes:
                         return _taylor_pairs(gens, weights)
+    return _ek_pairs(gens, codes, weights, cell_codes)
+
+
+def _ek_pairs(gens, codes, weights, cell_codes) -> list[tuple[int, int, int]]:
+    """The Eliahou-Kervaire pairs (i, k, packed lcm) of a Borel staircase,
+    which is not checked.
+
+    The EK partner of generator u and j < max(u) is g(x_j*u), found by
+    stripping the last variable of x_j*u while what remains is not a cell,
+    that is, lies in I; the pair's lcm is x_j*u.
+    """
+    nvars = len(weights)
     index = {c: i for i, c in enumerate(codes)}
     pairs = []
     for i, a in enumerate(gens):
@@ -405,16 +412,17 @@ def _set_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, Callable[[],
     return _sweep(pairs, list(map(meet, codes)), meet, iter, len)
 
 
-def _kernel(gens, cells) -> tuple[list[int], list[int], int, Callable[[], Counter]]:
+def _kernel(gens, cells, pair_rule=_syzygy_pairs) -> tuple[list[int], list[int], int,
+                                                            Callable[[], Counter]]:
     """Weights, digit offsets, the zero rank and a callable giving the
-    positive dimensions by position.
+    positive dimensions by position, over the pairs ``pair_rule`` builds.
 
     The masks cost the box, prod_t R_t bits each, and the sets cost the
     cells: a staircase whose box holds more than ``BOX_PER_CELL`` positions
     per cell goes through the set sweep.
     """
     weights, lo, codes, cell_codes, box = _pack(gens, cells)
-    pairs = _syzygy_pairs(gens, codes, weights, cell_codes)
+    pairs = pair_rule(gens, codes, weights, cell_codes)
     sweep = _set_sweep if box > BOX_PER_CELL * len(cells) else _bit_sweep
     return weights, lo, *sweep(pairs, codes, cell_codes, sum(map(mul, lo, weights)))
 
@@ -476,9 +484,10 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
 
 
 def _total(gens, cells) -> int:
-    """Raw total at one divisor-closed cell set given with its corners: no
-    report object, no validation, no decoding of degrees."""
-    return len(gens) * len(cells) - _kernel(gens, cells)[2]
+    """Raw total at one Borel staircase given with its corners, as the walk
+    makes them: its EK pairs, no Borel test, no report object, no
+    validation, no decoding of degrees."""
+    return len(gens) * len(cells) - _kernel(gens, cells, _ek_pairs)[2]
 
 
 def _bareiss_rank(rows: list[dict[int, int]]) -> int:

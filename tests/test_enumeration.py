@@ -16,16 +16,19 @@ from oracles import (
 )
 from strategies import borel_staircases, staircases
 
+from boreltangent import enumeration
 from boreltangent.enumeration import (
     EnumerationLimitError,
     EnumFilter,
     _canonical,
     _descend,
     _level,
+    _origin,
     _support,
     _tables,
     _walk,
     _walk_level,
+    _weigh,
     count_strongly_stable,
     enumerate_strongly_stable,
     iter_staircase_levels,
@@ -87,7 +90,7 @@ def _children(nvars, cells):
         assert top == max(child)
         found[frozenset(child)] = set(corners)
 
-    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), len(cells) + 1, keep)
+    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), {len(cells) + 1: keep})
     return found
 
 
@@ -108,7 +111,7 @@ def _packed_extensions(nvars, cells):
 
     corners = minimal_exponents_outside(cells, nvars)
     _walk({code(e) for e in cells}, set(cells), {code(e): (e, _support(e)) for e in corners},
-          -1, max(cells), 1, keep, moves, grows)
+          -1, max(cells), 1, (keep, None), moves, grows)
     return found
 
 
@@ -145,7 +148,7 @@ def test_walk_at_the_edge_of_its_radix(l):
     def keep(child, corners, top):
         found[frozenset(child)] = (set(corners), top)
 
-    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), l, keep)
+    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), {l: keep})
     expected = {grown for grown in one_cell_extensions(cells, nvars)
                 if largest_removable_cell(grown, nvars) == next(iter(grown - cells))}
     assert set(found) == expected
@@ -161,7 +164,60 @@ def test_descend_refuses_a_target_below_the_staircase():
     # the walk's radix l + 1 holds the digits of staircases of at most l cells
     cells = {(0, 0), (0, 1), (1, 0)}
     with pytest.raises(ValueError):
-        _descend(2, cells, minimal_exponents_outside(cells, 2), 2, print)
+        _descend(2, cells, minimal_exponents_outside(cells, 2), {2: print})
+
+
+def test_descend_calls_share_the_walk_tables(monkeypatch):
+    # the tables of one radix are built once and shared, so immutable
+    seen = []
+    walk = enumeration._walk
+
+    def spy(*args):
+        seen.append(args[-2:])
+        return walk(*args)
+
+    monkeypatch.setattr(enumeration, "_walk", spy)
+    for _ in range(2):
+        _descend(3, *_origin(3), {6: lambda *_: None})
+    first, last = seen[0], seen[-1]
+    assert first[0] is last[0] and first[1] is last[1]
+    assert all(isinstance(table, tuple) for table in (*first, *first[0], *first[1]))
+
+
+def test_weighing_counts_every_subtree():
+    # every recorded node's weights are the staircases its own subtree
+    # holds at each weighed size, and its children's sum up to them
+    sizes, depth = [4, 9, 14], 7
+    top = _weigh(3, sizes, depth, lambda: None)
+    assert top.weights == [count_strongly_stable(3, l) for l in sizes]
+    todo = [top]
+    while todo:
+        node = todo.pop()
+        cells = node.cells()
+        assert set(node.corners) == minimal_exponents_outside(set(cells), 3)
+        assert len(cells) <= depth and not (node.children and len(cells) == depth)
+        if len(cells) < depth:
+            own = [int(l == len(cells)) for l in sizes]
+            assert node.weights == [sum(w) for w in zip(own, *(c.weights for c in node.children))]
+        for i, l in enumerate(sizes):
+            if l >= len(cells):
+                found = []
+                _descend(3, cells, node.corners, {l: lambda *_: found.append(1)})
+                assert node.weights[i] == len(found)
+        todo.extend(node.children)
+
+
+def test_weighing_stops_when_its_check_raises():
+    visits = []
+
+    def check():
+        visits.append(1)
+        if len(visits) == 50:
+            raise TimeoutError
+
+    with pytest.raises(TimeoutError):
+        _weigh(3, [30], 20, check)
+    assert len(visits) == 50
 
 
 # --- the reverse-search walk against the definitions ---

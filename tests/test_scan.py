@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 from boreltangent import scan
-from boreltangent.enumeration import enumerate_strongly_stable
+from boreltangent.enumeration import _descend, count_strongly_stable, enumerate_strongly_stable
 from boreltangent.monomials import colength, format_ideal, parse_ideal
 from boreltangent.scan import (
     CSV_HEADER,
@@ -203,17 +203,29 @@ def _slow_subtrees(monkeypatch, seconds, level=None):
 
 
 def test_budget_breach_does_not_drain_the_pool(monkeypatch):
-    # each queued subtree is made to sleep, so that draining the 2 workers
-    # would take seconds; a breach at the first check must stop them
+    # each queued task is made to sleep, so that draining the 2 workers
+    # would take seconds; a breach at the first wait must stop them.  The
+    # budget outlasts the weighing walk (milliseconds at l = 24) but not
+    # the first task's sleep
     tasks = len(scan._tasks(3, [24], 2))
     delay = 0.25
     queued = tasks * delay / 2
     _slow_subtrees(monkeypatch, delay)
     started = time.monotonic()
-    with pytest.raises(BudgetExceededError, match=f"after 0 of {tasks} subtrees"):
-        scan_colength(3, 24, workers=2, budget_seconds=0)
+    with pytest.raises(BudgetExceededError, match=f"after 0 of {tasks} tasks"):
+        scan_colength(3, 24, workers=2, budget_seconds=0.2)
     elapsed = time.monotonic() - started
     assert elapsed < queued / 2, f"scan {elapsed:.2f}s, queued work {queued:.2f}s per worker"
+    assert multiprocessing.active_children() == []
+
+
+def test_budget_bounds_the_weighing_walk():
+    # the weighing walk to l = 40 takes about a second; it checks the
+    # deadline itself, and the idle pool is torn down with the breach
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="N=3 l=40 while weighing"):
+        scan_colength(3, 40, workers=2, budget_seconds=0.2)
+    assert time.monotonic() - started < 1.0
     assert multiprocessing.active_children() == []
 
 
@@ -273,17 +285,57 @@ def test_budget_seconds_zero(monkeypatch):
 
 
 def test_subtree_tasks_cover_each_level_once():
-    # the roots of a colength are one level of the walk, at the first depth
-    # with 8 staircases per worker, or the colength's own level when shallower
-    for workers in (1, 2):
+    # the roots of a colength's tasks are disjoint subtrees that together
+    # hold its level: one walk from the one-cell staircase at one worker,
+    # weighed and packed tasks with a pool
+    for workers in (1, 2, 3):
         tasks = scan._tasks(3, [5, 9, 20], workers)
-        roots = {l: [root for root, level in tasks if level == l] for l in (5, 9, 20)}
-        assert len(roots[5]) == 4
-        assert len(roots[9]) == len(roots[20]) >= 8 * workers
+        assert [l for _roots, l in tasks] == sorted(l for _roots, l in tasks)
         for l in (5, 9, 20):
-            stats = [_subtree_task(3, (root, l))[1] for root in roots[l]]
+            mine = [task for task in tasks if task[1] == l]
+            if workers == 1:
+                assert [len(roots) for roots, _l in mine] == [1]
+            stats = [_subtree_task(3, task)[1] for task in mine]
             assert sum(c for s in stats for c, _t, _a in s.values()) == \
                 len(list(enumerate_strongly_stable(3, l)))
+
+
+def _task_size(task):
+    """Staircases a task scans, counted on the walk alone."""
+    roots, l = task
+    found = []
+    for cells, corners in roots:
+        _descend(3, cells, corners, {l: lambda *_: found.append(1)})
+    return len(found)
+
+
+@pytest.mark.parametrize("pending", [list(range(10, 19)), [30]], ids=["l10-18", "l30"])
+def test_tasks_hold_at_most_a_grain(pending):
+    # a grain is the range's staircases over GRAINS_PER_WORKER * workers;
+    # each task is one grain at most, unless it is a single root, and a
+    # deep colength is split until none is (a node of two thirds of l = 30
+    # cells holds at most 4.8 % of it, and a grain is 1/16 at 2 workers)
+    workers = 2
+    level = {l: count_strongly_stable(3, l) for l in pending}
+    grain = sum(level.values()) / (scan.GRAINS_PER_WORKER * workers)
+    sizes = {}
+    for roots, l in scan._tasks(3, pending, workers):
+        size = _task_size((roots, l))
+        sizes.setdefault(l, []).append(size)
+        assert size <= grain or (len(roots) == 1 and len(pending) > 1)
+    assert sorted(sizes) == pending
+    for l, counts in sizes.items():
+        assert len(counts) <= 4 * workers or len(pending) == 1
+        assert counts == sorted(counts, reverse=True)
+        assert sum(counts) == level[l]
+
+
+def test_records_agree_at_any_worker_count_n4():
+    one = scan_colength_range(4, 8, 16, workers=1)
+    for workers in (2, 3):
+        assert _records_digest(scan_colength_range(4, 8, 16, workers=workers)) == \
+            _records_digest(one)
+        assert multiprocessing.active_children() == []
 
 
 def _records_digest(records):
