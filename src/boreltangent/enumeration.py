@@ -38,11 +38,16 @@ order, which the child rule "c above the largest cell" compares.  The
 code is linear, so a move or a divisor is one add of a fixed offset to
 code(c): W_t - W_s for c + e_t - e_s, W_t - W_u for c + e_t - e_u.  Each
 corner carries the bit mask of the variables where it is positive, and two
-tables indexed by that mask, built once per walk, list the offsets that
-subtract only from those variables.  So no digit goes below zero and no
-add carries: every Borel test and every corner test is a few adds and set
-lookups on the true codes.  The walk keeps the cell tuples beside the
+tables indexed by that mask, built once per radix and shared by every
+walk in it, list the offsets that subtract only from those variables.  So
+no digit goes below zero and no add carries: every Borel test and every
+corner test is a few adds and set lookups on the true codes.  The walk keeps the cell tuples beside the
 codes, one add or remove a step, for its consumers.
+
+A walk calls its consumers at any depths they ask for, not only at its
+last.  The weighing walk uses that to record the walk's tree down to a
+depth and count the staircases below each recorded node at chosen sizes,
+so that the scan can cut the tree into tasks of about equal size.
 """
 
 from __future__ import annotations
