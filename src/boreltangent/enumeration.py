@@ -41,8 +41,9 @@ corner carries the bit mask of the variables where it is positive, and two
 tables indexed by that mask, built once per radix and shared by every
 walk in it, list the offsets that subtract only from those variables.  So
 no digit goes below zero and no add carries: every Borel test and every
-corner test is a few adds and set lookups on the true codes.  The walk keeps the cell tuples beside the
-codes, one add or remove a step, for its consumers.
+corner test is a few adds and set lookups on the true codes.  The walk
+keeps the cell tuples beside the codes, one add or remove a step, for its
+consumers.
 
 A walk calls its consumers at any depths they ask for, not only at its
 last.  The weighing walk uses that to record the walk's tree down to a
