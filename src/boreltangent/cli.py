@@ -97,8 +97,8 @@ def _add_scan_flags(sub) -> None:
                      help=f"results cache directory (default: ${CACHE_ENV_VAR})")
     sub.add_argument("--no-cache", action="store_true", help="disable the cache")
     sub.add_argument("--budget-seconds", type=float, default=None, metavar="S",
-                     help="per-colength wall-clock budget, the staircase walk included "
-                          "(and, with several workers, the walk that weighs their tasks)")
+                     help="per-colength wall-clock budget, the staircase walk included; "
+                          "with several workers each wait for a job is bounded by it")
 
 
 def _add_format_flag(sub, choices=("text", "json")) -> None:

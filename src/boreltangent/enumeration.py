@@ -46,16 +46,19 @@ keeps the cell tuples beside the codes, one add or remove a step, for its
 consumers.
 
 A walk calls its consumers at any depths they ask for, not only at its
-last.  The weighing walk uses that to record the walk's tree down to a
-depth and count the staircases below each recorded node at chosen sizes,
-so that the scan can cut the tree into tasks of about equal size.
+last.  A budgeted walk carries a job list, as in the budgeted subtrees of
+Avis and Jordan's mts and mplrs (arXiv:1709.07605, arXiv:1610.07735):
+once it has visited the list's budget of staircases at its last depth it
+enters no more children above that depth and hands each one back in the
+list instead, as the cells and corners a later walk starts from.  The
+scan cuts its work into such jobs as it goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from operator import add, itemgetter, mul
+from functools import lru_cache
+from operator import itemgetter, mul
 from typing import Callable, Iterator
 
 from .monomials import (
@@ -131,8 +134,18 @@ def _support(e: Exponent) -> int:
     return sum(1 << t for t, x in enumerate(e) if x)
 
 
+class _Jobs(list):
+    """The job list of a budgeted walk: the children it handed back
+    instead of entering, as (cells, corners) pairs, and ``left``, the
+    staircases of its last depth it may still visit before it stops."""
+
+    def __init__(self, budget: int):
+        super().__init__()
+        self.left = budget
+
+
 def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: Exponent,
-          levels: int, visits, moves, grows) -> None:
+          levels: int, visits, moves, grows, jobs: _Jobs | None = None) -> None:
     """Walk the Borel staircases down to ``levels`` cells below the given
     one, whose largest cell is ``last`` with code ``top``, calling
     ``visits[k]``, where it is not None, at each staircase k cells short of
@@ -142,12 +155,16 @@ def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: 
     ``corners`` maps a corner's code to the corner and its support mask;
     ``moves`` and ``grows`` are the tables of :func:`_tables`.  All three
     are updated in place and restored on return; a consumer that keeps the
-    cells must copy them.
+    cells must copy them.  With ``jobs``, each visit at the last depth
+    spends one unit of its budget; once none is left, a child above that
+    depth goes into ``jobs`` instead of being entered.
     """
     visit = visits[levels]
     if visit is not None:
         visit(cells, tuple([e for e, _mask in corners.values()]), last)
     if not levels:
+        if jobs is not None:
+            jobs.left -= 1
         return
     levels -= 1
     children = []
@@ -173,7 +190,10 @@ def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: 
             else:
                 new.append(c + step)
                 corners[c + step] = (e[:t] + (e[t] + 1,) + e[t + 1:], grown)
-        _walk(codes, cells, corners, c, e, levels, visits, moves, grows)
+        if levels and jobs is not None and jobs.left <= 0:
+            jobs.append((list(cells), tuple([g for g, _mask in corners.values()])))
+        else:
+            _walk(codes, cells, corners, c, e, levels, visits, moves, grows, jobs)
         for w in new:
             del corners[w]
         corners[c] = item
@@ -181,10 +201,12 @@ def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: 
         codes.remove(c)
 
 
-def _descend(nvars: int, cells, corners, visits: dict[int, Visit]) -> None:
+def _descend(nvars: int, cells, corners, visits: dict[int, Visit],
+             jobs: _Jobs | None = None) -> None:
     """Walk the Borel staircases that contain the given one, its cells and
     corners given as any collections, calling ``visits[n]`` at each of n
-    cells: a walk down to the largest size asked for."""
+    cells: a walk down to the largest size asked for, budgeted by ``jobs``
+    when given."""
     l = max(visits)
     if min(visits) < len(cells):
         raise ValueError(f"a staircase of {len(cells)} cells lies below no size {min(visits)}")
@@ -194,7 +216,7 @@ def _descend(nvars: int, cells, corners, visits: dict[int, Visit]) -> None:
     packed = {sum(map(mul, e, weights)): (e, _support(e)) for e in corners}
     levels = l - len(cells)
     _walk(set(codes), set(cells), packed, top, codes[top], levels,
-          [visits.get(l - k) for k in range(levels + 1)], moves, grows)
+          [visits.get(l - k) for k in range(levels + 1)], moves, grows, jobs)
 
 
 def _origin(nvars: int) -> tuple[list[Exponent], list[Exponent]]:
@@ -210,69 +232,6 @@ def _walk_level(nvars: int, l: int, visit: Visit) -> None:
     if nvars < 1 or l < 1:
         raise ValueError("need nvars >= 1 and l >= 1")
     _descend(nvars, *_origin(nvars), {l: visit})
-
-
-class _Node:
-    """A node of the walk's tree as a weighing records it: the cell the walk
-    added to reach it, its corners, its parent and its children, and
-    ``weights[i]``, the number of staircases of the i-th weighed size at or
-    below it."""
-
-    __slots__ = ("cell", "corners", "parent", "children", "weights")
-
-    def __init__(self, cell, corners, parent, weights):
-        self.cell = cell
-        self.corners = corners
-        self.parent = parent
-        self.children = []
-        self.weights = weights
-
-    def cells(self) -> list[Exponent]:
-        """The node's staircase: the cells added on the path down to it."""
-        node, cells = self, []
-        while node is not None:
-            cells.append(node.cell)
-            node = node.parent
-        return cells
-
-
-def _weigh(nvars: int, sizes: list[int], depth: int, check: Callable[[], None]) -> _Node:
-    """One walk to the largest of ``sizes`` (ascending) that records every
-    node of at most ``depth`` cells and weighs it at each size; returns the
-    one-cell staircase's node.
-
-    A staircase of a weighed size deeper than ``depth`` is counted at its
-    ancestor of ``depth`` cells, the last one the depth-first walk recorded
-    there, and each node's weights are then summed into its parent's.
-    ``check`` runs at every recorded or counted staircase; what it raises
-    stops the walk.
-    """
-    index = {l: i for i, l in enumerate(sizes)}
-    path: list = [None] * (depth + 1)
-    nodes = []
-
-    def record(cells, corners, last):
-        check()
-        n = len(cells)
-        parent = path[n - 1]
-        weights = [0] * len(sizes)
-        if n in index:
-            weights[index[n]] = 1
-        path[n] = node = _Node(last, corners, parent, weights)
-        if parent is not None:
-            parent.children.append(node)
-        nodes.append(node)
-
-    def count(i, _cells, _corners, _last):
-        check()
-        path[depth].weights[i] += 1
-
-    visits = {n: record for n in range(1, min(depth, sizes[-1]) + 1)}
-    visits.update((l, partial(count, i)) for l, i in index.items() if l > depth)
-    _descend(nvars, *_origin(nvars), visits)
-    for node in reversed(nodes[1:]):
-        node.parent.weights[:] = map(add, node.parent.weights, node.weights)
-    return nodes[0]
 
 
 def _level(nvars: int, l: int) -> list[tuple[frozenset[Exponent], tuple[Exponent, ...]]]:

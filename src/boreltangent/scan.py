@@ -5,24 +5,25 @@ A scan of colength l computes T(I) at every Borel staircase of that
 colength and keeps the maximum and *all* attaining ideals per m1 class
 (ties carry the scientific content, so they are never discarded).
 
-The work is cut into subtrees of the reverse-search walk of
-:mod:`.enumeration`, packed into tasks of about equal weight.  At one
-worker nothing is cut: each colength is one walk from the one-cell
-staircase, in process.  With a pool, one counting walk to the largest
-pending size weighs every walk-tree node of up to two thirds of that size
-at each pending size, counting the staircases below it.  The grain is the
-range's staircase count over ``GRAINS_PER_WORKER * workers``.  Per
-colength, a node heavier than a grain is split into its children, and the
-roots left are packed, heaviest first, into bins of at most one grain.  A
-task is one bin and its colength l: it walks each root's subtree down to
-size l and runs the tangent kernel at every staircase there on the corners
-the walk carries; it returns, per m1 class, the count, the maximum and the
-staircases attaining it.  The tasks go out in ascending l, the heaviest
-first within a colength, through one ``imap_unordered`` stream, and a
-colength is merged, cached and counted as completed as soon as its last
-task returns.  The merge ignores the order of the tasks, and each argmax
-list is sorted into canonical order, so results are identical for any
-worker count.
+The work goes out as jobs of the reverse-search walk of
+:mod:`.enumeration`, in the job model of mts and mplrs (Avis and Jordan,
+arXiv:1709.07605 and arXiv:1610.07735).  A job is (cells, corners, l): it
+walks the subtree of that staircase down to size l and runs the tangent
+kernel at every staircase there, on the corners the walk carries.  It
+returns, per m1 class, the count, the maximum and the staircases attaining
+it, and, when it ran out of budget, the children it did not enter as new
+jobs.  Each colength starts as one job from the one-cell staircase.  The
+parent counts the jobs outstanding per colength, and a colength is merged,
+cached and counted as completed when its count reaches zero.
+
+At one worker a job has no budget, so each colength is one walk, in
+process.  With several workers a job stops descending once it has run the
+kernel at ``JOB_BUDGET`` staircases.  The parent runs the jobs itself
+until one comes back with children; only then does it start the pool, and
+from then on every job goes to the pool.  A range whose levels all fit the
+budget therefore never starts a pool.  The merge ignores the order of the
+jobs, and each argmax list is sorted into canonical order, so results are
+identical for any worker count.
 
 Completed colengths are cached as JSONL files (``scan-N{N}-l{l}.jsonl``,
 one record per m1 class, schema-versioned); reruns skip cached colengths,
@@ -31,19 +32,16 @@ which is also how budget-interrupted scans resume.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import multiprocessing
 import os
+import queue
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable
 
-from .enumeration import _canonical, _descend, _origin, _weigh
+from .enumeration import _canonical, _descend, _Jobs, _origin
 from .monomials import (
     MonomialIdeal,
     format_ideal,
@@ -56,11 +54,10 @@ from .tangent import _total
 
 SCHEMA_VERSION = 1
 
-#: a pool's tasks hold about 1 / (GRAINS_PER_WORKER * workers) of the
-#: staircases of the range each: few enough that dispatch stays cheap,
-#: small enough that the last task of a deep colength leaves no worker
-#: idle for long
-GRAINS_PER_WORKER = 8
+#: staircases a job runs the kernel at, with several workers, before it
+#: hands back the children it has not entered: tens of milliseconds of
+#: kernel work against about a millisecond to send a job and merge it
+JOB_BUDGET = 400
 
 #: environment variable holding the default cache directory
 CACHE_ENV_VAR = "BORELTANGENT_CACHE"
@@ -71,10 +68,9 @@ class BudgetExceededError(RuntimeError):
 
     The clock of a colength runs from the end of the previous completed
     colength (or the start of the scan), so it counts the walk and the
-    tangent computations, and for the first pending colength the weighing
-    walk too, which checks the deadline at every staircase it counts.
-    With a pool every wait for a task is bounded by the time left; in
-    process the walk checks the deadline at every staircase it scans.
+    tangent computations.  A job the parent runs itself checks the
+    deadline at every staircase it scans; with a pool every wait for a job
+    is bounded by the time left.
 
     ``completed`` holds the records of every colength finished before the
     breach (already flushed to the cache when caching is enabled).
@@ -187,32 +183,26 @@ def _fold(stats: dict[int, list], m1: int, count: int, total: int, argmax: list)
         entry[2].extend(argmax)
 
 
-def _watch(deadline: float | None) -> Callable[[], None]:
-    """A check that raises multiprocessing.TimeoutError past a
-    ``time.monotonic()`` deadline (never, for None)."""
-    def check():
-        if deadline is not None and time.monotonic() > deadline:
-            raise multiprocessing.TimeoutError
-    return check
-
-
-def _subtree_task(nvars: int, task, deadline: float | None = None) -> tuple[int, dict[int, list]]:
-    """Walk each root's subtree down to size l and run the kernel at every
-    staircase there: (l, {m1: [count, t_max, the argmax staircases' corner
-    tuples]}).  Raises multiprocessing.TimeoutError past a
+def _job(nvars: int, job, budget: int | None = None,
+         deadline: float | None = None) -> tuple[int, dict[int, list], list]:
+    """Run one job (cells, corners, l): walk the staircase's subtree down to
+    size l and run the kernel at every staircase there, stopping once it
+    has run at ``budget`` of them (never, for None).  Returns (l, {m1:
+    [count, t_max, the argmax staircases' corner tuples]}, the children not
+    entered as new jobs).  Raises multiprocessing.TimeoutError past a
     ``time.monotonic()`` deadline.  Module-level so that pool workers can
     unpickle it."""
-    roots, l = task
+    cells, corners, l = job
     stats: dict[int, list] = {}
-    check = _watch(deadline)
 
     def visit(cells, gens, top):
-        check()
+        if deadline is not None and time.monotonic() > deadline:
+            raise multiprocessing.TimeoutError
         _fold(stats, top[0] + 1, 1, _total(gens, cells), [gens])
 
-    for cells, corners in roots:
-        _descend(nvars, cells, corners, {l: visit})
-    return l, stats
+    jobs = None if budget is None else _Jobs(budget)
+    _descend(nvars, cells, corners, {l: visit}, jobs)
+    return l, stats, [(c, g, l) for c, g in jobs or ()]
 
 
 def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dict[int, ScanRecord]:
@@ -222,47 +212,6 @@ def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dic
                                         in _canonical(nvars, ((None, g) for g in argmax))),
                            elapsed=elapsed)
             for m1, (count, total, argmax) in sorted(merged.items())}
-
-
-def _tasks(nvars: int, pending: list[int], workers: int, deadline: float | None = None) -> list:
-    """(roots, l) tasks for the pending colengths (ascending), in the order
-    they go out (see the module docstring).  A root is (cells, corners) of
-    a staircase whose subtree the task walks.  A task is heavier than a
-    grain only when it is a single root the weighing recorded nothing
-    below.  Raises multiprocessing.TimeoutError when the weighing runs
-    past the deadline.
-    """
-    if workers == 1:
-        return [((_origin(nvars),), l) for l in pending]
-    # nodes of two thirds of the largest size are light enough to split
-    # down to: the heaviest holds 1.8 % of N=3 l=38, 4.8 % of N=3 l=30
-    # and 3.1 % of N=4 l=26
-    top = _weigh(nvars, pending, (2 * pending[-1] + 2) // 3, _watch(deadline))
-    grain = sum(top.weights) / (GRAINS_PER_WORKER * workers)
-    tasks = []
-    for i, l in enumerate(pending):
-        roots, todo = [], [top]
-        while todo:
-            node = todo.pop()
-            below = [child for child in node.children if child.weights[i]]
-            if node.weights[i] > grain and below:
-                todo.extend(below)
-            else:
-                roots.append(node)
-        bins: list[list] = []
-        for node in sorted(roots, key=lambda node: node.weights[i], reverse=True):
-            weight = node.weights[i]
-            for b in bins:
-                if b[0] + weight <= grain:
-                    b[0] += weight
-                    b[1].append(node)
-                    break
-            else:
-                bins.append([weight, [node]])
-        bins.sort(key=itemgetter(0), reverse=True)
-        tasks.extend((tuple((node.cells(), node.corners) for node in nodes), l)
-                     for _weight, nodes in bins)
-    return tasks
 
 
 def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
@@ -288,47 +237,55 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     if not pending:
         return results
 
-    # the pool's exit terminates it on every path: once the loop ends no
-    # task is outstanding, and after a failure queued tasks are useless
-    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        started = time.monotonic()
-        try:
-            tasks = _tasks(nvars, pending, workers,
-                           None if budget_seconds is None else started + budget_seconds)
-        except multiprocessing.TimeoutError:
-            raise BudgetExceededError(
-                f"budget of {budget_seconds}s exceeded scanning N={nvars} l={pending[0]} "
-                f"while weighing the tasks", completed=results) from None
-        if pool is not None:
-            stream = pool.imap_unordered(partial(_subtree_task, nvars), tasks)
-        total = Counter(l for _roots, l in tasks)
-        done = Counter()
-        merged: dict[int, dict[int, list]] = {l: {} for l in pending}
-        for task in tasks:
+    budget = None if workers == 1 else JOB_BUDGET
+    roots = [(*_origin(nvars), l) for l in reversed(pending)]
+    outstanding = Counter(pending)
+    merged: dict[int, dict[int, list]] = {l: {} for l in pending}
+    # the pool's callbacks put each job's result, or its error, here
+    returned: queue.SimpleQueue = queue.SimpleQueue()
+    pool = None
+    started = time.monotonic()
+    try:
+        while outstanding:
             deadline = None if budget_seconds is None else started + budget_seconds
             try:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise multiprocessing.TimeoutError
                 if pool is None:
                     # in process the walk itself watches the deadline
-                    l, stats = _subtree_task(nvars, task, deadline)
+                    l, stats, new = _job(nvars, roots.pop(), budget, deadline)
                 else:
-                    left = None if deadline is None else deadline - time.monotonic()
-                    l, stats = stream.next(timeout=left)
-            except multiprocessing.TimeoutError:
-                late = min(l for l in pending if l not in results)
+                    left = None if deadline is None else max(0.0, deadline - time.monotonic())
+                    reply = returned.get(timeout=left)
+                    if isinstance(reply, BaseException):
+                        raise reply
+                    l, stats, new = reply
+            except (multiprocessing.TimeoutError, queue.Empty):
+                late = min(outstanding)
                 raise BudgetExceededError(
                     f"budget of {budget_seconds}s exceeded scanning N={nvars} l={late} "
-                    f"after {done[late]} of {total[late]} tasks", completed=results) from None
+                    f"with {outstanding[late]} jobs outstanding", completed=results) from None
             for m1, entry in stats.items():
                 _fold(merged[l], m1, *entry)
-            done[l] += 1
-            if done[l] == total[l]:
+            outstanding[l] += len(new) - 1
+            if new and pool is None:
+                # the roots not yet run go to the pool behind the children
+                pool = multiprocessing.Pool(workers)
+                new += reversed(roots)
+            for job in new:
+                pool.apply_async(_job, (nvars, job, budget),
+                                 callback=returned.put, error_callback=returned.put)
+            if not outstanding[l]:
+                del outstanding[l]
                 now = time.monotonic()
                 results[l] = _records(nvars, l, merged.pop(l), now - started)
                 if cache_dir:
                     _store_cached(cache_dir, nvars, l, results[l])
                 started = now
+    finally:
+        # queued jobs are useless after a failure, and none is left after success
+        if pool is not None:
+            pool.terminate()
     return dict(sorted(results.items()))
 
 

@@ -27,8 +27,8 @@ from boreltangent.enumeration import (
     _support,
     _tables,
     _walk,
+    _Jobs,
     _walk_level,
-    _weigh,
     count_strongly_stable,
     enumerate_strongly_stable,
     iter_staircase_levels,
@@ -173,7 +173,7 @@ def test_descend_calls_share_the_walk_tables(monkeypatch):
     walk = enumeration._walk
 
     def spy(*args):
-        seen.append(args[-2:])
+        seen.append(args[7:9])
         return walk(*args)
 
     monkeypatch.setattr(enumeration, "_walk", spy)
@@ -184,40 +184,30 @@ def test_descend_calls_share_the_walk_tables(monkeypatch):
     assert all(isinstance(table, tuple) for table in (*first, *first[0], *first[1]))
 
 
-def test_weighing_counts_every_subtree():
-    # every recorded node's weights are the staircases its own subtree
-    # holds at each weighed size, and its children's sum up to them
-    sizes, depth = [4, 9, 14], 7
-    top = _weigh(3, sizes, depth, lambda: None)
-    assert top.weights == [count_strongly_stable(3, l) for l in sizes]
-    todo = [top]
-    while todo:
-        node = todo.pop()
-        cells = node.cells()
-        assert set(node.corners) == minimal_exponents_outside(set(cells), 3)
-        assert len(cells) <= depth and not (node.children and len(cells) == depth)
-        if len(cells) < depth:
-            own = [int(l == len(cells)) for l in sizes]
-            assert node.weights == [sum(w) for w in zip(own, *(c.weights for c in node.children))]
-        for i, l in enumerate(sizes):
-            if l >= len(cells):
-                found = []
-                _descend(3, cells, node.corners, {l: lambda *_: found.append(1)})
-                assert node.weights[i] == len(found)
-        todo.extend(node.children)
+@pytest.mark.parametrize("budget", [1, 3, 20])
+def test_budgeted_walk_hands_back_children_with_their_corners(budget):
+    # a budgeted walk visits its budget of staircases of the last size (and
+    # the rest of the last fan-out it is in), then hands back every child it
+    # would have entered above that size, with its corners; walking those
+    # children meets exactly the staircases it did not visit
+    nvars, l = 3, 12
+    visited = []
 
+    def keep(cells, _corners, _top):
+        visited.append(frozenset(cells))
 
-def test_weighing_stops_when_its_check_raises():
-    visits = []
-
-    def check():
-        visits.append(1)
-        if len(visits) == 50:
-            raise TimeoutError
-
-    with pytest.raises(TimeoutError):
-        _weigh(3, [30], 20, check)
-    assert len(visits) == 50
+    jobs = _Jobs(budget)
+    _descend(nvars, *_origin(nvars), {l: keep}, jobs)
+    assert budget <= len(visited) < budget + l
+    assert jobs and jobs.left <= 0
+    rest = []
+    for cells, corners in jobs:
+        assert len(cells) < l and is_borel_staircase(set(cells), nvars)
+        assert set(corners) == minimal_exponents_outside(set(cells), nvars)
+        _descend(nvars, cells, corners, {l: lambda cells, *_: rest.append(frozenset(cells))})
+    met = visited + rest
+    assert len(met) == len(set(met))
+    assert set(met) == {cells for cells, _corners in _level(nvars, l)}
 
 
 # --- the reverse-search walk against the definitions ---

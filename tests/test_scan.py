@@ -8,7 +8,12 @@ from functools import partial
 import pytest
 
 from boreltangent import scan
-from boreltangent.enumeration import _descend, count_strongly_stable, enumerate_strongly_stable
+from boreltangent.enumeration import (
+    _level,
+    _origin,
+    count_strongly_stable,
+    enumerate_strongly_stable,
+)
 from boreltangent.monomials import colength, format_ideal, parse_ideal
 from boreltangent.scan import (
     CSV_HEADER,
@@ -187,75 +192,109 @@ def test_cache_rejects_records_of_another_key(tmp_path):
     assert scan_colength(2, 8, cache_dir=tmp_path) == scan_colength(2, 8)
 
 
-_subtree_task = scan._subtree_task
+_job = scan._job
 
 
-def _slow_subtree(delay, level, nvars, task, deadline=None):
-    if level is None or task[1] == level:
+def _slow_job(delay, level, nvars, job, budget=None, deadline=None):
+    if level is None or job[2] == level:
         time.sleep(delay)
-    return _subtree_task(nvars, task, deadline)
+    return _job(nvars, job, budget, deadline)
 
 
-def _slow_subtrees(monkeypatch, seconds, level=None):
-    """Make every subtree task of one colength (of all, by default) sleep
-    first; the walk and the kernel now run inside these tasks."""
-    monkeypatch.setattr(scan, "_subtree_task", partial(_slow_subtree, seconds, level))
+def _slow_jobs(monkeypatch, seconds, level=None):
+    """Make every job of one colength (of all, by default) sleep first;
+    the walk and the kernel run inside these jobs."""
+    monkeypatch.setattr(scan, "_job", partial(_slow_job, seconds, level))
+
+
+def _slow_pool_job(delay, nvars, job, budget=None, deadline=None):
+    if len(job[0]) > 1:
+        time.sleep(delay)
+    return _job(nvars, job, budget, deadline)
+
+
+def _slow_pool_jobs(monkeypatch, seconds):
+    """Make every job the root job hands back sleep first: the root, the
+    one-cell staircase, runs in process, and the jobs it spills go to the
+    pool."""
+    monkeypatch.setattr(scan, "_job", partial(_slow_pool_job, seconds))
+
+
+def _spilled(nvars, l):
+    """The jobs the root job of a colength hands back at the default budget."""
+    return _job(nvars, (*_origin(nvars), l), scan.JOB_BUDGET)[2]
 
 
 def test_budget_breach_does_not_drain_the_pool(monkeypatch):
-    # each queued task is made to sleep, so that draining the 2 workers
-    # would take seconds; a breach at the first wait must stop them.  The
-    # budget outlasts the weighing walk (milliseconds at l = 24) but not
-    # the first task's sleep
-    tasks = len(scan._tasks(3, [24], 2))
-    delay = 0.25
-    queued = tasks * delay / 2
-    _slow_subtrees(monkeypatch, delay)
+    # l = 24 (1 193 staircases) outgrows the root job's budget, which starts
+    # the pool; every job sent to it sleeps, so that draining the 2 workers
+    # would take seconds, and a breach at the first wait must stop them
+    # (the budget outlasts the root job, tens of milliseconds)
+    outstanding = len(_spilled(3, 24))
+    assert outstanding >= 2
+    delay = 2.0
+    queued = outstanding * delay / 2
+    _slow_pool_jobs(monkeypatch, delay)
     started = time.monotonic()
-    with pytest.raises(BudgetExceededError, match=f"after 0 of {tasks} tasks"):
-        scan_colength(3, 24, workers=2, budget_seconds=0.2)
+    with pytest.raises(BudgetExceededError, match=f"N=3 l=24 with {outstanding} jobs outstanding"):
+        scan_colength(3, 24, workers=2, budget_seconds=0.5)
     elapsed = time.monotonic() - started
     assert elapsed < queued / 2, f"scan {elapsed:.2f}s, queued work {queued:.2f}s per worker"
     assert multiprocessing.active_children() == []
 
 
-def test_budget_bounds_the_weighing_walk():
-    # the weighing walk to l = 40 takes about a second; it checks the
-    # deadline itself, and the idle pool is torn down with the breach
+def test_budget_bounds_a_deep_colength():
+    # l = 40 (48 545 staircases) takes seconds at 2 workers; the wait for
+    # the pool's jobs ends at the budget, and the pool is torn down with it
     started = time.monotonic()
-    with pytest.raises(BudgetExceededError, match="N=3 l=40 while weighing"):
+    with pytest.raises(BudgetExceededError, match="N=3 l=40 with"):
         scan_colength(3, 40, workers=2, budget_seconds=0.2)
     assert time.monotonic() - started < 1.0
     assert multiprocessing.active_children() == []
 
 
 def test_budget_bounds_each_wait(monkeypatch):
-    # a subtree that runs past the budget is not waited for
-    _slow_subtrees(monkeypatch, 2.0)
+    # a pool job that runs past the budget is not waited for
+    _slow_pool_jobs(monkeypatch, 2.0)
     started = time.monotonic()
-    with pytest.raises(BudgetExceededError, match="N=3 l=10 after 0 of"):
-        scan_colength(3, 10, workers=2, budget_seconds=0.3)
+    with pytest.raises(BudgetExceededError, match="N=3 l=24 with"):
+        scan_colength(3, 24, workers=2, budget_seconds=0.3)
     assert time.monotonic() - started < 1.2
     assert multiprocessing.active_children() == []
 
 
+def _failing_pool_job(nvars, job, budget=None, deadline=None):
+    if len(job[0]) > 1:
+        raise ArithmeticError(f"job failed at l={job[2]}")
+    return _job(nvars, job, budget, deadline)
+
+
+def test_pool_job_error_surfaces(monkeypatch):
+    # with no budget every wait is unbounded, so the error a pool worker
+    # raises must come back through the job's callback and stop the scan
+    monkeypatch.setattr(scan, "_job", _failing_pool_job)
+    with pytest.raises(ArithmeticError, match="job failed at l=24"):
+        scan_colength(3, 24, workers=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_budget_bounds_the_walk_in_process():
-    # at one worker nothing can time out a wait: the walk checks the
-    # deadline itself, though one subtree holds nearly all of l = 30
+    # at one worker nothing can time out a wait: the colength is one job,
+    # whose walk checks the deadline itself
     started = time.monotonic()
-    with pytest.raises(BudgetExceededError, match="N=3 l=30 after"):
+    with pytest.raises(BudgetExceededError, match="N=3 l=30 with 1 jobs outstanding"):
         scan_colength(3, 30, budget_seconds=0.3)
     assert time.monotonic() - started < 1.5
 
 
 def test_budget_counts_growth(monkeypatch):
-    _slow_subtrees(monkeypatch, 0.5, level=10)
+    _slow_jobs(monkeypatch, 0.5, level=10)
     with pytest.raises(BudgetExceededError, match="N=3 l=10"):
         scan_colength(3, 10, budget_seconds=0.3)
 
 
 def test_budget_breach_keeps_finished_colengths(monkeypatch, tmp_path):
-    _slow_subtrees(monkeypatch, 0.5, level=8)
+    _slow_jobs(monkeypatch, 0.5, level=8)
     with pytest.raises(BudgetExceededError, match="N=3 l=8") as err:
         scan_colength_range(3, 5, 9, budget_seconds=0.3, cache_dir=tmp_path)
     completed = err.value.completed
@@ -275,67 +314,62 @@ def test_budget_breach_keeps_finished_colengths(monkeypatch, tmp_path):
 
 
 def test_budget_seconds_zero(monkeypatch):
-    # the budget is spent before the first task returns, so the scan must
-    # raise without waiting for one; each task here would take a second
-    _slow_subtrees(monkeypatch, 1.0)
+    # the budget is spent before the first job runs, so the scan must
+    # raise without running one; each job here would take a second
+    _slow_jobs(monkeypatch, 1.0)
     started = time.monotonic()
-    with pytest.raises(BudgetExceededError, match="after 0 of"):
+    with pytest.raises(BudgetExceededError, match="l=10 with 1 jobs outstanding"):
         scan_colength(3, 10, budget_seconds=0.0)
     assert time.monotonic() - started < 1.0
 
 
-def test_subtree_tasks_cover_each_level_once():
-    # the roots of a colength's tasks are disjoint subtrees that together
-    # hold its level: one walk from the one-cell staircase at one worker,
-    # weighed and packed tasks with a pool
-    for workers in (1, 2, 3):
-        tasks = scan._tasks(3, [5, 9, 20], workers)
-        assert [l for _roots, l in tasks] == sorted(l for _roots, l in tasks)
-        for l in (5, 9, 20):
-            mine = [task for task in tasks if task[1] == l]
-            if workers == 1:
-                assert [len(roots) for roots, _l in mine] == [1]
-            stats = [_subtree_task(3, task)[1] for task in mine]
-            assert sum(c for s in stats for c, _t, _a in s.values()) == \
-                len(list(enumerate_strongly_stable(3, l)))
+@pytest.mark.parametrize("budget", [1, 2, scan.JOB_BUDGET])
+def test_jobs_cover_each_level_once(monkeypatch, budget):
+    # run by hand, the jobs of a colength meet each of its staircases once,
+    # and a job hands back children only after it has spent its budget
+    met = []
+    monkeypatch.setattr(scan, "_total", lambda gens, cells: met.append(frozenset(cells)) or 0)
+    for l in (5, 9, 20):
+        met.clear()
+        todo = [(*_origin(3), l)]
+        while todo:
+            job = todo.pop()
+            assert len(job[0]) < l
+            _l, stats, new = _job(3, job, budget)
+            scanned = sum(count for count, _t, _a in stats.values())
+            assert scanned >= budget or not new
+            todo.extend(new)
+        assert len(met) == len(set(met))
+        assert set(met) == {cells for cells, _corners in _level(3, l)}
+    monkeypatch.undo()
+    # through the scan, at every worker count: the small budgets are what
+    # start a pool at these levels, the default budget never does
+    monkeypatch.setattr(scan, "JOB_BUDGET", budget)
+    for l in (5, 9, 20):
+        one = scan_colength(3, l)
+        assert sum(record.ideal_count for record in one.values()) == count_strongly_stable(3, l)
+        for workers in (2, 3):
+            assert scan_colength(3, l, workers=workers) == one
+            assert multiprocessing.active_children() == []
 
 
-def _task_size(task):
-    """Staircases a task scans, counted on the walk alone."""
-    roots, l = task
-    found = []
-    for cells, corners in roots:
-        _descend(3, cells, corners, {l: lambda *_: found.append(1)})
-    return len(found)
+def test_levels_within_the_budget_start_no_pool(monkeypatch):
+    # every N=3 level up to l = 18 fits one job, so the benchmark's cold
+    # scan runs in process at any worker count
+    assert all(not _spilled(3, l) for l in range(10, 19))
+    monkeypatch.setattr(multiprocessing, "Pool", None)
+    assert _records_digest(scan_colength_range(3, 10, 18, workers=2)) == PINNED_N3_L10_18
 
 
-@pytest.mark.parametrize("pending", [list(range(10, 19)), [30]], ids=["l10-18", "l30"])
-def test_tasks_hold_at_most_a_grain(pending):
-    # a grain is the range's staircases over GRAINS_PER_WORKER * workers;
-    # each task is one grain at most, unless it is a single root, and a
-    # deep colength is split until none is (a node of two thirds of l = 30
-    # cells holds at most 4.8 % of it, and a grain is 1/16 at 2 workers)
-    workers = 2
-    level = {l: count_strongly_stable(3, l) for l in pending}
-    grain = sum(level.values()) / (scan.GRAINS_PER_WORKER * workers)
-    sizes = {}
-    for roots, l in scan._tasks(3, pending, workers):
-        size = _task_size((roots, l))
-        sizes.setdefault(l, []).append(size)
-        assert size <= grain or (len(roots) == 1 and len(pending) > 1)
-    assert sorted(sizes) == pending
-    for l, counts in sizes.items():
-        assert len(counts) <= 4 * workers or len(pending) == 1
-        assert counts == sorted(counts, reverse=True)
-        assert sum(counts) == level[l]
-
-
-def test_records_agree_at_any_worker_count_n4():
-    one = scan_colength_range(4, 8, 16, workers=1)
-    for workers in (2, 3):
-        assert _records_digest(scan_colength_range(4, 8, 16, workers=workers)) == \
-            _records_digest(one)
-        assert multiprocessing.active_children() == []
+def test_records_agree_at_any_worker_count_n4(monkeypatch):
+    # the largest level, l = 16, holds 289 staircases: within the default
+    # budget, so budget 1 is what sends these levels to the pool
+    one = _records_digest(scan_colength_range(4, 8, 16, workers=1))
+    for budget in (scan.JOB_BUDGET, 1):
+        monkeypatch.setattr(scan, "JOB_BUDGET", budget)
+        for workers in (2, 3):
+            assert _records_digest(scan_colength_range(4, 8, 16, workers=workers)) == one
+            assert multiprocessing.active_children() == []
 
 
 def _records_digest(records):
@@ -346,11 +380,13 @@ def _records_digest(records):
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
+PINNED_N3_L10_18 = "8f97fd43a4d6b8bd040c36bce680f353d52f7a268884a1f295238c25612d13d0"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_records_are_pinned(workers):
     records = scan_colength_range(3, 10, 18, workers=workers)
-    assert _records_digest(records) == \
-        "8f97fd43a4d6b8bd040c36bce680f353d52f7a268884a1f295238c25612d13d0"
+    assert _records_digest(records) == PINNED_N3_L10_18
 
 
 def test_scan_range_shares_one_pass():
