@@ -22,8 +22,8 @@ has seen.
 The walk keeps one mutable cell set and its corners, updated in place as it
 steps down and back: adding c drops c from the corners and adds the
 c + e_t whose every divisor is a cell.  It holds O(l) state, and each
-visited node hands its cells, its corners and its largest cell to its
-consumer, so no consumer has to rederive them; m1 is one more than the
+visited staircase hands its cells, its corners and its largest cell to
+the visit, so no caller has to rederive them; m1 is one more than the
 largest cell's first coordinate.
 
 A walk to size l packs every exponent e it forms into the integer
@@ -43,15 +43,14 @@ walk in it, list the offsets that subtract only from those variables.  So
 no digit goes below zero and no add carries: every Borel test and every
 corner test is a few adds and set lookups on the true codes.  The walk
 keeps the cell tuples beside the codes, one add or remove a step, for its
-consumers.
+visit.
 
-A walk calls its consumers at any depths they ask for, not only at its
-last.  A budgeted walk carries a job list, as in the budgeted subtrees of
-Avis and Jordan's mts and mplrs (arXiv:1709.07605, arXiv:1610.07735):
-once it has visited the list's budget of staircases at its last depth it
-enters no more children above that depth and hands each one back in the
-list instead, as the cells and corners a later walk starts from.  The
-scan cuts its work into such jobs as it goes.
+A walk to size l visits the staircases of that size only.  A budgeted
+walk, as in the budgeted subtrees of Avis and Jordan's mts and mplrs
+(arXiv:1709.07605, arXiv:1610.07735), enters no more children above size
+l once it has visited its budget of staircases, and returns each one
+instead, as the cells and corners a later walk starts from.  The scan
+cuts its work into such jobs as it goes.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ class EnumFilter:
             raise ValueError("max_results must be >= 0")
 
 
-#: a node of the walk as its consumers see it: its cells, its corners and
+#: a staircase of the walk as its visit sees it: its cells, its corners and
 #: its largest cell, whose first coordinate is m1 - 1
 Visit = Callable[[set[Exponent], tuple[Exponent, ...], Exponent], None]
 
@@ -134,89 +133,78 @@ def _support(e: Exponent) -> int:
     return sum(1 << t for t, x in enumerate(e) if x)
 
 
-class _Jobs(list):
-    """The job list of a budgeted walk: the children it handed back
-    instead of entering, as (cells, corners) pairs, and ``left``, the
-    staircases of its last depth it may still visit before it stops."""
+def _descend(nvars: int, cells, corners, l: int, visit: Visit,
+             budget: int | None = None) -> list[tuple[list[Exponent], tuple[Exponent, ...]]]:
+    """Walk the Borel staircases of size l that contain the given one, its
+    cells and corners given as any collections, calling ``visit`` at each;
+    return the children handed back as jobs.
 
-    def __init__(self, budget: int):
-        super().__init__()
-        self.left = budget
-
-
-def _walk(codes: set[int], cells: set[Exponent], corners: dict, top: int, last: Exponent,
-          levels: int, visits, moves, grows, jobs: _Jobs | None = None) -> None:
-    """Walk the Borel staircases down to ``levels`` cells below the given
-    one, whose largest cell is ``last`` with code ``top``, calling
-    ``visits[k]``, where it is not None, at each staircase k cells short of
-    that depth, the given one included.
-
-    ``codes`` and ``cells`` hold the cells packed and as tuples, and
-    ``corners`` maps a corner's code to the corner and its support mask;
-    ``moves`` and ``grows`` are the tables of :func:`_tables`.  All three
-    are updated in place and restored on return; a consumer that keeps the
-    cells must copy them.  With ``jobs``, each visit at the last depth
-    spends one unit of its budget; once none is left, a child above that
-    depth goes into ``jobs`` instead of being entered.
+    The walk updates one cell set, its packed codes and its corners (a
+    corner's code mapped to the corner and its support mask) in place and
+    restores them on the way back, so a visit that keeps the cells must
+    copy them.  With a ``budget``, once ``budget`` staircases of size l
+    have been visited, a child above size l is no longer entered but
+    handed back as (cells, corners); with none, nothing is.
     """
-    visit = visits[levels]
-    if visit is not None:
-        visit(cells, tuple([e for e, _mask in corners.values()]), last)
-    if not levels:
-        if jobs is not None:
-            jobs.left -= 1
-        return
-    levels -= 1
-    children = []
-    for c, item in corners.items():
-        if c > top:
-            # the child rule, then the Borel moves of c
-            for d in moves[item[1]]:
-                if c + d not in codes:
-                    break
-            else:
-                children.append((c, item))
-    for c, item in children:
-        e, support = item
-        codes.add(c)
-        cells.add(e)
-        del corners[c]
-        new = []
-        for t, step, grown, offsets in grows[support]:
-            # c + e_t is a corner when its other divisors c + e_t - e_u are cells
-            for d in offsets:
-                if c + d not in codes:
-                    break
-            else:
-                new.append(c + step)
-                corners[c + step] = (e[:t] + (e[t] + 1,) + e[t + 1:], grown)
-        if levels and jobs is not None and jobs.left <= 0:
-            jobs.append((list(cells), tuple([g for g, _mask in corners.values()])))
-        else:
-            _walk(codes, cells, corners, c, e, levels, visits, moves, grows, jobs)
-        for w in new:
-            del corners[w]
-        corners[c] = item
-        cells.remove(e)
-        codes.remove(c)
-
-
-def _descend(nvars: int, cells, corners, visits: dict[int, Visit],
-             jobs: _Jobs | None = None) -> None:
-    """Walk the Borel staircases that contain the given one, its cells and
-    corners given as any collections, calling ``visits[n]`` at each of n
-    cells: a walk down to the largest size asked for, budgeted by ``jobs``
-    when given."""
-    l = max(visits)
-    if min(visits) < len(cells):
-        raise ValueError(f"a staircase of {len(cells)} cells lies below no size {min(visits)}")
+    if l < len(cells):
+        raise ValueError(f"a staircase of {len(cells)} cells lies below size {l}")
     weights, moves, grows = _tables(nvars, l + 1)
-    codes = {sum(map(mul, e, weights)): e for e in cells}
-    top = max(codes)
-    packed = {sum(map(mul, e, weights)): (e, _support(e)) for e in corners}
-    levels = l - len(cells)
-    _walk(set(codes), set(cells), packed, top, codes[top], levels,
-          [visits.get(l - k) for k in range(levels + 1)], moves, grows, jobs)
+    codes = {sum(map(mul, e, weights)) for e in cells}
+    cells = set(cells)
+    corners = {sum(map(mul, e, weights)): (e, _support(e)) for e in corners}
+    jobs = []
+    left = float("inf") if budget is None else budget
+
+    def walk(top: int, last: Exponent, levels: int) -> None:
+        # the staircase in hand has its largest cell ``last``, of code
+        # ``top``, and lies ``levels`` cells short of size l
+        nonlocal left
+        if not levels:
+            visit(cells, tuple([e for e, _mask in corners.values()]), last)
+            left -= 1
+            return
+        levels -= 1
+        children = []
+        for c, item in corners.items():
+            if c > top:
+                # the child rule, then the Borel moves of c
+                for d in moves[item[1]]:
+                    if c + d not in codes:
+                        break
+                else:
+                    children.append((c, item))
+        for c, item in children:
+            e, support = item
+            codes.add(c)
+            cells.add(e)
+            del corners[c]
+            new = []
+            for t, step, grown, offsets in grows[support]:
+                # c + e_t is a corner when its other divisors c + e_t - e_u are cells
+                for d in offsets:
+                    if c + d not in codes:
+                        break
+                else:
+                    new.append(c + step)
+                    corners[c + step] = (e[:t] + (e[t] + 1,) + e[t + 1:], grown)
+            if levels and left <= 0:
+                jobs.append((list(cells), tuple([g for g, _mask in corners.values()])))
+            else:
+                walk(c, e, levels)
+            for w in new:
+                del corners[w]
+            corners[c] = item
+            cells.remove(e)
+            codes.remove(c)
+
+    try:
+        # code order is tuple order, so the largest code is the largest cell's
+        walk(max(codes), max(cells), l - len(cells))
+    finally:
+        # walk reaches itself through its closure; clearing that cell frees
+        # the walk's state now, not at some later cyclic collection
+        del walk
+    return jobs
 
 
 def _origin(nvars: int) -> tuple[list[Exponent], list[Exponent]]:
@@ -231,7 +219,7 @@ def _walk_level(nvars: int, l: int, visit: Visit) -> None:
     staircase."""
     if nvars < 1 or l < 1:
         raise ValueError("need nvars >= 1 and l >= 1")
-    _descend(nvars, *_origin(nvars), {l: visit})
+    _descend(nvars, *_origin(nvars), l, visit)
 
 
 def _level(nvars: int, l: int) -> list[tuple[frozenset[Exponent], tuple[Exponent, ...]]]:

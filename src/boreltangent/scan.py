@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .enumeration import _canonical, _descend, _Jobs, _origin
+from .enumeration import _canonical, _descend, _origin
 from .monomials import (
     MonomialIdeal,
     format_ideal,
@@ -200,9 +200,7 @@ def _job(nvars: int, job, budget: int | None = None,
             raise multiprocessing.TimeoutError
         _fold(stats, top[0] + 1, 1, _total(gens, cells), [gens])
 
-    jobs = None if budget is None else _Jobs(budget)
-    _descend(nvars, cells, corners, {l: visit}, jobs)
-    return l, stats, [(c, g, l) for c, g in jobs or ()]
+    return l, stats, [(c, g, l) for c, g in _descend(nvars, cells, corners, l, visit, budget)]
 
 
 def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dict[int, ScanRecord]:

@@ -16,7 +16,6 @@ from oracles import (
 )
 from strategies import borel_staircases, staircases
 
-from boreltangent import enumeration
 from boreltangent.enumeration import (
     EnumerationLimitError,
     EnumFilter,
@@ -26,8 +25,6 @@ from boreltangent.enumeration import (
     _origin,
     _support,
     _tables,
-    _walk,
-    _Jobs,
     _walk_level,
     count_strongly_stable,
     enumerate_strongly_stable,
@@ -90,28 +87,34 @@ def _children(nvars, cells):
         assert top == max(child)
         found[frozenset(child)] = set(corners)
 
-    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), {len(cells) + 1: keep})
+    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), len(cells) + 1, keep)
     return found
 
 
 def _packed_extensions(nvars, cells):
-    """Every corner c that the walk's packed Borel test adds to a staircase,
-    not only those above its largest cell, with the corners it carries to
-    cells + {c}: a one-step walk below code -1, in the radix of a walk to
-    size len(cells) + 1."""
+    """Every corner c that passes the packed Borel test of the walk's
+    tables, not only those above the largest cell, with the corners that
+    the tables carry to cells + {c}, in the radix of a walk to size
+    len(cells) + 1."""
     weights, moves, grows = _tables(nvars, len(cells) + 2)
 
     def code(e):
         return sum(x * w for x, w in zip(e, weights))
 
-    found = {}
-
-    def keep(child, corners, added):
-        found[added] = (frozenset(child), set(corners))
-
+    codes = {code(e) for e in cells}
     corners = minimal_exponents_outside(cells, nvars)
-    _walk({code(e) for e in cells}, set(cells), {code(e): (e, _support(e)) for e in corners},
-          -1, max(cells), 1, (keep, None), moves, grows)
+    found = {}
+    for c in corners:
+        if any(code(c) + d not in codes for d in moves[_support(c)]):
+            continue
+        carried = corners - {c}
+        for t, step, grown, offsets in grows[_support(c)]:
+            corner = c[:t] + (c[t] + 1,) + c[t + 1:]
+            assert (step, grown) == (weights[t], _support(corner))
+            if all(code(c) + d in codes for d in offsets):
+                assert code(c) + step == code(corner)
+                carried.add(corner)
+        found[c] = (cells | {c}, carried)
     return found
 
 
@@ -148,7 +151,7 @@ def test_walk_at_the_edge_of_its_radix(l):
     def keep(child, corners, top):
         found[frozenset(child)] = (set(corners), top)
 
-    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), {l: keep})
+    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), l, keep)
     expected = {grown for grown in one_cell_extensions(cells, nvars)
                 if largest_removable_cell(grown, nvars) == next(iter(grown - cells))}
     assert set(found) == expected
@@ -164,24 +167,21 @@ def test_descend_refuses_a_target_below_the_staircase():
     # the walk's radix l + 1 holds the digits of staircases of at most l cells
     cells = {(0, 0), (0, 1), (1, 0)}
     with pytest.raises(ValueError):
-        _descend(2, cells, minimal_exponents_outside(cells, 2), {2: print})
+        _descend(2, cells, minimal_exponents_outside(cells, 2), 2, print)
 
 
-def test_descend_calls_share_the_walk_tables(monkeypatch):
+def test_descend_calls_share_the_walk_tables():
     # the tables of one radix are built once and shared, so immutable
-    seen = []
-    walk = enumeration._walk
-
-    def spy(*args):
-        seen.append(args[7:9])
-        return walk(*args)
-
-    monkeypatch.setattr(enumeration, "_walk", spy)
-    for _ in range(2):
-        _descend(3, *_origin(3), {6: lambda *_: None})
-    first, last = seen[0], seen[-1]
-    assert first[0] is last[0] and first[1] is last[1]
-    assert all(isinstance(table, tuple) for table in (*first, *first[0], *first[1]))
+    _descend(3, *_origin(3), 6, lambda *_: None)
+    hits = _tables.cache_info().hits
+    _descend(3, *_origin(3), 6, lambda *_: None)
+    assert _tables.cache_info().hits == hits + 1
+    tables = _tables(3, 7)
+    assert tables is _tables(3, 7)
+    weights, moves, grows = tables
+    assert all(isinstance(table, tuple) for table in (*tables, *moves, *grows))
+    assert all(isinstance(row, tuple) and isinstance(row[3], tuple)
+               for level in grows for row in level)
 
 
 @pytest.mark.parametrize("budget", [1, 3, 20])
@@ -196,15 +196,15 @@ def test_budgeted_walk_hands_back_children_with_their_corners(budget):
     def keep(cells, _corners, _top):
         visited.append(frozenset(cells))
 
-    jobs = _Jobs(budget)
-    _descend(nvars, *_origin(nvars), {l: keep}, jobs)
+    jobs = _descend(nvars, *_origin(nvars), l, keep, budget)
     assert budget <= len(visited) < budget + l
-    assert jobs and jobs.left <= 0
+    assert jobs
     rest = []
     for cells, corners in jobs:
         assert len(cells) < l and is_borel_staircase(set(cells), nvars)
         assert set(corners) == minimal_exponents_outside(set(cells), nvars)
-        _descend(nvars, cells, corners, {l: lambda cells, *_: rest.append(frozenset(cells))})
+        assert not _descend(nvars, cells, corners, l,
+                            lambda cells, *_: rest.append(frozenset(cells)))
     met = visited + rest
     assert len(met) == len(set(met))
     assert set(met) == {cells for cells, _corners in _level(nvars, l)}
