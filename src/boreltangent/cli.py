@@ -98,7 +98,8 @@ def _add_scan_flags(sub) -> None:
     sub.add_argument("--no-cache", action="store_true", help="disable the cache")
     sub.add_argument("--budget-seconds", type=float, default=None, metavar="S",
                      help="per-colength wall-clock budget, the staircase walk included; "
-                          "with several workers each wait for a job is bounded by it")
+                          "with several workers each wait for a job is bounded by it; "
+                          "S >= 0, and inf sets no bound")
 
 
 def _add_format_flag(sub, choices=("text", "json")) -> None:

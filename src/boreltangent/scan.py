@@ -36,6 +36,7 @@ import json
 import multiprocessing
 import os
 import queue
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -218,12 +219,16 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
 
     Colengths already in the cache are not recomputed; freshly scanned ones
     are written to the cache as they complete, so an interrupted run
-    resumes where it stopped.
+    resumes where it stopped.  ``budget_seconds`` (see
+    :class:`BudgetExceededError`) is None or a number >= 0; inf bounds
+    nothing.
     """
     if not 1 <= lmin <= lmax:
         raise ValueError("need 1 <= lmin <= lmax")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget_seconds must be >= 0, not {budget_seconds}")
     results: dict[int, dict[int, ScanRecord]] = {}
     pending = []
     for l in range(lmin, lmax + 1):
@@ -253,7 +258,9 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
                     # in process the walk itself watches the deadline
                     l, stats, new = _job(nvars, roots.pop(), budget, deadline)
                 else:
-                    left = None if deadline is None else max(0.0, deadline - time.monotonic())
+                    # an infinite budget waits as long as a wait can
+                    left = None if deadline is None else \
+                        min(max(0.0, deadline - time.monotonic()), threading.TIMEOUT_MAX)
                     reply = returned.get(timeout=left)
                     if isinstance(reply, BaseException):
                         raise reply

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from boreltangent.cli import main
 from boreltangent.monomials import format_ideal
 from boreltangent.enumeration import enumerate_strongly_stable
@@ -195,6 +197,22 @@ def test_budget_exit_4(capsys):
                        "--budget-seconds", "0")
     assert code == 4
     assert "budget" in err
+
+
+def test_infinite_budget_means_no_bound(capsys):
+    # l = 24 outgrows one job, so the scan waits on a pool with this budget
+    code, out, _ = run(capsys, "scan", "--vars", "3", "--l", "24", "--workers", "2",
+                       "--no-cache", "--budget-seconds", "inf")
+    assert code == 0
+    assert (code, out) == run(capsys, "scan", "--vars", "3", "--l", "24", "--no-cache")[:2]
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_budget_below_zero_or_nan_exit_1(capsys, budget):
+    code, out, err = run(capsys, "scan", "--vars", "3", "--l", "24", "--workers", "2",
+                         "--no-cache", f"--budget-seconds={budget}")
+    assert code == 1
+    assert out == "" and "budget_seconds must be >= 0" in err
 
 
 def test_cache_flag_writes_files(capsys, tmp_path):

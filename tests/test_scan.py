@@ -323,6 +323,23 @@ def test_budget_seconds_zero(monkeypatch):
     assert time.monotonic() - started < 1.0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("budget_seconds", [float("inf"), 1e300])
+def test_an_infinite_budget_is_no_bound(workers, budget_seconds):
+    # l = 24 outgrows one job, so at 2 workers the scan waits on the pool
+    assert scan_colength(3, 24, workers=workers, budget_seconds=budget_seconds) == \
+        scan_colength(3, 24)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("budget_seconds", [float("nan"), -1.0, -1e-9])
+def test_a_negative_or_nan_budget_is_refused(workers, budget_seconds):
+    with pytest.raises(ValueError, match="budget_seconds must be >= 0"):
+        scan_colength(3, 24, workers=workers, budget_seconds=budget_seconds)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("budget", [1, 2, scan.JOB_BUDGET])
 def test_jobs_cover_each_level_once(monkeypatch, budget):
     # run by hand, the jobs of a colength meet each of its staircases once,
