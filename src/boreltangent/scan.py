@@ -38,6 +38,7 @@ import os
 import queue
 import threading
 import time
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +46,7 @@ from pathlib import Path
 from .enumeration import _canonical, _descend, _origin
 from .monomials import (
     MonomialIdeal,
+    RedundantGeneratorWarning,
     format_ideal,
     k_of_l,
     parse_ideal,
@@ -139,7 +141,15 @@ def _record_from_json(obj) -> ScanRecord | None:
             and all(type(text) is str for text in obj["argmax"])):
         return None
     key = ScanKey(obj["nvars"], obj["l"], obj["m1"])
-    argmax = tuple(parse_ideal(text, nvars=key.nvars) for text in obj["argmax"])
+    texts = obj["argmax"]
+    with warnings.catch_warnings():
+        # a text that is not minimal is refused below, not warned about
+        warnings.simplefilter("ignore", RedundantGeneratorWarning)
+        argmax = tuple(parse_ideal(text, nvars=key.nvars) for text in texts)
+    # only canonical texts, in canonical order, as _records writes them
+    if [format_ideal(ideal) for ideal in argmax] != texts or \
+            any(a >= b for a, b in zip(texts, texts[1:])):
+        return None
     return ScanRecord(key=key, ideal_count=obj["ideal_count"], t_max=obj["t_max"],
                       argmax=argmax, elapsed=obj["elapsed"])
 
@@ -148,17 +158,29 @@ def _cache_file(cache_dir, nvars: int, l: int) -> Path:
     return Path(cache_dir) / f"scan-N{nvars}-l{l}.jsonl"
 
 
+def _m1_classes(nvars: int, l: int) -> set[int]:
+    """The m1 of the Borel staircases of colength l.  A staircase whose x1
+    power is m1 holds every monomial of degree below m1, so l >=
+    tetrahedral(nvars, m1), that is m1 <= k; for nvars >= 2 every such m1
+    is met, by those monomials and a column of powers of the last
+    variable.  In one variable the one staircase has m1 = l."""
+    return {l} if nvars == 1 else set(range(1, k_of_l(nvars, l)[0] + 1))
+
+
 def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
+    """The cached records of a colength, or None unless the file holds one
+    valid record of that colength for each of its m1 classes."""
     records: dict[int, ScanRecord] = {}
     try:
         for line in _cache_file(cache_dir, nvars, l).read_text(encoding="utf-8").splitlines():
             record = _record_from_json(json.loads(line))
-            if record is None or (record.key.nvars, record.key.l) != (nvars, l):
+            if record is None or (record.key.nvars, record.key.l) != (nvars, l) \
+                    or record.key.m1 in records:
                 return None
             records[record.key.m1] = record
     except (OSError, ValueError):
         return None
-    return records or None
+    return records if set(records) == _m1_classes(nvars, l) else None
 
 
 def _store_cached(cache_dir, nvars: int, l: int, records: dict[int, ScanRecord]) -> None:

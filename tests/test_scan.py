@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import shutil
 import time
+import warnings
 from functools import partial
 
 import pytest
@@ -190,6 +191,62 @@ def test_cache_rejects_records_of_another_key(tmp_path):
     shutil.copy(tmp_path / "scan-N3-l8.jsonl", tmp_path / "scan-N2-l8.jsonl")
     assert scan_colength(3, 9, cache_dir=tmp_path) == scan_colength(3, 9)
     assert scan_colength(2, 8, cache_dir=tmp_path) == scan_colength(2, 8)
+
+
+def test_cache_rejects_a_file_missing_an_m1_class(tmp_path):
+    scan_colength(3, 8, cache_dir=tmp_path)
+    path = tmp_path / "scan-N3-l8.jsonl"
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["m1"] for line in lines] == [1, 2]
+    path.write_text(lines[0] + "\n")
+    # half a level is no level: the colength is recomputed and rewritten
+    assert scan_colength(3, 8, cache_dir=tmp_path) == scan_colength(3, 8)
+    assert [json.loads(line)["m1"] for line in path.read_text().splitlines()] == [1, 2]
+
+
+def test_cache_rejects_a_repeated_m1_class(tmp_path):
+    scan_colength(3, 8, cache_dir=tmp_path)
+    path = tmp_path / "scan-N3-l8.jsonl"
+    first, second = path.read_text().splitlines()
+    bogus = json.loads(second)
+    bogus["t_max"] = 10 ** 6
+    path.write_text("\n".join([first, second, json.dumps(bogus)]) + "\n")
+    assert scan_colength(3, 8, cache_dir=tmp_path) == scan_colength(3, 8)
+
+
+@pytest.mark.parametrize("nvars,lmax", [(1, 12), (2, 30), (3, 24), (4, 18), (5, 12)])
+def test_m1_classes_of_a_level(nvars, lmax):
+    # the m1 set a cache file must hold, against uncached scans
+    records = scan_colength_range(nvars, 1, lmax)
+    for l in range(1, lmax + 1):
+        assert set(records[l]) == scan._m1_classes(nvars, l)
+
+
+def _reverse_and_pad(texts):
+    # the same ideal, its generators reversed, plus a redundant multiple
+    gens = texts[0].split(",")
+    return [",".join(gens[::-1] + [gens[0] + "*z"])] + texts[1:]
+
+
+@pytest.mark.parametrize("edit", [
+    _reverse_and_pad,
+    lambda texts: [texts[1], texts[0]] + texts[2:],
+    lambda texts: texts[:1] + texts,
+], ids=["not-canonical", "out-of-order", "repeated"])
+def test_cache_rejects_argmax_texts_out_of_canonical_form(tmp_path, edit):
+    scan_colength(3, 9, cache_dir=tmp_path)
+    path = tmp_path / "scan-N3-l9.jsonl"
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines[0]["argmax"]) >= 2
+    lines[0]["argmax"] = edit(lines[0]["argmax"])
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with warnings.catch_warnings():
+        # a cache read warns about nothing
+        warnings.simplefilter("error")
+        records = scan_colength(3, 9, cache_dir=tmp_path)
+    assert records == scan_colength(3, 9)
+    assert [format_ideal(i) for i in records[1].argmax] == \
+        json.loads(path.read_text().splitlines()[0])["argmax"]
 
 
 _job = scan._job
