@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import (
     distinct_partition_count,
     is_borel_staircase,
@@ -206,6 +207,27 @@ def test_budgeted_walk_hands_back_children_with_their_corners(budget):
         assert not _descend(nvars, cells, corners, l,
                             lambda cells, *_: rest.append(frozenset(cells)))
     met = visited + rest
+    assert len(met) == len(set(met))
+    assert set(met) == {cells for cells, _corners in _level(nvars, l)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 9), st.integers(0, 30))
+@example(3, 9, 0)
+@example(5, 9, 0)
+def test_job_split_meets_each_staircase_once(nvars, l, budget):
+    # the root walk and the walks of the jobs handed back, recursively,
+    # meet each staircase of the level once; a walk hands back jobs only
+    # once it has visited its budget of staircases
+    met = []
+    todo = [_origin(nvars)]
+    while todo:
+        visited = []
+        jobs = _descend(nvars, *todo.pop(), l, lambda cells, *_: visited.append(frozenset(cells)),
+                        budget)
+        assert len(visited) >= budget or not jobs
+        met += visited
+        todo += jobs
     assert len(met) == len(set(met))
     assert set(met) == {cells for cells, _corners in _level(nvars, l)}
 
