@@ -27,13 +27,15 @@ identical for any worker count.
 
 Completed colengths are cached as JSONL files (``scan-N{N}-l{l}.jsonl``,
 one record per m1 class, schema-versioned); reruns skip cached colengths,
-which is also how budget-interrupted scans resume.
+which is also how budget-interrupted scans resume.  A file is served only
+if the records rebuilt from it write it back byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import operator
 import os
 import queue
 import threading
@@ -134,26 +136,6 @@ class ScanRecord:
 CSV_HEADER = "N,l,k,delta,m1,ideal_count,t_max,n_argmax,first_argmax"
 
 
-def _record_from_json(obj) -> ScanRecord | None:
-    if not (isinstance(obj, dict) and obj.get("schema_version") == SCHEMA_VERSION
-            and all(type(obj.get(k)) is int for k in ("nvars", "l", "m1", "ideal_count", "t_max"))
-            and type(obj.get("elapsed")) is float and type(obj.get("argmax")) is list
-            and all(type(text) is str for text in obj["argmax"])):
-        return None
-    key = ScanKey(obj["nvars"], obj["l"], obj["m1"])
-    texts = obj["argmax"]
-    with warnings.catch_warnings():
-        # a text that is not minimal is refused below, not warned about
-        warnings.simplefilter("ignore", RedundantGeneratorWarning)
-        argmax = tuple(parse_ideal(text, nvars=key.nvars) for text in texts)
-    # only canonical texts, in canonical order, as _records writes them
-    if [format_ideal(ideal) for ideal in argmax] != texts or \
-            any(a >= b for a, b in zip(texts, texts[1:])):
-        return None
-    return ScanRecord(key=key, ideal_count=obj["ideal_count"], t_max=obj["t_max"],
-                      argmax=argmax, elapsed=obj["elapsed"])
-
-
 def _cache_file(cache_dir, nvars: int, l: int) -> Path:
     return Path(cache_dir) / f"scan-N{nvars}-l{l}.jsonl"
 
@@ -167,29 +149,41 @@ def _m1_classes(nvars: int, l: int) -> set[int]:
     return {l} if nvars == 1 else set(range(1, k_of_l(nvars, l)[0] + 1))
 
 
+def _lines(records: dict[int, ScanRecord]) -> str:
+    """The cache file of a colength: one JSON line per m1 class, ascending.
+    This is the one definition of the cache format."""
+    return "".join(json.dumps(records[m1].to_json()) + "\n" for m1 in sorted(records))
+
+
 def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
-    """The cached records of a colength, or None unless the file holds one
-    valid record of that colength for each of its m1 classes."""
-    records: dict[int, ScanRecord] = {}
+    """The cached records of a colength, rebuilt by :func:`_records` as
+    fresh ones are; None unless the file is exactly their :func:`_lines`
+    and each argmax ideal has its class's x1 power."""
+    merged: dict[int, list] = {}
     try:
-        for line in _cache_file(cache_dir, nvars, l).read_text(encoding="utf-8").splitlines():
-            record = _record_from_json(json.loads(line))
-            if record is None or (record.key.nvars, record.key.l) != (nvars, l) \
-                    or record.key.m1 in records:
-                return None
-            records[record.key.m1] = record
-    except (OSError, ValueError):
+        text = _cache_file(cache_dir, nvars, l).read_text(encoding="utf-8")
+        with warnings.catch_warnings():
+            # a text that is not minimal does not write back, so is refused
+            warnings.simplefilter("ignore", RedundantGeneratorWarning)
+            for m1, line in zip(sorted(_m1_classes(nvars, l)), text.splitlines(), strict=True):
+                obj = json.loads(line)
+                merged[m1] = [operator.index(obj["ideal_count"]), operator.index(obj["t_max"]),
+                              {parse_ideal(t, nvars=nvars).gens for t in obj["argmax"]}]
+                elapsed = float(obj["elapsed"])
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None
-    return records if set(records) == _m1_classes(nvars, l) else None
+    records = _records(nvars, l, merged, elapsed)
+    if _lines(records) != text or any((m1,) + (0,) * (nvars - 1) not in ideal.gens
+                                      for m1, record in records.items() for ideal in record.argmax):
+        return None
+    return records
 
 
 def _store_cached(cache_dir, nvars: int, l: int, records: dict[int, ScanRecord]) -> None:
     path = _cache_file(cache_dir, nvars, l)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".jsonl.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for m1 in sorted(records):
-            fh.write(json.dumps(records[m1].to_json()) + "\n")
+    tmp.write_text(_lines(records), encoding="utf-8")
     os.replace(tmp, path)
 
 

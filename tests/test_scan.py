@@ -249,6 +249,60 @@ def test_cache_rejects_argmax_texts_out_of_canonical_form(tmp_path, edit):
         json.loads(path.read_text().splitlines()[0])["argmax"]
 
 
+# scan-N3-l8.jsonl as the writer of the first schema-1 release wrote it
+N3_L8_LINES = [
+    '{"schema_version": 1, "nvars": 3, "l": 8, "m1": 1, "ideal_count": 6, "t_max": 24, '
+    '"argmax": ["x,y,z^8", "x,y^2,y*z,z^7", "x,y^2,y*z^2,z^6", "x,y^2,y*z^3,z^5", '
+    '"x,y^3,y^2*z,y*z^2,z^5", "x,y^3,y^2*z,y*z^3,z^4"], "elapsed": 0.0011092010026914068}',
+    '{"schema_version": 1, "nvars": 3, "l": 8, "m1": 2, "ideal_count": 6, "t_max": 36, '
+    '"argmax": ["x^2,x*y,y^2,x*z^2,y*z^2,z^4"], "elapsed": 0.0011092010026914068}',
+]
+
+
+def test_cache_serves_a_file_of_the_schema_1_writer(tmp_path):
+    path = tmp_path / "scan-N3-l8.jsonl"
+    path.write_text("".join(line + "\n" for line in N3_L8_LINES))
+    records = scan_colength(3, 8, cache_dir=tmp_path)
+    assert records == scan_colength(3, 8)
+    # served, not recomputed: the elapsed is the file's, and the file is kept
+    assert {r.elapsed for r in records.values()} == {0.0011092010026914068}
+    assert path.read_text().splitlines() == N3_L8_LINES
+
+
+def _with_extra_key(objs):
+    objs[0]["note"] = "hand edit"
+    return objs
+
+
+def _with_keys_reordered(objs):
+    return [dict(reversed(obj.items())) for obj in objs]
+
+
+def _with_class_2_argmax_of_class_1(objs):
+    # x,y,z^8 has x1 power 1: a canonical text, but of another class
+    objs[1]["argmax"] = ["x,y,z^8"]
+    return objs
+
+
+@pytest.mark.parametrize("edit,end", [
+    (_with_extra_key, "\n"),
+    (_with_keys_reordered, "\n"),
+    (_with_class_2_argmax_of_class_1, "\n"),
+    (lambda objs: objs, ""),
+], ids=["extra-key", "reordered-keys", "argmax-of-another-class", "no-final-newline"])
+def test_cache_serves_only_what_it_writes(tmp_path, edit, end):
+    path = tmp_path / "scan-N3-l8.jsonl"
+    path.write_text("\n".join(json.dumps(obj) for obj in edit(
+        [json.loads(line) for line in N3_L8_LINES])) + end)
+    assert path.read_text() != "".join(line + "\n" for line in N3_L8_LINES)
+    fresh = scan_colength(3, 8)
+    assert scan_colength(3, 8, cache_dir=tmp_path) == fresh
+    # the colength was recomputed and rewritten as the writer writes it
+    rewritten = scan._load_cached(tmp_path, 3, 8)
+    assert rewritten == fresh
+    assert path.read_text() == scan._lines(rewritten)
+
+
 _job = scan._job
 
 
@@ -395,6 +449,17 @@ def test_a_negative_or_nan_budget_is_refused(workers, budget_seconds):
     with pytest.raises(ValueError, match="budget_seconds must be >= 0"):
         scan_colength(3, 24, workers=workers, budget_seconds=budget_seconds)
     assert multiprocessing.active_children() == []
+
+
+def test_a_bad_range_or_worker_count_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="need 1 <= lmin <= lmax"):
+        scan_colength_range(3, 9, 8, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="need 1 <= lmin <= lmax"):
+        scan_colength_range(3, 0, 8, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        scan_colength_range(3, 8, 8, workers=0, cache_dir=tmp_path)
+    # refused before any work: nothing was scanned or cached
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("budget", [1, 2, scan.JOB_BUDGET])
