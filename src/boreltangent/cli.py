@@ -6,7 +6,8 @@ check-monotonic, check-necessary, check-tetrahedral.
 Exit codes: 0 success; 1 usage error; 2 invalid ideal input; 3 internal
 consistency failure (graded method vs matrix oracle under --verify);
 4 budget or size cap exceeded (partial results are flushed to the cache
-when caching is enabled).
+when caching is enabled); 141 (128 + SIGPIPE) the reader of stdout went
+away, as under ``| head``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ EXIT_USAGE = 1
 EXIT_BAD_IDEAL = 2
 EXIT_INCONSISTENT = 3
 EXIT_BUDGET = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -360,6 +362,11 @@ def main(argv=None) -> int:
     except (EnumerationLimitError, OracleSizeError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import comb
-from operator import le
+from operator import index, le
 
 Exponent = tuple[int, ...]
 
@@ -95,7 +95,7 @@ def _minimal_gens(nvars: int, gens, strict: bool) -> tuple[tuple[Exponent, ...],
     as multiples of others; ``strict`` raises on such a multiple instead."""
     if nvars < 1:
         raise ValueError("nvars must be >= 1")
-    uniq = _canonical_order({tuple(map(int, g)) for g in gens})
+    uniq = _canonical_order({tuple(map(index, g)) for g in gens})
     if not uniq:
         raise ValueError("need at least one generator")
     for g in uniq:
@@ -200,7 +200,7 @@ class StandardSet:
     def __post_init__(self) -> None:
         if self.nvars < 1:
             raise ValueError("nvars must be >= 1")
-        cells = frozenset(tuple(map(int, c)) for c in self.cells)
+        cells = frozenset(tuple(map(index, c)) for c in self.cells)
         for c in cells:
             if len(c) != self.nvars:
                 raise DimensionMismatchError(
@@ -372,7 +372,7 @@ def _format_gens(nvars: int, gens) -> str:
 def _parse_factor(text: str) -> tuple[str, int]:
     if "^" in text:
         base, _, exp = text.partition("^")
-        if not exp.isdigit():
+        if not (exp.isascii() and exp.isdigit()):
             raise IdealSyntaxError(f"bad exponent in factor {text!r}")
         return base, int(exp)
     return text, 1
@@ -382,7 +382,7 @@ def _variable_index(name: str) -> int:
     """1-based variable index for a name: alias x,y,z,w or x<k>."""
     if name in ALIASES:
         return ALIASES.index(name) + 1
-    if len(name) > 1 and name[0] == "x" and name[1:].isdigit():
+    if len(name) > 1 and name[0] == "x" and name[1:].isascii() and name[1:].isdigit():
         idx = int(name[1:])
         if idx >= 1:
             return idx
@@ -440,8 +440,8 @@ def ideal_to_json(ideal: MonomialIdeal) -> dict:
 
 def ideal_from_json(obj: dict) -> MonomialIdeal:
     try:
-        nvars = int(obj["vars"])
-        gens = [tuple(int(e) for e in g) for g in obj["gens"]]
+        nvars = index(obj["vars"])
+        gens = [tuple(map(index, g)) for g in obj["gens"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise IdealSyntaxError(f"bad ideal JSON object: {exc}") from exc
     return MonomialIdeal.from_generators(nvars, gens, warn=True)

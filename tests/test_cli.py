@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from boreltangent import scan
 from boreltangent.cli import main
 from boreltangent.monomials import format_ideal
 from boreltangent.enumeration import enumerate_strongly_stable
@@ -247,3 +253,147 @@ def test_scan_verify_at_l16(capsys):
     code, out, _ = run(capsys, "scan", "--vars", "3", "--l", "16", "--verify")
     assert code == 0
     assert "N=3 l=16 m1=" in out
+
+
+# the stdout of each command below is pinned byte for byte
+
+
+def test_region_text_is_pinned(capsys):
+    code, out, err = run(capsys, "region", "--ideal", SQUARE_TEXT, "--alpha=0,1,-2")
+    assert (code, err) == (0, "")
+    assert out == "alpha: 0,1,-2\ncells: 6\ncomponents: 1\ncounted: 1\n"
+
+
+def test_table_json_is_pinned(capsys):
+    code, out, err = run(capsys, "table", "--lmin", "10", "--lmax", "10",
+                         "--no-cache", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == """\
+[
+  {
+    "l": 10,
+    "k": 3,
+    "m1": 2,
+    "expected": 46,
+    "computed": 46,
+    "ok": true
+  },
+  {
+    "l": 10,
+    "k": 3,
+    "m1": 3,
+    "expected": 60,
+    "computed": 60,
+    "ok": true
+  }
+]
+"""
+
+
+def test_check_monotonic_json_is_pinned(capsys):
+    code, out, err = run(capsys, "check-monotonic", "--vars", "3", "--l", "8",
+                         "--no-cache", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == """\
+{
+  "nvars": 3,
+  "l": 8,
+  "sequence": [
+    {
+      "m1": 1,
+      "t_max": 24
+    },
+    {
+      "m1": 2,
+      "t_max": 36
+    }
+  ],
+  "strictly_increasing": true,
+  "weakly_increasing": true
+}
+"""
+
+
+def test_check_monotonic_weakly_increasing_is_pinned(capsys):
+    # in the plane every colength-6 ideal has T = 12
+    code, out, err = run(capsys, "check-monotonic", "--vars", "2", "--l", "6", "--no-cache")
+    assert (code, err) == (0, "")
+    assert out == "N=2 l=6  m1=1:12  m1=2:12  m1=3:12\nWEAKLY INCREASING\n"
+
+
+def test_check_necessary_json_is_pinned(capsys):
+    code, out, err = run(capsys, "check-necessary", "--vars", "3", "--l", "8",
+                         "--no-cache", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == """\
+{
+  "nvars": 3,
+  "l": 8,
+  "k": 2,
+  "t_max": 36,
+  "argmax_m1": [
+    2
+  ],
+  "argmax": [
+    "x^2,x*y,y^2,x*z^2,y*z^2,z^4"
+  ],
+  "holds": true,
+  "unique": true
+}
+"""
+
+
+def test_check_tetrahedral_json_is_pinned(capsys):
+    code, out, err = run(capsys, "check-tetrahedral", "--vars", "3", "--k", "2",
+                         "--no-cache", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == """\
+{
+  "nvars": 3,
+  "k": 2,
+  "l": 4,
+  "t_max": 18,
+  "power_attains": true,
+  "unique": true,
+  "n_argmax": 1
+}
+"""
+
+
+def test_budget_breach_names_the_completed_colengths(capsys, monkeypatch):
+    # every job of l = 11 sleeps past the budget, so l = 10 completes first
+    job = scan._job
+
+    def late_at_11(nvars, task, budget=None, deadline=None):
+        if task[2] == 11:
+            time.sleep(0.6)
+        return job(nvars, task, budget, deadline)
+
+    monkeypatch.setattr(scan, "_job", late_at_11)
+    code, out, err = run(capsys, "table", "--lmin", "10", "--lmax", "11", "--no-cache",
+                         "--budget-seconds", "0.3")
+    assert (code, out) == (4, "")
+    assert err == ("budget exceeded: budget of 0.3s exceeded scanning N=3 l=11 "
+                   "with 1 jobs outstanding\ncompleted colengths: [10]\n")
+
+
+@pytest.mark.parametrize("text", ["x^²,y,z", "x^١,y,z", "x²,y,z"])
+def test_non_ascii_digits_exit_2(capsys, text):
+    code, out, err = run(capsys, "tangent", "--ideal", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid ideal input: ")
+
+
+def test_closed_stdout_exits_141_quietly():
+    # N=3 l=30 prints about 300 KB, more than a pipe holds, so the command
+    # is still writing when its reader goes away after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "boreltangent", "enumerate",
+                             "--vars", "3", "--l", "30"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert (first, err) == (b"x,y,z^30\n", b"")

@@ -308,6 +308,39 @@ def test_parse_errors():
         parse_ideal("x5", nvars=4)
     with pytest.raises(UnknownVariableError):
         parse_ideal("y,x5^2")  # alias in a 5-variable ring
+    with pytest.raises(IdealSyntaxError, match="empty factor"):
+        parse_ideal("x**y")
+
+
+def test_parse_skips_unit_factors():
+    assert parse_ideal("x*1,y") == parse_ideal("x,y")
+    assert parse_ideal("1*x^2,1*y,z", nvars=3) == parse_ideal("x^2,y,z")
+
+
+@pytest.mark.parametrize("text,error", [
+    ("x^²", IdealSyntaxError),           # superscript two
+    ("x^١,y,z", IdealSyntaxError),       # Arabic-Indic one
+    ("x^２", IdealSyntaxError),           # fullwidth two
+    ("x²", UnknownVariableError),
+    ("x١,y", UnknownVariableError),
+])
+def test_parse_accepts_ascii_digits_only(text, error):
+    with pytest.raises(error):
+        parse_ideal(text)
+
+
+def test_fractional_exponents_are_refused():
+    with pytest.raises(TypeError):
+        MonomialIdeal(2, [(1.7, 0), (0, 1)])
+    with pytest.raises(TypeError):
+        MonomialIdeal.from_generators(2, [(1.0, 0), (0, 1)])
+    with pytest.raises(TypeError):
+        StandardSet(2, frozenset({(0.5, 0)}))
+    for obj in ({"vars": 2, "gens": [[1.9, 0], [0, 1]]},
+                {"vars": 2.5, "gens": [[1, 0], [0, 1]]},
+                {"vars": "2", "gens": [[1, 0], [0, 1]]}):
+        with pytest.raises(IdealSyntaxError):
+            ideal_from_json(obj)
 
 
 def test_parse_large_ring_uses_indexed_names():
