@@ -161,7 +161,7 @@ def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
     and each argmax ideal has its class's x1 power."""
     merged: dict[int, list] = {}
     try:
-        text = _cache_file(cache_dir, nvars, l).read_text(encoding="utf-8")
+        text = _cache_file(cache_dir, nvars, l).read_bytes().decode("utf-8")
         with warnings.catch_warnings():
             # a text that is not minimal does not write back, so is refused
             warnings.simplefilter("ignore", RedundantGeneratorWarning)
@@ -183,7 +183,7 @@ def _store_cached(cache_dir, nvars: int, l: int, records: dict[int, ScanRecord])
     path = _cache_file(cache_dir, nvars, l)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".jsonl.tmp")
-    tmp.write_text(_lines(records), encoding="utf-8")
+    tmp.write_bytes(_lines(records).encode("utf-8"))
     os.replace(tmp, path)
 
 

@@ -269,38 +269,43 @@ def test_cache_serves_a_file_of_the_schema_1_writer(tmp_path):
     assert path.read_text().splitlines() == N3_L8_LINES
 
 
+def _file(objs):
+    return "".join(json.dumps(obj) + "\n" for obj in objs)
+
+
 def _with_extra_key(objs):
     objs[0]["note"] = "hand edit"
-    return objs
+    return _file(objs)
 
 
 def _with_keys_reordered(objs):
-    return [dict(reversed(obj.items())) for obj in objs]
+    return _file(dict(reversed(obj.items())) for obj in objs)
 
 
 def _with_class_2_argmax_of_class_1(objs):
     # x,y,z^8 has x1 power 1: a canonical text, but of another class
     objs[1]["argmax"] = ["x,y,z^8"]
-    return objs
+    return _file(objs)
 
 
-@pytest.mark.parametrize("edit,end", [
-    (_with_extra_key, "\n"),
-    (_with_keys_reordered, "\n"),
-    (_with_class_2_argmax_of_class_1, "\n"),
-    (lambda objs: objs, ""),
-], ids=["extra-key", "reordered-keys", "argmax-of-another-class", "no-final-newline"])
-def test_cache_serves_only_what_it_writes(tmp_path, edit, end):
+@pytest.mark.parametrize("edit", [
+    _with_extra_key,
+    _with_keys_reordered,
+    _with_class_2_argmax_of_class_1,
+    lambda objs: _file(objs)[:-1],
+    lambda objs: _file(objs).replace("\n", "\r\n"),
+], ids=["extra-key", "reordered-keys", "argmax-of-another-class", "no-final-newline",
+        "crlf-line-ends"])
+def test_cache_serves_only_what_it_writes(tmp_path, edit):
     path = tmp_path / "scan-N3-l8.jsonl"
-    path.write_text("\n".join(json.dumps(obj) for obj in edit(
-        [json.loads(line) for line in N3_L8_LINES])) + end)
-    assert path.read_text() != "".join(line + "\n" for line in N3_L8_LINES)
+    path.write_bytes(edit([json.loads(line) for line in N3_L8_LINES]).encode())
+    assert path.read_bytes() != "".join(line + "\n" for line in N3_L8_LINES).encode()
     fresh = scan_colength(3, 8)
     assert scan_colength(3, 8, cache_dir=tmp_path) == fresh
     # the colength was recomputed and rewritten as the writer writes it
     rewritten = scan._load_cached(tmp_path, 3, 8)
     assert rewritten == fresh
-    assert path.read_text() == scan._lines(rewritten)
+    assert path.read_bytes() == scan._lines(rewritten).encode()
 
 
 _job = scan._job
