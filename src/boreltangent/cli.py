@@ -22,7 +22,6 @@ from .monomials import (
     DimensionMismatchError,
     IdealSyntaxError,
     InvalidStaircaseError,
-    MonomialIdeal,
     NonArtinianIdealError,
     format_ideal,
     ideal_to_json,
@@ -71,12 +70,6 @@ def _parse_alpha(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"bad --alpha {text!r}; expected comma-separated integers")
-
-
-def _load_ideal(args) -> MonomialIdeal:
-    if not args.ideal:
-        raise _UsageError("--ideal is required")
-    return parse_ideal(args.ideal, nvars=args.vars)
 
 
 def _cache_dir(args):
@@ -202,7 +195,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_tangent(args) -> int:
-    ideal = _load_ideal(args)
+    ideal = parse_ideal(args.ideal, nvars=args.vars)
     report = verify_tangent(ideal) if args.verify else tangent_dimension(ideal)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
@@ -216,7 +209,7 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_graded(args) -> int:
-    ideal = _load_ideal(args)
+    ideal = parse_ideal(args.ideal, nvars=args.vars)
     alpha = _parse_alpha(args.alpha)
     dim = graded_dimension(ideal, alpha)
     if args.format == "json":
@@ -228,7 +221,7 @@ def _cmd_graded(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    ideal = _load_ideal(args)
+    ideal = parse_ideal(args.ideal, nvars=args.vars)
     alpha = _parse_alpha(args.alpha)
     slc = region_slice(ideal, alpha, size_filter=args.size_filter)
     if args.format == "text":

@@ -20,18 +20,17 @@ nothing in the production pipeline consumes region counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from itertools import product
 
 from .enumeration import enumerate_strongly_stable
 from .monomials import (
-    DimensionMismatchError,
     Exponent,
     MonomialIdeal,
     StandardSet,
     format_ideal,
     standard_set,
 )
-from .tangent import _cells_of, alpha_support_box, graded_dimension
+from .tangent import _cells_of, _degree, alpha_support_box, graded_dimension
 
 
 class UnsupportedDimensionError(ValueError):
@@ -53,11 +52,7 @@ def _check_three_vars(ideal: MonomialIdeal, alpha) -> Exponent:
     if ideal.nvars != 3:
         raise UnsupportedDimensionError(
             f"region method needs exactly 3 variables, got {ideal.nvars}")
-    # index, not int: a float or a string must not be rounded to a degree
-    alpha = tuple(map(index, alpha))
-    if len(alpha) != 3:
-        raise DimensionMismatchError(f"alpha must have length 3, got {len(alpha)}")
-    return alpha
+    return _degree(ideal, alpha)
 
 
 def default_size_filter(ideal: MonomialIdeal) -> int:
@@ -136,21 +131,17 @@ def iter_discrepancies(max_colength: int = 8):
         for ideal in enumerate_strongly_stable(3, l):
             std = standard_set(ideal)
             box = alpha_support_box(ideal)
-            ranges = [range(lo, hi + 1) for lo, hi in box]
-            for a0 in ranges[0]:
-                for a1 in ranges[1]:
-                    for a2 in ranges[2]:
-                        alpha = (a0, a1, a2)
-                        counted = region_component_count(ideal, alpha, standard=std)
-                        dim = graded_dimension(ideal, alpha, standard=std)
-                        if counted != dim:
-                            yield {
-                                "l": l,
-                                "ideal": format_ideal(ideal),
-                                "alpha": list(alpha),
-                                "region_count": counted,
-                                "graded_dim": dim,
-                            }
+            for alpha in product(*(range(lo, hi + 1) for lo, hi in box)):
+                counted = region_component_count(ideal, alpha, standard=std)
+                dim = graded_dimension(ideal, alpha, standard=std)
+                if counted != dim:
+                    yield {
+                        "l": l,
+                        "ideal": format_ideal(ideal),
+                        "alpha": list(alpha),
+                        "region_count": counted,
+                        "graded_dim": dim,
+                    }
 
 
 def write_discrepancy_report(path, max_colength: int = 8) -> int:

@@ -42,7 +42,8 @@ import threading
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .enumeration import _canonical, _descend, _origin
@@ -335,8 +336,7 @@ class TableCell:
     ok: bool
 
     def to_json(self) -> dict:
-        return {"l": self.l, "k": self.k, "m1": self.m1,
-                "expected": self.expected, "computed": self.computed, "ok": self.ok}
+        return asdict(self)
 
 
 def reproduce_published_table(lmin: int = TABLE_LMIN, lmax: int = TABLE_LMAX, *,
@@ -376,10 +376,7 @@ class MonotonicityVerdict:
     weakly_increasing: bool
 
     def to_json(self) -> dict:
-        return {"nvars": self.nvars, "l": self.l,
-                "sequence": [{"m1": m1, "t_max": t} for m1, t in self.sequence],
-                "strictly_increasing": self.strictly_increasing,
-                "weakly_increasing": self.weakly_increasing}
+        return {**asdict(self), "sequence": [{"m1": m1, "t_max": t} for m1, t in self.sequence]}
 
 
 def check_monotonicity(nvars: int, l: int, **kwargs) -> MonotonicityVerdict:
@@ -407,10 +404,8 @@ class NecessaryVerdict:
     unique: bool
 
     def to_json(self) -> dict:
-        return {"nvars": self.nvars, "l": self.l, "k": self.k, "t_max": self.t_max,
-                "argmax_m1": list(self.argmax_m1),
-                "argmax": [format_ideal(i) for i in self.argmax],
-                "holds": self.holds, "unique": self.unique}
+        return {**asdict(self), "argmax_m1": list(self.argmax_m1),
+                "argmax": [format_ideal(i) for i in self.argmax]}
 
 
 def check_necessary_condition(nvars: int, l: int, **kwargs) -> NecessaryVerdict:
@@ -442,25 +437,16 @@ class TetrahedralVerdict:
     n_argmax: int
 
     def to_json(self) -> dict:
-        return {"nvars": self.nvars, "k": self.k, "l": self.l, "t_max": self.t_max,
-                "power_attains": self.power_attains, "unique": self.unique,
-                "n_argmax": self.n_argmax}
+        return asdict(self)
 
 
 def power_ideal(nvars: int, k: int) -> MonomialIdeal:
     """m^k: generated by every monomial of total degree k."""
     if nvars < 1 or k < 1:
         raise ValueError("need nvars >= 1 and k >= 1")
-
-    def degree_vectors(n, total):
-        if n == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in degree_vectors(n - 1, total - first):
-                yield (first,) + rest
-
-    return MonomialIdeal(nvars, tuple(degree_vectors(nvars, k)))
+    # a multiset of k variables is a monomial of degree k: count each variable
+    monomials = combinations_with_replacement(range(nvars), k)
+    return MonomialIdeal(nvars, tuple(tuple(map(m.count, range(nvars))) for m in monomials))
 
 
 def check_tetrahedral_max(nvars: int, k: int, **kwargs) -> TetrahedralVerdict:

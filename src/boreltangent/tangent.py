@@ -182,6 +182,16 @@ def _cells_of(ideal: MonomialIdeal, standard: StandardSet | None) -> frozenset[E
     return standard.cells
 
 
+def _degree(ideal: MonomialIdeal, alpha) -> Exponent:
+    """A degree of the ideal's ring as a tuple of ints."""
+    # index, not int: a float or a string must not be rounded to a degree
+    alpha = tuple(map(index, alpha))
+    if len(alpha) != ideal.nvars:
+        raise DimensionMismatchError(
+            f"alpha has length {len(alpha)}, expected {ideal.nvars}")
+    return alpha
+
+
 def _kernel_cells(ideal: MonomialIdeal, standard: StandardSet | None) -> frozenset[Exponent]:
     """:func:`_cells_of` for the kernel, which reads the reach of the cells
     off the pure powers (see the module docstring).  A standard set that
@@ -429,11 +439,7 @@ def _kernel(gens, cells, pair_rule=_syzygy_pairs) -> tuple[list[int], list[int],
 
 def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None = None) -> int:
     """Dimension of the degree-alpha piece of Hom(I, R/I)."""
-    # index, not int: a float or a string must not be rounded to a degree
-    alpha = tuple(map(index, alpha))
-    if len(alpha) != ideal.nvars:
-        raise DimensionMismatchError(
-            f"alpha has length {len(alpha)}, expected {ideal.nvars}")
+    alpha = _degree(ideal, alpha)
     cells = _cells_of(ideal, standard)
     # a_i + alpha is generator i's target, and lcm + alpha is the max of two
     shifted = [tuple(map(add, a, alpha)) for a in ideal.gens]
