@@ -6,8 +6,12 @@ check-monotonic, check-necessary, check-tetrahedral.
 Exit codes: 0 success; 1 usage error; 2 invalid ideal input; 3 internal
 consistency failure (graded method vs matrix oracle under --verify);
 4 budget or size cap exceeded (partial results are flushed to the cache
-when caching is enabled); 141 (128 + SIGPIPE) the reader of stdout went
-away, as under ``| head``.
+when caching is enabled); 5 input/output error, such as a full disk under
+stdout or a cache that cannot be written; 141 (128 + SIGPIPE) the reader
+of stdout went away, as under ``| head``.
+
+Numbers on the command line are ASCII, as in the ideal grammar: an
+integer is an optional '-' and ASCII digits.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .monomials import (
     IdealSyntaxError,
     InvalidStaircaseError,
     NonArtinianIdealError,
+    _digits,
     format_ideal,
     ideal_to_json,
     parse_ideal,
@@ -53,6 +58,7 @@ EXIT_USAGE = 1
 EXIT_BAD_IDEAL = 2
 EXIT_INCONSISTENT = 3
 EXIT_BUDGET = 4
+EXIT_IO = 5
 EXIT_BROKEN_PIPE = 141
 
 
@@ -65,11 +71,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int(text: str) -> int:
+    """An optional '-' and ASCII digits, with whitespace around."""
+    part = text.strip()
+    if not _digits(part.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(part)
+
+
+def _float(text: str) -> float:
+    """float() of ASCII text without '_'; inf and nan keep their meaning."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 def _parse_alpha(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(map(_int, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise _UsageError(f"bad --alpha {text!r}; expected comma-separated integers")
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull, so that the interpreter's final flush
+    cannot raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _cache_dir(args):
@@ -87,11 +119,11 @@ def _scan_kwargs(args) -> dict:
 
 
 def _add_scan_flags(sub) -> None:
-    sub.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    sub.add_argument("--workers", type=_int, default=1, help="parallel workers (default 1)")
     sub.add_argument("--cache", metavar="DIR",
                      help=f"results cache directory (default: ${CACHE_ENV_VAR})")
     sub.add_argument("--no-cache", action="store_true", help="disable the cache")
-    sub.add_argument("--budget-seconds", type=float, default=None, metavar="S",
+    sub.add_argument("--budget-seconds", type=_float, default=None, metavar="S",
                      help="per-colength wall-clock budget, the staircase walk included; "
                           "with several workers each wait for a job is bounded by it; "
                           "S >= 0, and inf sets no bound")
@@ -109,16 +141,16 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("enumerate", help="list strongly stable ideals "
                         "of a colength in canonical order")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--m1", type=int, default=None, help="restrict to pure x1 exponent")
-    p.add_argument("--gens", type=int, default=None, help="restrict to generator count")
-    p.add_argument("--max-results", type=int, default=None)
+    p.add_argument("--vars", type=_int, required=True)
+    p.add_argument("--l", type=_int, required=True)
+    p.add_argument("--m1", type=_int, default=None, help="restrict to pure x1 exponent")
+    p.add_argument("--gens", type=_int, default=None, help="restrict to generator count")
+    p.add_argument("--max-results", type=_int, default=None)
     _add_format_flag(p, choices=("text", "jsonl"))
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("tangent", help="T(I), zero rank, and the graded report")
-    p.add_argument("--vars", type=int, default=None)
+    p.add_argument("--vars", type=_int, default=None)
     p.add_argument("--ideal", required=True)
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the exact matrix oracle")
@@ -126,24 +158,24 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_tangent)
 
     p = subs.add_parser("graded", help="dimension of one graded piece of T(I)")
-    p.add_argument("--vars", type=int, default=None)
+    p.add_argument("--vars", type=_int, default=None)
     p.add_argument("--ideal", required=True)
     p.add_argument("--alpha", required=True, help="comma-separated degree, e.g. 0,2,-3")
     _add_format_flag(p)
     p.set_defaults(func=_cmd_graded)
 
     p = subs.add_parser("region", help="grid-region slice at one degree (N=3)")
-    p.add_argument("--vars", type=int, default=None)
+    p.add_argument("--vars", type=_int, default=None)
     p.add_argument("--ideal", required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--size-filter", type=int, default=None)
+    p.add_argument("--size-filter", type=_int, default=None)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_region)
 
     p = subs.add_parser("scan", help="T_max and argmax ideals per m1 class")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--m1", type=int, default=None, help="single class (default: all)")
+    p.add_argument("--vars", type=_int, required=True)
+    p.add_argument("--l", type=_int, required=True)
+    p.add_argument("--m1", type=_int, default=None, help="single class (default: all)")
     p.add_argument("--verify", action="store_true",
                    help="re-check argmax ideals with the matrix oracle")
     _add_scan_flags(p)
@@ -152,30 +184,30 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("table", help="recompute the published N=3 T_max table "
                         "and report PASS/FAIL per cell")
-    p.add_argument("--lmin", type=int, default=10)
-    p.add_argument("--lmax", type=int, default=35)
+    p.add_argument("--lmin", type=_int, default=10)
+    p.add_argument("--lmax", type=_int, default=35)
     _add_scan_flags(p)
     _add_format_flag(p, choices=("text", "json", "csv"))
     p.set_defaults(func=_cmd_table)
 
     p = subs.add_parser("check-monotonic", help="is T_max increasing in m1?")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--vars", type=_int, required=True)
+    p.add_argument("--l", type=_int, required=True)
     _add_scan_flags(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_check_monotonic)
 
     p = subs.add_parser("check-necessary", help="does the global argmax have m1 = k?")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--vars", type=_int, required=True)
+    p.add_argument("--l", type=_int, required=True)
     _add_scan_flags(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_check_necessary)
 
     p = subs.add_parser("check-tetrahedral", help="does m^k attain the maximum "
                         "at the tetrahedral colength?")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--vars", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     _add_scan_flags(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_check_tetrahedral)
@@ -336,7 +368,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a write error still buffered must surface here, not at exit
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -356,10 +391,13 @@ def main(argv=None) -> int:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except BrokenPipeError:
-        # stdout's reader is gone; point stdout at devnull so that the
-        # interpreter's final flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout's reader is gone
+        _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _stdout_to_devnull()
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

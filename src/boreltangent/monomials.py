@@ -369,10 +369,16 @@ def _format_gens(nvars: int, gens) -> str:
     return ",".join(parts)
 
 
+def _digits(text: str) -> bool:
+    """Whether text is one or more ASCII digits.  str.isdigit and int()
+    alone also take other scripts' digits, and int() takes '_'."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_factor(text: str) -> tuple[str, int]:
     if "^" in text:
         base, _, exp = text.partition("^")
-        if not (exp.isascii() and exp.isdigit()):
+        if not _digits(exp):
             raise IdealSyntaxError(f"bad exponent in factor {text!r}")
         return base, int(exp)
     return text, 1
@@ -382,7 +388,7 @@ def _variable_index(name: str) -> int:
     """1-based variable index for a name: alias x,y,z,w or x<k>."""
     if name in ALIASES:
         return ALIASES.index(name) + 1
-    if len(name) > 1 and name[0] == "x" and name[1:].isascii() and name[1:].isdigit():
+    if len(name) > 1 and name[0] == "x" and _digits(name[1:]):
         idx = int(name[1:])
         if idx >= 1:
             return idx

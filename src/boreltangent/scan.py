@@ -240,6 +240,8 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     :class:`BudgetExceededError`) is None or a number >= 0; inf bounds
     nothing.
     """
+    if nvars < 1:
+        raise ValueError("nvars must be >= 1")
     if not 1 <= lmin <= lmax:
         raise ValueError("need 1 <= lmin <= lmax")
     if workers < 1:

@@ -397,3 +397,77 @@ def test_closed_stdout_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert (first, err) == (b"x,y,z^30\n", b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["graded", "--ideal", SESSION_TEXT, "--alpha", "٠,2,-3"],
+    ["graded", "--ideal", SESSION_TEXT, "--alpha", "0_0,2,-3"],
+    ["region", "--ideal", SESSION_TEXT, "--alpha", "+0,2,-3"],
+    ["enumerate", "--vars", "٣", "--l", "٤"],
+    ["check-monotonic", "--vars", "3", "--l", "1_0", "--no-cache"],
+    ["scan", "--vars", "3", "--l", "10", "--no-cache", "--budget-seconds", "١٠"],
+    ["scan", "--vars", "3", "--l", "10", "--no-cache", "--budget-seconds", "1_0"],
+])
+def test_numbers_on_the_command_line_are_ascii_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+def test_whitespace_around_an_alpha_part_is_read(capsys):
+    assert run(capsys, "graded", "--ideal", SESSION_TEXT, "--alpha", " -0, 2 ,-3 ") == \
+        (0, "1\n", "")
+
+
+@pytest.mark.parametrize("argv", [["check-monotonic", "--vars", "0", "--l", "5"],
+                                  ["scan", "--vars", "0", "--l", "5"],
+                                  ["scan", "--vars", "-2", "--l", "5"]])
+def test_scan_of_fewer_than_one_variable_exits_1(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--cache", str(tmp_path))
+    assert (code, out, err) == (1, "", "error: nvars must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv", [["tangent", "--ideal", ""],
+                                  ["graded", "--ideal", "", "--alpha", "0"]])
+def test_empty_ideal_text_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "invalid ideal input: empty ideal text\n")
+
+
+def _cli(*argv, stdout=subprocess.DEVNULL):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    # buffered, as stdout is by default, so that a short output fails only
+    # when it is flushed
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "boreltangent", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["enumerate", "--vars", "3", "--l", "30", "--format", "jsonl"],
+                                  ["table", "--lmin", "10", "--lmax", "10", "--no-cache",
+                                   "--format", "json"],
+                                  ["graded", "--ideal", "x,y", "--alpha", "0,0"]])
+def test_full_disk_under_stdout_exits_5_with_one_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = _cli(*argv, stdout=full)
+    assert (proc.returncode, proc.stderr) == (5, b"error: [Errno 28] No space left on device\n")
+
+
+def test_closed_stdout_with_a_short_output_exits_141_quietly():
+    # the one line waits in the buffer until the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli("graded", "--ideal", "x,y", "--alpha", "0,0", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_unwritable_cache_exits_5_with_one_line(tmp_path):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    proc = _cli("scan", "--vars", "3", "--l", "8", "--cache", str(not_a_dir))
+    assert proc.returncode == 5
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1

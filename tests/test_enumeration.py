@@ -1,5 +1,4 @@
 import hashlib
-import os
 import random
 
 import pytest
@@ -436,8 +435,6 @@ def test_n4_l35_with_18_generators_is_realizable():
     assert colength(ideal) == 35
 
 
-@pytest.mark.skipif(not os.environ.get("BORELTANGENT_SLOW_TESTS"),
-                    reason="takes about a minute; set BORELTANGENT_SLOW_TESTS=1")
 def test_n4_l35_filtered_stream_contains_witness():
     filt = EnumFilter(num_generators=18, max_results=None)
     witness = parse_ideal(WITNESS_N4_L35_G18)

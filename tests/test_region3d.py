@@ -65,6 +65,15 @@ def test_far_away_shift_covers_whole_staircase():
         assert region_component_count(SQUARE, alpha) == 1
 
 
+def test_region_and_graded_dimension_read_a_degree_alike():
+    with pytest.raises(DimensionMismatchError) as region_error:
+        region_cells(MAXIMAL, (0, 0))
+    with pytest.raises(DimensionMismatchError) as graded_error:
+        graded_dimension(SQUARE, (0, 1))
+    assert str(region_error.value) == str(graded_error.value) == \
+        "alpha has length 2, expected 3"
+
+
 def test_dimension_guards():
     with pytest.raises(UnsupportedDimensionError):
         region_cells(parse_ideal("x,y^2"), (0, 0))

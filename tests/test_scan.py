@@ -5,6 +5,7 @@ import shutil
 import time
 import warnings
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -15,13 +16,17 @@ from boreltangent.enumeration import (
     count_strongly_stable,
     enumerate_strongly_stable,
 )
-from boreltangent.monomials import colength, format_ideal, parse_ideal
+from boreltangent.monomials import MonomialIdeal, colength, format_ideal, parse_ideal
 from boreltangent.scan import (
     CSV_HEADER,
     SCHEMA_VERSION,
     BudgetExceededError,
+    MonotonicityVerdict,
+    NecessaryVerdict,
     ScanKey,
     ScanRecord,
+    TableCell,
+    TetrahedralVerdict,
     check_monotonicity,
     check_necessary_condition,
     check_tetrahedral_max,
@@ -39,6 +44,47 @@ def test_scan_key_validation():
         ScanKey(3, 0, 1)
     with pytest.raises(ValueError):
         ScanKey(3, 5, 0)
+
+
+@pytest.mark.parametrize("nvars", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_power_ideal_is_every_monomial_of_degree_k(nvars, k):
+    exponents = [e for e in product(range(k + 1), repeat=nvars) if sum(e) == k]
+    assert power_ideal(nvars, k) == MonomialIdeal(nvars, tuple(exponents))
+
+
+@pytest.mark.parametrize("nvars,k", [(0, 2), (3, 0), (-1, 1)])
+def test_power_ideal_refuses_nvars_or_k_below_1(nvars, k):
+    with pytest.raises(ValueError, match="need nvars >= 1 and k >= 1"):
+        power_ideal(nvars, k)
+
+
+def test_verdict_json_is_plain_json():
+    # the JSON text alone cannot tell a tuple from a list, so compare dicts
+    cell = TableCell(l=10, k=3, m1=2, expected=46, computed=None, ok=False)
+    assert cell.to_json() == {"l": 10, "k": 3, "m1": 2, "expected": 46,
+                              "computed": None, "ok": False}
+    mono = MonotonicityVerdict(nvars=3, l=13, sequence=((1, 39), (2, 61), (3, 69)),
+                               strictly_increasing=True, weakly_increasing=True)
+    assert mono.to_json() == {
+        "nvars": 3, "l": 13,
+        "sequence": [{"m1": 1, "t_max": 39}, {"m1": 2, "t_max": 61}, {"m1": 3, "t_max": 69}],
+        "strictly_increasing": True, "weakly_increasing": True}
+    nec = NecessaryVerdict(nvars=3, l=4, k=2, t_max=18, argmax_m1=(1, 2),
+                           argmax=(parse_ideal("x,y,z^4"), power_ideal(3, 2)),
+                           holds=False, unique=False)
+    assert nec.to_json() == {
+        "nvars": 3, "l": 4, "k": 2, "t_max": 18, "argmax_m1": [1, 2],
+        "argmax": ["x,y,z^4", "x^2,x*y,x*z,y^2,y*z,z^2"], "holds": False, "unique": False}
+    tet = TetrahedralVerdict(nvars=3, k=2, l=4, t_max=18, power_attains=True,
+                             unique=True, n_argmax=1)
+    assert tet.to_json() == {"nvars": 3, "k": 2, "l": 4, "t_max": 18,
+                             "power_attains": True, "unique": True, "n_argmax": 1}
+    for verdict, keys in [(cell, "l k m1 expected computed ok"),
+                          (mono, "nvars l sequence strictly_increasing weakly_increasing"),
+                          (nec, "nvars l k t_max argmax_m1 argmax holds unique"),
+                          (tet, "nvars k l t_max power_attains unique n_argmax")]:
+        assert list(verdict.to_json()) == keys.split()
 
 
 def test_t_max_table_anchors():
@@ -465,6 +511,17 @@ def test_a_bad_range_or_worker_count_is_refused(tmp_path):
         scan_colength_range(3, 8, 8, workers=0, cache_dir=tmp_path)
     # refused before any work: nothing was scanned or cached
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("nvars", [0, -2])
+def test_fewer_than_one_variable_is_refused(tmp_path, nvars, workers):
+    with pytest.raises(ValueError, match="nvars must be >= 1"):
+        scan_colength_range(nvars, 5, 5, workers=workers, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="nvars must be >= 1"):
+        check_monotonicity(nvars, 5, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("budget", [1, 2, scan.JOB_BUDGET])
