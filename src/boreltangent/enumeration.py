@@ -57,15 +57,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import mul
 from typing import Callable, Iterator
 
 from .monomials import (
     Exponent,
     MonomialIdeal,
     _canonical_order,
-    _format_gens,
     _gens_from_cells,
+    format_ideal,
 )
 
 
@@ -242,32 +242,32 @@ def iter_staircase_levels(nvars: int, max_colength: int) -> Iterator[tuple[int, 
         yield l, [cells for cells, _corners in _level(nvars, l)]
 
 
-def _canonical(nvars: int, nodes) -> list[tuple[str, tuple[Exponent, ...], object]]:
-    """Turn (payload, corners) pairs into (text, gens, payload) triples
-    sorted by text.
+def _canonical(nvars: int, nodes) -> list[tuple[MonomialIdeal, object]]:
+    """Turn (payload, corners) pairs into (ideal, payload) pairs sorted by
+    the ideals' text.
 
     The canonical stream order is the lexicographic order of the formatted
     ideal strings; this is the one place in the package that orders
-    staircases.  ``gens`` are the corners in the order
-    :class:`MonomialIdeal` stores.  The payload passes through untouched:
-    the cells for :func:`sorted_level`, m1 for the enumeration, None for
-    the scan's argmax lists.
-
-    Trusted internal path: no ideal is built here.  The corners of a
-    divisor-closed set are an antichain, so a consumer builds its ideal
-    from ``gens`` with ``MonomialIdeal._trusted``, which checks nothing.
+    staircases.  Each ideal is built once, from its corners in the order
+    :class:`MonomialIdeal` stores, with ``MonomialIdeal._trusted``, which
+    checks nothing: the corners of a divisor-closed set are an antichain.
+    The sort formats each ideal's text, which the ideal keeps, so no
+    consumer formats it again.  The payload passes through untouched: the
+    cells for :func:`sorted_level`, m1 for the enumeration, None for the
+    scan's argmax lists.
     """
-    decorated = []
-    for cells, corners in nodes:
-        gens = tuple(_canonical_order(corners))
-        decorated.append((_format_gens(nvars, gens), gens, cells))
-    decorated.sort(key=itemgetter(0))
+    decorated = [(MonomialIdeal._trusted(nvars, tuple(_canonical_order(corners))), payload)
+                 for payload, corners in nodes]
+    decorated.sort(key=lambda item: format_ideal(item[0]))
     return decorated
 
 
 def sorted_level(nvars: int, staircases) -> list[tuple[str, tuple[Exponent, ...], frozenset[Exponent]]]:
-    """:func:`_canonical` on bare staircases, their corners derived here."""
-    return _canonical(nvars, ((cells, _gens_from_cells(nvars, cells)) for cells in staircases))
+    """(text, gens, cells) of bare staircases, their corners derived here,
+    in the canonical order of :func:`_canonical`; ``gens`` are the ideal's
+    generators in the order :class:`MonomialIdeal` stores."""
+    return [(format_ideal(ideal), ideal.gens, cells) for ideal, cells in
+            _canonical(nvars, ((cells, _gens_from_cells(nvars, cells)) for cells in staircases))]
 
 
 def enumerate_strongly_stable(nvars: int, l: int,
@@ -286,15 +286,15 @@ def enumerate_strongly_stable(nvars: int, l: int,
     nodes = []
     _walk_level(nvars, l, lambda _cells, corners, top: nodes.append((top[0] + 1, corners)))
     emitted = 0
-    for _text, gens, m1 in _canonical(nvars, nodes):
+    for ideal, m1 in _canonical(nvars, nodes):
         if filt.m1 is not None and m1 != filt.m1:
             continue
-        if filt.num_generators is not None and len(gens) != filt.num_generators:
+        if filt.num_generators is not None and len(ideal.gens) != filt.num_generators:
             continue
         if filt.max_results is not None and emitted >= filt.max_results:
             raise EnumerationLimitError(emitted)
         emitted += 1
-        yield MonomialIdeal._trusted(nvars, gens)
+        yield ideal
 
 
 def count_strongly_stable(nvars: int, l: int) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from operator import index, le
 
@@ -182,8 +183,21 @@ class MonomialIdeal:
                 m[g.index(d)] = d
         return tuple(m) if all(m) else None
 
+    @cached_property
+    def _text(self) -> str:
+        """The text of :func:`format_ideal`, formatted on first use and kept
+        in the instance dict, outside the dataclass fields, so equality,
+        hashing and repr do not see it."""
+        names = _variable_names(self.nvars)
+        parts = []
+        for g in self.gens:
+            factors = [names[t] if e == 1 else f"{names[t]}^{e}"
+                       for t, e in enumerate(g) if e > 0]
+            parts.append("*".join(factors) if factors else "1")
+        return ",".join(parts)
+
     def __str__(self) -> str:
-        return format_ideal(self)
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -355,18 +369,7 @@ def _variable_names(nvars: int) -> tuple[str, ...]:
 def format_ideal(ideal: MonomialIdeal) -> str:
     """Canonical text form: generators in canonical order, factors joined
     with '*', exponent written only when > 1, aliases x,y,z,w for N <= 4."""
-    return _format_gens(ideal.nvars, ideal.gens)
-
-
-def _format_gens(nvars: int, gens) -> str:
-    """The text of :func:`format_ideal` for generators already in canonical order."""
-    names = _variable_names(nvars)
-    parts = []
-    for g in gens:
-        factors = [names[t] if e == 1 else f"{names[t]}^{e}"
-                   for t, e in enumerate(g) if e > 0]
-        parts.append("*".join(factors) if factors else "1")
-    return ",".join(parts)
+    return ideal._text
 
 
 def _digits(text: str) -> bool:

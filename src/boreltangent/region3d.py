@@ -70,7 +70,13 @@ def region_cells(ideal: MonomialIdeal, alpha,
     iff it is not a cell, so these are the cells p with p - alpha not a
     cell.
     """
-    a0, a1, a2 = _check_three_vars(ideal, alpha)
+    return _region(ideal, _check_three_vars(ideal, alpha), standard)
+
+
+def _region(ideal: MonomialIdeal, alpha: Exponent,
+            standard: StandardSet | None) -> frozenset[Exponent]:
+    """:func:`region_cells` at a degree already checked."""
+    a0, a1, a2 = alpha
     cells = _cells_of(ideal, standard)
     return frozenset(p for p in cells if (p[0] - a0, p[1] - a1, p[2] - a2) not in cells)
 
@@ -97,7 +103,7 @@ def region_slice(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
                  standard: StandardSet | None = None) -> RegionSlice:
     """Cells, components, and the filtered component count at one degree."""
     alpha = _check_three_vars(ideal, alpha)
-    cells = region_cells(ideal, alpha, standard=standard)
+    cells = _region(ideal, alpha, standard)
     components = _components(cells)
     threshold = default_size_filter(ideal) if size_filter is None else size_filter
     counted = sum(1 for comp in components if len(comp) <= threshold)

@@ -168,6 +168,8 @@ def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
             warnings.simplefilter("ignore", RedundantGeneratorWarning)
             for m1, line in zip(sorted(_m1_classes(nvars, l)), text.splitlines(), strict=True):
                 obj = json.loads(line)
+                # only the generators are kept: the texts written back are
+                # formatted afresh by _records' ideals, never taken from the file
                 merged[m1] = [operator.index(obj["ideal_count"]), operator.index(obj["t_max"]),
                               {parse_ideal(t, nvars=nvars).gens for t in obj["argmax"]}]
                 elapsed = float(obj["elapsed"])
@@ -182,7 +184,6 @@ def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
 
 def _store_cached(cache_dir, nvars: int, l: int, records: dict[int, ScanRecord]) -> None:
     path = _cache_file(cache_dir, nvars, l)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".jsonl.tmp")
     tmp.write_bytes(_lines(records).encode("utf-8"))
     os.replace(tmp, path)
@@ -224,8 +225,8 @@ def _job(nvars: int, job, budget: int | None = None,
 def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dict[int, ScanRecord]:
     """A colength's records from its merged stats, argmax lists in canonical order."""
     return {m1: ScanRecord(key=ScanKey(nvars, l, m1), ideal_count=count, t_max=total,
-                           argmax=tuple(MonomialIdeal._trusted(nvars, gens) for _text, gens, _
-                                        in _canonical(nvars, ((None, g) for g in argmax))),
+                           argmax=tuple(ideal for ideal, _ in
+                                        _canonical(nvars, ((None, g) for g in argmax))),
                            elapsed=elapsed)
             for m1, (count, total, argmax) in sorted(merged.items())}
 
@@ -236,9 +237,12 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
 
     Colengths already in the cache are not recomputed; freshly scanned ones
     are written to the cache as they complete, so an interrupted run
-    resumes where it stopped.  ``budget_seconds`` (see
-    :class:`BudgetExceededError`) is None or a number >= 0; inf bounds
-    nothing.
+    resumes where it stopped.  The cache directory is made, if missing,
+    before any walk, so a path that cannot be a directory (a regular file,
+    say) raises OSError before any work; a directory that exists but
+    refuses writes still fails only at the first store.
+    ``budget_seconds`` (see :class:`BudgetExceededError`) is None or a
+    number >= 0; inf bounds nothing.
     """
     if nvars < 1:
         raise ValueError("nvars must be >= 1")
@@ -258,6 +262,8 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
             pending.append(l)
     if not pending:
         return results
+    if cache_dir:
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
 
     budget = None if workers == 1 else JOB_BUDGET
     roots = [(*_origin(nvars), l) for l in reversed(pending)]

@@ -325,10 +325,13 @@ def test_pure_powers_increase_with_variable_index(nvars, lmax):
 
 
 def test_canonical_text_is_idempotent():
-    for l in range(1, 11):
-        for ideal in enumerate_strongly_stable(3, l):
-            text = format_ideal(ideal)
-            assert format_ideal(parse_ideal(text)) == text
+    for nvars, lmax in ((3, 10), (4, 8)):
+        for l in range(1, lmax + 1):
+            for ideal in enumerate_strongly_stable(nvars, l):
+                text = format_ideal(ideal)
+                assert format_ideal(parse_ideal(text)) == text
+                # the text the stream carries is the validated ideal's own
+                assert text == format_ideal(MonomialIdeal(ideal.nvars, ideal.gens))
 
 
 def test_deterministic_stream():
@@ -361,7 +364,8 @@ def test_sorted_level_matches_validated_ideal(staircase):
 def test_sorted_level_whole_level(nvars, l):
     level = dict(iter_staircase_levels(nvars, l))[l]
     decorated = sorted_level(nvars, level)
-    assert decorated == _canonical(nvars, _level(nvars, l))
+    assert decorated == [(format_ideal(ideal), ideal.gens, cells)
+                         for ideal, cells in _canonical(nvars, _level(nvars, l))]
     assert {cells for _t, _g, cells in decorated} == set(level)
     texts = [text for text, _g, _c in decorated]
     assert all(a < b for a, b in zip(texts, texts[1:]))

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import asdict, fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +61,19 @@ def test_ideal_canonical_order_and_equality():
     assert a == b
     assert a.gens == ((2, 0), (1, 1), (0, 3))
     assert hash(a) == hash(b)
+
+
+def test_carried_text_is_no_field():
+    # the text an ideal keeps once formatted is not a dataclass field, so
+    # equality, hashing, repr and asdict ignore it, and pickling keeps it
+    a = MonomialIdeal(2, ((0, 3), (2, 0), (1, 1)))
+    b = MonomialIdeal(2, ((2, 0), (1, 1), (0, 3)))
+    assert format_ideal(a) == str(a) == "x^2,x*y,y^3"
+    assert [f.name for f in fields(MonomialIdeal)] == ["nvars", "gens"]
+    assert (a, hash(a), repr(a), asdict(a)) == (b, hash(b), repr(b), asdict(b))
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a)
+    assert format_ideal(copy) == format_ideal(b) == "x^2,x*y,y^3"
 
 
 def test_ideal_rejects_non_antichain():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import artinian_ideals
 
+from boreltangent import region3d
 from boreltangent.monomials import DimensionMismatchError, StandardSet, parse_ideal, standard_set
 from boreltangent.region3d import (
     RegionSlice,
@@ -85,6 +86,21 @@ def test_dimension_guards():
             region_cells(MAXIMAL, (-1, 0, 0), standard=std)
         with pytest.raises(DimensionMismatchError):
             region_component_count(MAXIMAL, (-1, 0, 0), standard=std)
+
+
+def test_region_count_reads_its_degree_once(monkeypatch):
+    calls = []
+
+    def spy(ideal, alpha):
+        calls.append(alpha)
+        return degree(ideal, alpha)
+
+    degree = region3d._degree
+    monkeypatch.setattr(region3d, "_degree", spy)
+    for alpha in [(0, 0, 0), (-1, 0, 1), (2, -1, 0)]:
+        calls.clear()
+        region_component_count(SQUARE, alpha)
+        assert calls == [alpha]
 
 
 @pytest.mark.parametrize("alpha", [(0.9, 0.2, -0.7), ("0", "0", "0"), (-1, 0.0, 0)])

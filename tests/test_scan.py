@@ -101,15 +101,18 @@ def test_t_max_empty_class():
 
 
 def test_argmax_recheck_invariant():
-    for m1, record in scan_colength(3, 11).items():
-        assert record.argmax, "nonempty class must carry argmax ideals"
-        assert record.ideal_count > 0
-        texts = [format_ideal(i) for i in record.argmax]
-        assert texts == sorted(texts)
-        for ideal in record.argmax:
-            assert colength(ideal) == 11
-            assert ideal.pure_powers()[0] == m1
-            assert tangent_dimension(ideal).total == record.t_max
+    for l in (11, 12):
+        for m1, record in scan_colength(3, l).items():
+            assert record.argmax, "nonempty class must carry argmax ideals"
+            assert record.ideal_count > 0
+            texts = [format_ideal(i) for i in record.argmax]
+            assert texts == sorted(texts)
+            for ideal, text in zip(record.argmax, texts):
+                # the text the record carries is the validated ideal's own
+                assert text == format_ideal(MonomialIdeal(ideal.nvars, ideal.gens))
+                assert colength(ideal) == l
+                assert ideal.pure_powers()[0] == m1
+                assert tangent_dimension(ideal).total == record.t_max
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -334,14 +337,23 @@ def _with_class_2_argmax_of_class_1(objs):
     return _file(objs)
 
 
+def _with_first_argmax_respelled(objs):
+    # x,y,z^8 as z^8,x^1,y: the same ideal, so only a reader that took the
+    # file's text for the ideal's would write it back as it is
+    assert objs[0]["argmax"][0] == "x,y,z^8"
+    objs[0]["argmax"][0] = "z^8,x^1,y"
+    return _file(objs)
+
+
 @pytest.mark.parametrize("edit", [
     _with_extra_key,
     _with_keys_reordered,
     _with_class_2_argmax_of_class_1,
+    _with_first_argmax_respelled,
     lambda objs: _file(objs)[:-1],
     lambda objs: _file(objs).replace("\n", "\r\n"),
-], ids=["extra-key", "reordered-keys", "argmax-of-another-class", "no-final-newline",
-        "crlf-line-ends"])
+], ids=["extra-key", "reordered-keys", "argmax-of-another-class", "argmax-respelled",
+        "no-final-newline", "crlf-line-ends"])
 def test_cache_serves_only_what_it_writes(tmp_path, edit):
     path = tmp_path / "scan-N3-l8.jsonl"
     path.write_bytes(edit([json.loads(line) for line in N3_L8_LINES]).encode())
@@ -511,6 +523,21 @@ def test_a_bad_range_or_worker_count_is_refused(tmp_path):
         scan_colength_range(3, 8, 8, workers=0, cache_dir=tmp_path)
     # refused before any work: nothing was scanned or cached
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_cache_path_that_is_a_file_is_refused_before_any_walk(monkeypatch, tmp_path, workers):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+
+    def no_job(*args, **kwargs):
+        pytest.fail("a job ran before the cache path was checked")
+
+    monkeypatch.setattr(scan, "_job", no_job)
+    with pytest.raises(FileExistsError):
+        scan_colength_range(3, 8, 30, workers=workers, cache_dir=not_a_dir)
+    assert not_a_dir.read_text() == ""
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
