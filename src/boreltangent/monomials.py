@@ -171,6 +171,12 @@ class MonomialIdeal:
     def pure_powers(self) -> tuple[int, ...] | None:
         """(m_1, ..., m_N) with m_t minimal such that x_t^(m_t) lies in the
         ideal, or None if some variable has no pure power (non-Artinian)."""
+        return self._pure_powers
+
+    @cached_property
+    def _pure_powers(self) -> tuple[int, ...] | None:
+        """What :meth:`pure_powers` returns, found on first use and kept
+        like :attr:`_text`."""
         m = [0] * self.nvars
         for g in self.gens:
             d = sum(g)

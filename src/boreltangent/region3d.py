@@ -68,7 +68,7 @@ def region_cells(ideal: MonomialIdeal, alpha,
 
     Every cell is nonnegative, and a nonnegative exponent lies in the ideal
     iff it is not a cell, so these are the cells p with p - alpha not a
-    cell.
+    cell.  ``standard`` follows the contract of :mod:`.tangent`.
     """
     return _region(ideal, _check_three_vars(ideal, alpha), standard)
 
@@ -101,7 +101,8 @@ def _components(cells) -> tuple[frozenset[Exponent], ...]:
 
 def region_slice(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
                  standard: StandardSet | None = None) -> RegionSlice:
-    """Cells, components, and the filtered component count at one degree."""
+    """Cells, components, and the filtered component count at one degree.
+    ``standard`` follows the contract of :mod:`.tangent`."""
     alpha = _check_three_vars(ideal, alpha)
     cells = _region(ideal, alpha, standard)
     components = _components(cells)
@@ -112,7 +113,8 @@ def region_slice(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
 
 def region_component_count(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
                            standard: StandardSet | None = None) -> int:
-    """Number of 6-connected components of the region passing the filter."""
+    """Number of 6-connected components of the region passing the filter.
+    ``standard`` follows the contract of :mod:`.tangent`."""
     return region_slice(ideal, alpha, size_filter=size_filter, standard=standard).counted
 
 

@@ -183,10 +183,16 @@ def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
 
 
 def _store_cached(cache_dir, nvars: int, l: int, records: dict[int, ScanRecord]) -> None:
+    """Write a colength's file whole, through a temporary file of this
+    writer's own, so that two stores of one colength may interleave."""
     path = _cache_file(cache_dir, nvars, l)
-    tmp = path.with_suffix(".jsonl.tmp")
-    tmp.write_bytes(_lines(records).encode("utf-8"))
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(_lines(records).encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fold(stats: dict[int, list], m1: int, count: int, total: int, argmax: list) -> None:
@@ -352,15 +358,18 @@ def reproduce_published_table(lmin: int = TABLE_LMIN, lmax: int = TABLE_LMAX, *,
                           budget_seconds=None) -> list[TableCell]:
     """Recompute the published T_max table cells and compare exactly.
 
-    A mismatching cell is reported with ok=False, never raised: mismatch is
-    data.
+    The range asked for is clipped to the published one, and a range with
+    no colength there raises ValueError.  A mismatching cell is reported
+    with ok=False, never raised: mismatch is data.
     """
-    lmin = max(lmin, TABLE_LMIN)
-    lmax = min(lmax, TABLE_LMAX)
-    records = scan_colength_range(3, lmin, lmax, workers=workers,
+    lo, hi = max(lmin, TABLE_LMIN), min(lmax, TABLE_LMAX)
+    if lo > hi:
+        raise ValueError(f"l = {lmin}..{lmax} has no colength in the published "
+                         f"table's range {TABLE_LMIN}..{TABLE_LMAX}")
+    records = scan_colength_range(3, lo, hi, workers=workers,
                                   cache_dir=cache_dir, budget_seconds=budget_seconds)
     cells = []
-    for l in range(lmin, lmax + 1):
+    for l in range(lo, hi + 1):
         k = k_of_l(3, l)[0]
         per_m1 = records[l]
         for m1, expected in expected_cells(l):

@@ -38,9 +38,9 @@ Two independent algorithms are provided by design:
   pass over the cells: a finite staircase has a pure power x_t^m among its
   minimal generators, no other one has an exponent of x_t as large, and
   the cells reach exactly m - 1, so R_t = 2 * maxgen_t + 1.  (The unit
-  ideal has no cells, and its radix 1 is never used.)  A standard set
-  passed in by the caller is checked against the pure powers for that
-  reason.  Every vector the sweep subtracts from a cell has digits in
+  ideal has no cells, and its radix 1 is never used.)  A caller's
+  standard set reaches no pure power, as its contract below makes sure.
+  Every vector the sweep subtracts from a cell has digits in
   [0, lo_t]: a generator a_i, a Taylor lcm, or an Eliahou-Kervaire lcm
   x_j * u, which exceeds a generator by one in one variable.  So every
   degree s - v it forms has alpha_t + lo_t in [0, R_t - 1], a genuine
@@ -104,6 +104,18 @@ Two independent algorithms are provided by design:
 
 The two must agree; the CLI --verify flag and the test suite enforce this.
 Disagreement is an internal-consistency failure.
+
+Every entry point that takes a ``standard`` argument, here and in
+:mod:`.region3d`, reads it through :func:`_cells_of`, so one contract
+holds for all of them.  Without one, the ideal's own standard set is
+computed.  A caller's set must have the ideal's number of variables
+(DimensionMismatchError), the ideal must be Artinian
+(NonArtinianIdealError), and the set must hold no generator of the ideal
+(InvalidStaircaseError).  A standard set is divisor-closed, so holding no
+generator means no cell lies in the ideal, and in particular none reaches
+a pure power.  A set strictly inside the ideal's own staircase is not
+detected: telling it apart needs a corner pass that costs about as much as
+:func:`~.monomials.standard_set` itself, so such a set gives wrong values.
 """
 
 from __future__ import annotations
@@ -175,10 +187,17 @@ class GradedTangentReport:
 
 
 def _cells_of(ideal: MonomialIdeal, standard: StandardSet | None) -> frozenset[Exponent]:
+    """The cells of ``standard``, or of the ideal's own standard set when it
+    is None: the one reader of a caller's standard set, under the contract
+    the module docstring states."""
     if standard is None:
         return standard_set(ideal).cells
     if standard.nvars != ideal.nvars:
         raise DimensionMismatchError("standard set has wrong number of variables")
+    if ideal.pure_powers() is None:
+        raise NonArtinianIdealError("a standard set needs an Artinian ideal")
+    if not standard.cells.isdisjoint(ideal.gens):
+        raise InvalidStaircaseError("standard set holds a generator of the ideal")
     return standard.cells
 
 
@@ -192,35 +211,18 @@ def _degree(ideal: MonomialIdeal, alpha) -> Exponent:
     return alpha
 
 
-def _kernel_cells(ideal: MonomialIdeal, standard: StandardSet | None) -> frozenset[Exponent]:
-    """:func:`_cells_of` for the kernel, which reads the reach of the cells
-    off the pure powers (see the module docstring).  A standard set that
-    reaches one, or one given with a non-Artinian ideal, is not the ideal's
-    own staircase and is refused.  A standard set is divisor-closed, so it
-    reaches x_t^m exactly when it holds that cell: N lookups."""
-    cells = _cells_of(ideal, standard)
-    if standard is not None:
-        m = ideal.pure_powers()
-        if m is None:
-            raise NonArtinianIdealError("the tangent kernel requires an Artinian ideal")
-        zero = (0,) * ideal.nvars
-        if any(zero[:t] + (d,) + zero[t + 1:] in cells for t, d in enumerate(m)):
-            raise InvalidStaircaseError("standard set reaches a pure power of the ideal")
-    return cells
-
-
 def alpha_support_box(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
-    """Inclusive per-coordinate bounds [-maxgen_t, m_t - 1] containing every
+    """Inclusive per-coordinate bounds [-m_t, m_t - 1] containing every
     alpha with nonzero graded dimension.
 
     A nonzero degree-alpha map needs some generator a_i with a_i + alpha a
-    standard exponent, which pins alpha into this box.
+    standard exponent, which pins alpha_t into [-maxgen_t, m_t - 1], and the
+    largest exponent of x_t among the generators is m_t, the pure power's.
     """
     m = ideal.pure_powers()
     if m is None:
         raise NonArtinianIdealError("support box requires an Artinian ideal")
-    maxgen = tuple(max(g[t] for g in ideal.gens) for t in range(ideal.nvars))
-    return tuple((-maxgen[t], m[t] - 1) for t in range(ideal.nvars))
+    return tuple((-d, d - 1) for d in m)
 
 
 def _pack(gens, cells) -> tuple[list[int], list[int], list[int], set[int], int]:
@@ -438,7 +440,10 @@ def _kernel(gens, cells, pair_rule=_syzygy_pairs) -> tuple[list[int], list[int],
 
 
 def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None = None) -> int:
-    """Dimension of the degree-alpha piece of Hom(I, R/I)."""
+    """Dimension of the degree-alpha piece of Hom(I, R/I).
+
+    ``standard`` follows the contract in the module docstring.
+    """
     alpha = _degree(ideal, alpha)
     cells = _cells_of(ideal, standard)
     # a_i + alpha is generator i's target, and lcm + alpha is the max of two
@@ -469,10 +474,9 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     """T(I) with its multigraded decomposition, by the syzygy-graph method.
 
     Pass ``standard`` when the standard set is already known to skip its
-    recomputation; it must be the ideal's own, and one that holds a pure
-    power of the ideal is refused.
+    recomputation; it follows the contract in the module docstring.
     """
-    cells = _kernel_cells(ideal, standard)
+    cells = _cells_of(ideal, standard)
     weights, lo, zero_rank, dims = _kernel(ideal.gens, cells)
     dims = dims()
     positions = sorted(dims)
@@ -574,7 +578,8 @@ def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None 
     cost thus follows the number of rows, at most G(G-1)/2 * l, and not
     rows times G*l.  Above ``ORACLE_SIZE_CAP`` the call raises
     OracleSizeError: the cap bounds that row count, and with it the time
-    and memory one call may take.
+    and memory one call may take.  ``standard`` follows the contract in the
+    module docstring.
     """
     cells = _cells_of(ideal, standard)
     gens = ideal.gens
@@ -609,13 +614,17 @@ def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None 
 def constraint_rank(ideal: MonomialIdeal, standard: StandardSet | None = None) -> int:
     """Number of independent vanishing constraints (zero vectors): G*l - T(I).
 
-    Equals the oracle matrix rank whenever the oracle runs.
+    Equals the oracle matrix rank whenever the oracle runs.  ``standard``
+    follows the contract in the module docstring.
     """
-    return _kernel(ideal.gens, _kernel_cells(ideal, standard))[2]
+    return _kernel(ideal.gens, _cells_of(ideal, standard))[2]
 
 
 def verify_tangent(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:
-    """Run both algorithms and raise VerificationError on disagreement."""
+    """Run both algorithms and raise VerificationError on disagreement.
+
+    ``standard`` follows the contract in the module docstring.
+    """
     if standard is None:
         standard = standard_set(ideal)
     report = tangent_dimension(ideal, standard)

@@ -142,6 +142,18 @@ def test_table_small_range(capsys):
     assert "FAIL" not in out
 
 
+def test_table_refuses_a_range_outside_the_published_one(capsys):
+    code, out, err = run(capsys, "table", "--lmin", "5", "--lmax", "8", "--no-cache")
+    assert (code, out) == (1, "")
+    assert err == "error: l = 5..8 has no colength in the published table's range 10..35\n"
+
+
+def test_table_clips_a_range_that_overlaps_the_published_one(capsys):
+    clipped = run(capsys, "table", "--lmin", "5", "--lmax", "10", "--no-cache")
+    assert clipped == run(capsys, "table", "--lmin", "10", "--lmax", "10", "--no-cache")
+    assert clipped[0] == 0 and "2/2 cells match" in clipped[1]
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--lmin", "10", "--lmax", "10",
                        "--format", "csv")

@@ -64,16 +64,22 @@ def test_ideal_canonical_order_and_equality():
 
 
 def test_carried_text_is_no_field():
-    # the text an ideal keeps once formatted is not a dataclass field, so
-    # equality, hashing, repr and asdict ignore it, and pickling keeps it
+    # the text and the pure powers an ideal keeps once found are not
+    # dataclass fields, so equality, hashing, repr and asdict ignore them,
+    # and pickling keeps them
     a = MonomialIdeal(2, ((0, 3), (2, 0), (1, 1)))
     b = MonomialIdeal(2, ((2, 0), (1, 1), (0, 3)))
     assert format_ideal(a) == str(a) == "x^2,x*y,y^3"
+    assert a.pure_powers() == (2, 3)
+    assert {"_text", "_pure_powers"} <= set(vars(a))
+    assert not {"_text", "_pure_powers"} & set(vars(b))
     assert [f.name for f in fields(MonomialIdeal)] == ["nvars", "gens"]
     assert (a, hash(a), repr(a), asdict(a)) == (b, hash(b), repr(b), asdict(b))
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and hash(copy) == hash(a)
+    assert {"_text", "_pure_powers"} <= set(vars(copy))
     assert format_ideal(copy) == format_ideal(b) == "x^2,x*y,y^3"
+    assert copy.pure_powers() == b.pure_powers() == (2, 3)
 
 
 def test_ideal_rejects_non_antichain():

@@ -1,7 +1,10 @@
+import errno
 import hashlib
 import json
 import multiprocessing
+import os
 import shutil
+import threading
 import time
 import warnings
 from functools import partial
@@ -188,6 +191,17 @@ def test_reproduce_published_table_prefix():
     ]
 
 
+@pytest.mark.parametrize("lmin, lmax", [(5, 8), (36, 40), (12, 11)])
+def test_reproduce_published_table_refuses_a_range_outside_it(lmin, lmax):
+    with pytest.raises(ValueError, match=rf"l = {lmin}\.\.{lmax} .* range 10\.\.35"):
+        reproduce_published_table(lmin, lmax)
+
+
+def test_reproduce_published_table_clips_a_range_that_overlaps_it():
+    assert reproduce_published_table(5, 12) == reproduce_published_table(10, 12)
+    assert reproduce_published_table(35, 40) == reproduce_published_table(35, 35)
+
+
 def test_record_csv_row():
     record = t_max(ScanKey(3, 10, 3))
     row = record.to_csv_row()
@@ -206,6 +220,57 @@ def test_cache_round_trip(tmp_path):
     warm = scan_colength(3, 10, cache_dir=tmp_path)
     assert warm == fresh
     assert all(isinstance(r, ScanRecord) for r in warm.values())
+
+
+def test_interleaved_stores_of_one_colength_both_land(monkeypatch, tmp_path):
+    # both writers reach os.replace before either has replaced: with one
+    # temporary name the second found its file already moved
+    records = scan_colength(3, 10)
+    barrier = threading.Barrier(2, timeout=30)
+    replace = os.replace
+
+    def meet_then_replace(src, dst):
+        barrier.wait()
+        replace(src, dst)
+
+    monkeypatch.setattr(scan.os, "replace", meet_then_replace)
+    errors = []
+
+    def store():
+        try:
+            scan._store_cached(tmp_path, 3, 10, records)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=store) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert scan._load_cached(tmp_path, 3, 10) == records
+    assert [p.name for p in tmp_path.iterdir()] == ["scan-N3-l10.jsonl"]
+
+
+def _half_write(self, data):
+    self.write_text("")  # the file exists, then the disk fills
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _no_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("target, failing", [("Path.write_bytes", _half_write),
+                                              ("os.replace", _no_replace)],
+                         ids=["write", "replace"])
+def test_a_failed_store_leaves_no_temporary_file(monkeypatch, tmp_path, target, failing):
+    records = scan_colength(3, 10)
+    owner, name = target.split(".")
+    monkeypatch.setattr(getattr(scan, owner), name, failing)
+    with pytest.raises(OSError):
+        scan._store_cached(tmp_path, 3, 10, records)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_rejects_other_schema(tmp_path):

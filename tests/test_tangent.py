@@ -10,7 +10,7 @@ from oracles import fraction_rank, graded_tangent_dims, iter_partitions, partiti
 from strategies import TOP, artinian_ideals, borel_staircases, staircases
 
 import boreltangent.tangent as tangent_module
-from boreltangent.region3d import region_component_count
+from boreltangent.region3d import region_cells, region_component_count, region_slice
 from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.monomials import (
     DimensionMismatchError,
@@ -446,16 +446,64 @@ def test_compact_staircases_are_counted_over_masks(monkeypatch):
         assert tangent_dimension(ideal).total == tangent_dimension_oracle(ideal)
 
 
+def _entry_points(nvars):
+    """Every entry point that takes a standard set, as f(ideal, standard),
+    the degree ones at degree 0; the region ones only in three variables."""
+    zero = (0,) * nvars
+    points = [tangent_dimension, constraint_rank, tangent_dimension_oracle, verify_tangent,
+              lambda ideal, std: graded_dimension(ideal, zero, std)]
+    if nvars == 3:
+        points += [lambda ideal, std, region=region: region(ideal, zero, standard=std)
+                   for region in (region_cells, region_slice, region_component_count)]
+    return points
+
+
 def test_kernel_refuses_a_standard_set_past_the_pure_powers():
     std = standard_set(SQUARE)
     wide = StandardSet(3, std.cells | {(2, 0, 0)})  # x^2 is a generator
     wider = StandardSet(3, wide.cells | {(3, 0, 0), (2, 0, 1)})
-    for kernel in (tangent_dimension, constraint_rank):
-        for cells in (wide, wider):
+    # x*y is a generator but no pure power; read as given, this set gives
+    # 34 on both paths, against T = 36
+    mixed = StandardSet(3, std.cells | {(1, 1, 0)})
+    # {1, z, z^2} holds the generator z^2; read as given, the oracle counts
+    # 7 for x,y,z^2, whose T is 6
+    line = parse_ideal("x,y,z^2")
+    column = StandardSet(3, frozenset({(0, 0, 0), (0, 0, 1), (0, 0, 2)}))
+    for entry in _entry_points(3):
+        for ideal, cells in ((SQUARE, wide), (SQUARE, wider), (SQUARE, mixed), (line, column)):
             with pytest.raises(InvalidStaircaseError):
-                kernel(SQUARE, cells)
+                entry(ideal, cells)
         with pytest.raises(NonArtinianIdealError):
-            kernel(parse_ideal("x^2,x*y,y^2", nvars=3), std)
+            entry(parse_ideal("x^2,x*y,y^2", nvars=3), std)
+
+
+@settings(max_examples=60, deadline=None)
+@given(artinian_ideals(), st.data())
+def test_every_entry_point_refuses_a_standard_set_holding_a_generator(ideal, data):
+    # every proper divisor of a minimal generator is a cell, so the
+    # staircase plus one generator is still divisor-closed
+    g = data.draw(st.sampled_from(ideal.gens))
+    grown = StandardSet(ideal.nvars, standard_set(ideal).cells | {g})
+    for entry in _entry_points(ideal.nvars):
+        with pytest.raises(InvalidStaircaseError):
+            entry(ideal, grown)
+
+
+@settings(max_examples=60, deadline=None)
+@given(artinian_ideals())
+def test_the_ideals_own_standard_set_changes_no_result(ideal):
+    std = standard_set(ideal)
+    assert tangent_dimension(ideal, std) == tangent_dimension(ideal)
+    assert constraint_rank(ideal, std) == constraint_rank(ideal)
+    corners = list(product(*alpha_support_box(ideal)))
+    for alpha in corners:
+        assert graded_dimension(ideal, alpha, std) == graded_dimension(ideal, alpha)
+    if len(ideal.gens) * std.size <= ORACLE_SIZE_CAP:
+        assert tangent_dimension_oracle(ideal, std) == tangent_dimension_oracle(ideal)
+    if ideal.nvars == 3:
+        for alpha in corners:
+            assert region_component_count(ideal, alpha, standard=std) == \
+                region_component_count(ideal, alpha)
 
 
 @settings(max_examples=150, deadline=None)
@@ -512,7 +560,7 @@ def _names_in(code) -> set[str]:
 
 KERNEL = {"_pack", "_syzygy_pairs", "_ek_pairs", "_taylor_pairs", "_positions", "_sweep",
           "_forest_rank", "_bit_sweep", "_set_sweep", "_kernel",
-          "_kernel_cells", "_degrees", "_total", "tangent_dimension", "graded_dimension"}
+          "_degrees", "_total", "tangent_dimension", "graded_dimension"}
 
 
 def _reached(function) -> set[str]:
