@@ -11,13 +11,26 @@ package assume the m_1-first form.
 
 Coefficients are never materialized: everything here is characteristic-0
 combinatorics on exponents, so strongly stable and Borel-fixed coincide.
+
+Text is read and written one generator monomial at a time, through two
+bounded tables (``functools.lru_cache`` of :data:`TEXT_TABLE_SIZE` entries
+each): :func:`_monomial_text` formats an exponent tuple, and
+:func:`_generator` reads one generator text into its exponents, whether it
+used an alias and its largest variable index.  Ideals of one scan or
+stream share few distinct monomials (83 among the 12 113 generators of the
+N=4 colength-20 stream), so each is formatted and read about once per
+process.  The tables are keyed by monomial, never by whole ideal: the
+ideals of a scan are distinct, so a table of ideals would only serve a
+caller that repeats its own inputs.  They hold nothing that depends on the
+ring: :func:`parse_ideal` checks the variable count and the aliases outside
+them, and an error is raised, never stored.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from math import comb
 from operator import index, le
 
@@ -25,6 +38,9 @@ Exponent = tuple[int, ...]
 
 #: alias names for x1..x4, used by the text grammar when N <= 4
 ALIASES = ("x", "y", "z", "w")
+
+#: entries in each of the two per-monomial text tables
+TEXT_TABLE_SIZE = 4096
 
 
 class DimensionMismatchError(ValueError):
@@ -72,6 +88,27 @@ def _canonical_order(exps) -> list[Exponent]:
     order = sorted(exps, reverse=True)
     order.sort(key=sum)
     return order
+
+
+class _kept:
+    """A method read as an attribute, computed on first use and then kept
+    in the instance dict, which shadows this non-data descriptor, so later
+    reads are plain attribute lookups.  Unlike ``functools.cached_property``
+    on Python 3.11 it takes no lock: two threads may both compute a value,
+    and either one is kept."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def tetrahedral(nvars: int, k: int) -> int:
@@ -173,7 +210,7 @@ class MonomialIdeal:
         ideal, or None if some variable has no pure power (non-Artinian)."""
         return self._pure_powers
 
-    @cached_property
+    @_kept
     def _pure_powers(self) -> tuple[int, ...] | None:
         """What :meth:`pure_powers` returns, found on first use and kept
         like :attr:`_text`."""
@@ -189,18 +226,12 @@ class MonomialIdeal:
                 m[g.index(d)] = d
         return tuple(m) if all(m) else None
 
-    @cached_property
+    @_kept
     def _text(self) -> str:
         """The text of :func:`format_ideal`, formatted on first use and kept
         in the instance dict, outside the dataclass fields, so equality,
         hashing and repr do not see it."""
-        names = _variable_names(self.nvars)
-        parts = []
-        for g in self.gens:
-            factors = [names[t] if e == 1 else f"{names[t]}^{e}"
-                       for t, e in enumerate(g) if e > 0]
-            parts.append("*".join(factors) if factors else "1")
-        return ",".join(parts)
+        return ",".join(map(_monomial_text, self.gens))
 
     def __str__(self) -> str:
         return self._text
@@ -372,6 +403,15 @@ def _variable_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"x{t + 1}" for t in range(nvars))
 
 
+@lru_cache(maxsize=TEXT_TABLE_SIZE)
+def _monomial_text(g: Exponent) -> str:
+    """The text of one generator, such as ``x^2*y``; its length names the
+    variables."""
+    names = _variable_names(len(g))
+    factors = [names[t] if e == 1 else f"{names[t]}^{e}" for t, e in enumerate(g) if e > 0]
+    return "*".join(factors) if factors else "1"
+
+
 def format_ideal(ideal: MonomialIdeal) -> str:
     """Canonical text form: generators in canonical order, factors joined
     with '*', exponent written only when > 1, aliases x,y,z,w for N <= 4."""
@@ -404,6 +444,31 @@ def _variable_index(name: str) -> int:
     raise UnknownVariableError(f"unknown variable {name!r}")
 
 
+@lru_cache(maxsize=TEXT_TABLE_SIZE)
+def _generator(text: str) -> tuple[tuple[tuple[int, int], ...], bool, int]:
+    """One whitespace-free generator text read into (exponents, alias used,
+    largest index).  The exponents are (position, exponent) pairs in
+    position order, one per variable named, a repeated factor summed; the
+    largest 1-based index is 1 for the text ``1``.  Nothing here depends on
+    the ring, which :func:`parse_ideal` checks."""
+    if not text:
+        raise IdealSyntaxError("empty generator (stray comma?)")
+    exps: dict[int, int] = {}
+    alias_used = False
+    if text != "1":
+        for factor in text.split("*"):
+            if not factor:
+                raise IdealSyntaxError(f"empty factor in {text!r}")
+            if factor == "1":
+                continue
+            name, e = _parse_factor(factor)
+            idx = _variable_index(name)
+            if name in ALIASES:
+                alias_used = True
+            exps[idx] = exps.get(idx, 0) + e
+    return tuple((idx - 1, e) for idx, e in sorted(exps.items())), alias_used, max(exps, default=1)
+
+
 def parse_ideal(text: str, nvars: int | None = None) -> MonomialIdeal:
     """Parse the ideal text grammar.
 
@@ -416,35 +481,24 @@ def parse_ideal(text: str, nvars: int | None = None) -> MonomialIdeal:
     stripped = "".join(text.split())
     if not stripped:
         raise IdealSyntaxError("empty ideal text")
-    raw: list[dict[int, int]] = []
-    alias_used = False
-    max_index = 1
-    for gen_text in stripped.split(","):
-        if not gen_text:
-            raise IdealSyntaxError("empty generator (stray comma?)")
-        exps: dict[int, int] = {}
-        if gen_text != "1":
-            for factor in gen_text.split("*"):
-                if not factor:
-                    raise IdealSyntaxError(f"empty factor in {gen_text!r}")
-                if factor == "1":
-                    continue
-                name, e = _parse_factor(factor)
-                idx = _variable_index(name)
-                if name in ALIASES:
-                    alias_used = True
-                exps[idx] = exps.get(idx, 0) + e
-                max_index = max(max_index, idx)
-        raw.append(exps)
+    # a list, not zip(*...): unpacking the table's triples that way held
+    # about 0.8 memory blocks per parse until a full collection
+    read = list(map(_generator, stripped.split(",")))
+    max_index = max([largest for _exps, _alias, largest in read])
     n = nvars if nvars is not None else max_index
     if n < 1:
         raise ValueError("nvars must be >= 1")
     if max_index > n:
         raise UnknownVariableError(
             f"variable x{max_index} used but the ring has only {n} variables")
-    if alias_used and n > 4:
+    if n > 4 and any([alias for _exps, alias, _largest in read]):
         raise UnknownVariableError("aliases x,y,z,w are only valid when N <= 4")
-    gens = [tuple(exps.get(t + 1, 0) for t in range(n)) for exps in raw]
+    gens = []
+    for exps, _alias, _largest in read:
+        g = [0] * n
+        for t, e in exps:
+            g[t] = e
+        gens.append(tuple(g))
     return MonomialIdeal.from_generators(n, gens, warn=True)
 
 

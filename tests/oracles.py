@@ -132,6 +132,26 @@ def minimal_elements(exps) -> set:
             if not any(v != u and all(a <= b for a, b in zip(v, u)) for v in exps)}
 
 
+def ideal_text(gens, nvars: int) -> str:
+    """The canonical text of a minimal generator list, from the grammar's
+    definition: generators by total degree, then with the larger exponent
+    of the earliest variable first; in each, the variables named x, y, z, w
+    when nvars <= 4 and x1..xN otherwise, a power written as VAR^e only when
+    e > 1, and the text 1 for the unit monomial."""
+    names = "xyzw"[:nvars] if nvars <= 4 else ["x" + str(t) for t in range(1, nvars + 1)]
+    order = sorted(gens, key=lambda g: (sum(g), [-e for e in g]))
+    texts = []
+    for g in order:
+        factors = []
+        for name, e in zip(names, g):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(name + "^" + str(e))
+        texts.append("*".join(factors) or "1")
+    return ",".join(texts)
+
+
 def brute_force_strongly_stable(gens, nvars: int, pure_powers) -> bool:
     """Definition-level check: apply every Borel move to every monomial of
     the ideal inside the pure-power bounding box."""

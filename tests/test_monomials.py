@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_strongly_stable,
+    ideal_text,
     is_borel_staircase,
     iter_order_ideal_levels,
     minimal_elements,
@@ -14,6 +15,7 @@ from oracles import (
 from strategies import artinian_ideals, staircases
 
 import boreltangent.monomials as monomials_module
+from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.monomials import (
     DimensionMismatchError,
     IdealSyntaxError,
@@ -74,6 +76,9 @@ def test_carried_text_is_no_field():
     assert {"_text", "_pure_powers"} <= set(vars(a))
     assert not {"_text", "_pure_powers"} & set(vars(b))
     assert [f.name for f in fields(MonomialIdeal)] == ["nvars", "gens"]
+    # a non-data descriptor, which the kept value in the instance dict shadows
+    assert not any(hasattr(vars(MonomialIdeal)[name], "__set__")
+                   for name in ("_text", "_pure_powers"))
     assert (a, hash(a), repr(a), asdict(a)) == (b, hash(b), repr(b), asdict(b))
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and hash(copy) == hash(a)
@@ -300,10 +305,59 @@ def antichains(draw):
     return MonomialIdeal.from_generators(nvars, exponents)
 
 
+TEXT_TABLES = (monomials_module._monomial_text, monomials_module._generator)
+
+
 @settings(max_examples=300, deadline=None)
 @given(antichains())
 def test_parse_format_round_trip_on_random_antichains(ideal):
-    assert parse_ideal(format_ideal(ideal), nvars=ideal.nvars) == ideal
+    # the text is the oracle's, first with both text tables empty, then
+    # with them holding this ideal's monomials; a fresh ideal each time,
+    # so no kept text is read
+    expected = ideal_text(ideal.gens, ideal.nvars)
+    for table in TEXT_TABLES:
+        table.cache_clear()
+    for _filled in range(2):
+        text = format_ideal(MonomialIdeal(ideal.nvars, ideal.gens))
+        assert text == expected
+        assert parse_ideal(text, nvars=ideal.nvars) == ideal
+
+
+def _raised(text, **kwargs):
+    with pytest.raises(IdealSyntaxError) as info:
+        parse_ideal(text, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def test_text_tables_swallow_no_error():
+    # a generator read once for a ring where it is valid is checked again
+    # against the next ring
+    assert parse_ideal("x3").nvars == 3
+    assert _raised("x3", nvars=2)[0] is UnknownVariableError
+    assert parse_ideal("y").nvars == 2
+    assert _raised("y,x5^2") == (UnknownVariableError, "aliases x,y,z,w are only valid when N <= 4")
+    # a bad text is stored nowhere, so it raises the same error each time
+    for text in ("x^²", "x**y"):
+        before = monomials_module._generator.cache_info().currsize
+        assert _raised(text) == _raised(text)
+        assert monomials_module._generator.cache_info().currsize == before
+    # a repeated factor is summed, read first or after its square
+    assert parse_ideal("x*x").gens == ((2,),)
+    assert parse_ideal("x^2,x*x").gens == ((2,),)
+
+
+def test_text_tables_are_bounded_and_keyed_by_monomial():
+    for table in TEXT_TABLES:
+        table.cache_clear()
+    gens = set()
+    for ideal in enumerate_strongly_stable(4, 20):
+        gens.update(ideal.gens)
+        assert parse_ideal(format_ideal(ideal), nvars=4) == ideal
+    # 1 068 ideals share 83 generators: one entry per monomial
+    assert len(gens) == 83
+    for table in TEXT_TABLES:
+        info = table.cache_info()
+        assert isinstance(info.maxsize, int) and info.currsize == len(gens) <= info.maxsize
 
 
 def test_parse_whitespace_and_aliases():

@@ -19,7 +19,13 @@ from boreltangent.enumeration import (
     count_strongly_stable,
     enumerate_strongly_stable,
 )
-from boreltangent.monomials import MonomialIdeal, colength, format_ideal, parse_ideal
+from boreltangent.monomials import (
+    MonomialIdeal,
+    RedundantGeneratorWarning,
+    colength,
+    format_ideal,
+    parse_ideal,
+)
 from boreltangent.scan import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -353,7 +359,14 @@ def test_cache_rejects_argmax_texts_out_of_canonical_form(tmp_path, edit):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines[0]["argmax"]) >= 2
     lines[0]["argmax"] = edit(lines[0]["argmax"])
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    edited = "".join(json.dumps(line) + "\n" for line in lines)
+    path.write_text(edited)
+    with warnings.catch_warnings():
+        # the edited texts read once before, so their generators are in
+        # the text table when the cache reader meets them
+        warnings.simplefilter("ignore", RedundantGeneratorWarning)
+        for text in lines[0]["argmax"]:
+            parse_ideal(text, nvars=3)
     with warnings.catch_warnings():
         # a cache read warns about nothing
         warnings.simplefilter("error")
@@ -361,6 +374,8 @@ def test_cache_rejects_argmax_texts_out_of_canonical_form(tmp_path, edit):
     assert records == scan_colength(3, 9)
     assert [format_ideal(i) for i in records[1].argmax] == \
         json.loads(path.read_text().splitlines()[0])["argmax"]
+    # recomputed and written afresh
+    assert path.read_text() != edited
 
 
 # scan-N3-l8.jsonl as the writer of the first schema-1 release wrote it
