@@ -9,21 +9,20 @@ The work goes out as jobs of the reverse-search walk of
 :mod:`.enumeration`, in the job model of mts and mplrs (Avis and Jordan,
 arXiv:1709.07605 and arXiv:1610.07735).  A job is (cells, corners, l): it
 walks the subtree of that staircase down to size l and runs the tangent
-kernel at every staircase there, on the corners the walk carries.  It
-returns, per m1 class, the count, the maximum and the staircases attaining
-it, and, when it ran out of budget, the children it did not enter as new
-jobs.  Each colength starts as one job from the one-cell staircase.  The
-parent counts the jobs outstanding per colength, and a colength is merged,
-cached and counted as completed when its count reaches zero.
+kernel at every staircase there, on the corners the walk carries, until it
+has run it at ``JOB_BUDGET`` of them.  It returns, per m1 class, the
+count, the maximum and the staircases attaining it, and the children it
+did not enter as new jobs.  Each colength starts as one job from the
+one-cell staircase.  The parent counts the jobs outstanding per colength,
+and a colength is merged, cached and counted as completed when its count
+reaches zero.
 
-At one worker a job has no budget, so each colength is one walk, in
-process.  With several workers a job stops descending once it has run the
-kernel at ``JOB_BUDGET`` staircases.  The parent runs the jobs itself
-until one comes back with children; only then does it start the pool, and
-from then on every job goes to the pool.  A range whose levels all fit the
-budget therefore never starts a pool.  The merge ignores the order of the
-jobs, and each argmax list is sorted into canonical order, so results are
-identical for any worker count.
+Every job is alike, and the worker count alone decides where jobs run.
+At one worker the parent runs them itself, in process, and never starts a
+pool.  With several, a pool starts with the scan, and every job goes to
+it: first the roots, in ascending colength, then each job handed back.
+The merge ignores the order of the jobs, and each argmax list is sorted
+into canonical order, so results are identical for any worker count.
 
 Completed colengths are cached as JSONL files (``scan-N{N}-l{l}.jsonl``,
 one record per m1 class, schema-versioned); reruns skip cached colengths,
@@ -38,6 +37,7 @@ import multiprocessing
 import operator
 import os
 import queue
+import sys
 import threading
 import time
 import warnings
@@ -60,10 +60,14 @@ from .tangent import _total
 
 SCHEMA_VERSION = 1
 
-#: staircases a job runs the kernel at, with several workers, before it
-#: hands back the children it has not entered: tens of milliseconds of
-#: kernel work against about a millisecond to send a job and merge it
+#: staircases a job runs the kernel at before it hands back the children
+#: it has not entered: tens of milliseconds of kernel work against about a
+#: millisecond to send a job and merge it
 JOB_BUDGET = 400
+
+#: the pool's start method: fork on Linux, where it starts workers fastest
+#: (Python 3.14 makes forkserver the default there), the default elsewhere
+_POOL_CONTEXT = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
 
 #: environment variable holding the default cache directory
 CACHE_ENV_VAR = "BORELTANGENT_CACHE"
@@ -73,10 +77,10 @@ class BudgetExceededError(RuntimeError):
     """A per-colength wall-clock budget was exceeded.
 
     The clock of a colength runs from the end of the previous completed
-    colength (or the start of the scan), so it counts the walk and the
-    tangent computations.  A job the parent runs itself checks the
-    deadline at every staircase it scans; with a pool every wait for a job
-    is bounded by the time left.
+    colength (or the start of the scan, which starts the pool), so it
+    counts the walk and the tangent computations.  At one worker each job
+    checks the deadline at every staircase it scans; with several, every
+    wait for a job is bounded by the time left.
 
     ``completed`` holds the records of every colength finished before the
     breach (already flushed to the cache when caching is enabled).
@@ -208,11 +212,10 @@ def _fold(stats: dict[int, list], m1: int, count: int, total: int, argmax: list)
         entry[2].extend(argmax)
 
 
-def _job(nvars: int, job, budget: int | None = None,
-         deadline: float | None = None) -> tuple[int, dict[int, list], list]:
+def _job(nvars: int, job, deadline: float | None = None) -> tuple[int, dict[int, list], list]:
     """Run one job (cells, corners, l): walk the staircase's subtree down to
     size l and run the kernel at every staircase there, stopping once it
-    has run at ``budget`` of them (never, for None).  Returns (l, {m1:
+    has run at ``JOB_BUDGET`` of them.  Returns (l, {m1:
     [count, t_max, the argmax staircases' corner tuples]}, the children not
     entered as new jobs).  Raises multiprocessing.TimeoutError past a
     ``time.monotonic()`` deadline.  Module-level so that pool workers can
@@ -225,7 +228,7 @@ def _job(nvars: int, job, budget: int | None = None,
             raise multiprocessing.TimeoutError
         _fold(stats, top[0] + 1, 1, _total(gens, cells), [gens])
 
-    return l, stats, [(c, g, l) for c, g in _descend(nvars, cells, corners, l, visit, budget)]
+    return l, stats, [(c, g, l) for c, g in _descend(nvars, cells, corners, l, visit, JOB_BUDGET)]
 
 
 def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dict[int, ScanRecord]:
@@ -271,23 +274,27 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     if cache_dir:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
 
-    budget = None if workers == 1 else JOB_BUDGET
-    roots = [(*_origin(nvars), l) for l in reversed(pending)]
+    # the jobs not yet run, popped from the end: each colength's root, in
+    # ascending colength, then the jobs handed back
+    jobs = [(*_origin(nvars), l) for l in reversed(pending)]
     outstanding = Counter(pending)
     merged: dict[int, dict[int, list]] = {l: {} for l in pending}
     # the pool's callbacks put each job's result, or its error, here
     returned: queue.SimpleQueue = queue.SimpleQueue()
-    pool = None
     started = time.monotonic()
+    pool = _POOL_CONTEXT.Pool(workers) if workers > 1 else None
     try:
         while outstanding:
+            while pool is not None and jobs:
+                pool.apply_async(_job, (nvars, jobs.pop()),
+                                 callback=returned.put, error_callback=returned.put)
             deadline = None if budget_seconds is None else started + budget_seconds
             try:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise multiprocessing.TimeoutError
                 if pool is None:
                     # in process the walk itself watches the deadline
-                    l, stats, new = _job(nvars, roots.pop(), budget, deadline)
+                    l, stats, new = _job(nvars, jobs.pop(), deadline)
                 else:
                     # an infinite budget waits as long as a wait can
                     left = None if deadline is None else \
@@ -304,13 +311,7 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
             for m1, entry in stats.items():
                 _fold(merged[l], m1, *entry)
             outstanding[l] += len(new) - 1
-            if new and pool is None:
-                # the roots not yet run go to the pool behind the children
-                pool = multiprocessing.Pool(workers)
-                new += reversed(roots)
-            for job in new:
-                pool.apply_async(_job, (nvars, job, budget),
-                                 callback=returned.put, error_callback=returned.put)
+            jobs += new
             if not outstanding[l]:
                 del outstanding[l]
                 now = time.monotonic()
@@ -327,6 +328,8 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
 
 def scan_colength(nvars: int, l: int, **kwargs) -> dict[int, ScanRecord]:
     """All m1-class records at one colength."""
+    if l < 1:
+        raise ValueError("colength must be >= 1")
     return scan_colength_range(nvars, l, l, **kwargs)[l]
 
 
@@ -467,9 +470,9 @@ def power_ideal(nvars: int, k: int) -> MonomialIdeal:
 
 
 def check_tetrahedral_max(nvars: int, k: int, **kwargs) -> TetrahedralVerdict:
+    power = power_ideal(nvars, k)
     l = tetrahedral(nvars, k)
     verdict = check_necessary_condition(nvars, l, **kwargs)
-    power = power_ideal(nvars, k)
     attains = power in verdict.argmax
     return TetrahedralVerdict(nvars=nvars, k=k, l=l, t_max=verdict.t_max,
                               power_attains=attains,

@@ -372,14 +372,25 @@ def test_check_tetrahedral_json_is_pinned(capsys):
 """
 
 
+def test_check_tetrahedral_refuses_k_below_one_by_its_own_flag(capsys):
+    code, out, err = run(capsys, "check-tetrahedral", "--vars", "3", "--k", "0", "--no-cache")
+    assert (code, out, err) == (1, "", "error: need nvars >= 1 and k >= 1\n")
+
+
+@pytest.mark.parametrize("command", ["scan", "check-monotonic", "check-necessary"])
+def test_a_colength_below_one_is_refused_by_its_own_flag(capsys, command):
+    code, out, err = run(capsys, command, "--vars", "3", "--l", "0", "--no-cache")
+    assert (code, out, err) == (1, "", "error: colength must be >= 1\n")
+
+
 def test_budget_breach_names_the_completed_colengths(capsys, monkeypatch):
     # every job of l = 11 sleeps past the budget, so l = 10 completes first
     job = scan._job
 
-    def late_at_11(nvars, task, budget=None, deadline=None):
+    def late_at_11(nvars, task, deadline=None):
         if task[2] == 11:
             time.sleep(0.6)
-        return job(nvars, task, budget, deadline)
+        return job(nvars, task, deadline)
 
     monkeypatch.setattr(scan, "_job", late_at_11)
     code, out, err = run(capsys, "table", "--lmin", "10", "--lmax", "11", "--no-cache",

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import shutil
 import threading
@@ -203,9 +204,12 @@ def test_reproduce_published_table_refuses_a_range_outside_it(lmin, lmax):
         reproduce_published_table(lmin, lmax)
 
 
-def test_reproduce_published_table_clips_a_range_that_overlaps_it():
-    assert reproduce_published_table(5, 12) == reproduce_published_table(10, 12)
-    assert reproduce_published_table(35, 40) == reproduce_published_table(35, 35)
+def test_reproduce_published_table_clips_a_range_that_overlaps_it(tmp_path):
+    # one cache, so that l = 35 is scanned once
+    assert reproduce_published_table(5, 12, cache_dir=tmp_path) == \
+        reproduce_published_table(10, 12, cache_dir=tmp_path)
+    assert reproduce_published_table(35, 40, cache_dir=tmp_path) == \
+        reproduce_published_table(35, 35, cache_dir=tmp_path)
 
 
 def test_record_csv_row():
@@ -449,10 +453,10 @@ def test_cache_serves_only_what_it_writes(tmp_path, edit):
 _job = scan._job
 
 
-def _slow_job(delay, level, nvars, job, budget=None, deadline=None):
+def _slow_job(delay, level, nvars, job, deadline=None):
     if level is None or job[2] == level:
         time.sleep(delay)
-    return _job(nvars, job, budget, deadline)
+    return _job(nvars, job, deadline)
 
 
 def _slow_jobs(monkeypatch, seconds, level=None):
@@ -461,22 +465,21 @@ def _slow_jobs(monkeypatch, seconds, level=None):
     monkeypatch.setattr(scan, "_job", partial(_slow_job, seconds, level))
 
 
-def _slow_pool_job(delay, nvars, job, budget=None, deadline=None):
+def _slow_pool_job(delay, nvars, job, deadline=None):
     if len(job[0]) > 1:
         time.sleep(delay)
-    return _job(nvars, job, budget, deadline)
+    return _job(nvars, job, deadline)
 
 
 def _slow_pool_jobs(monkeypatch, seconds):
-    """Make every job the root job hands back sleep first: the root, the
-    one-cell staircase, runs in process, and the jobs it spills go to the
-    pool."""
+    """Make every job the root job hands back sleep first; the root, the
+    one-cell staircase, runs at full speed in the pool like any other job."""
     monkeypatch.setattr(scan, "_job", partial(_slow_pool_job, seconds))
 
 
 def _spilled(nvars, l):
-    """The jobs the root job of a colength hands back at the default budget."""
-    return _job(nvars, (*_origin(nvars), l), scan.JOB_BUDGET)[2]
+    """The jobs the root job of a colength hands back."""
+    return _job(nvars, (*_origin(nvars), l))[2]
 
 
 def test_budget_breach_does_not_drain_the_pool(monkeypatch):
@@ -517,10 +520,10 @@ def test_budget_bounds_each_wait(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _failing_pool_job(nvars, job, budget=None, deadline=None):
+def _failing_pool_job(nvars, job, deadline=None):
     if len(job[0]) > 1:
         raise ArithmeticError(f"job failed at l={job[2]}")
-    return _job(nvars, job, budget, deadline)
+    return _job(nvars, job, deadline)
 
 
 def test_pool_job_error_surfaces(monkeypatch):
@@ -533,10 +536,10 @@ def test_pool_job_error_surfaces(monkeypatch):
 
 
 def test_budget_bounds_the_walk_in_process():
-    # at one worker nothing can time out a wait: the colength is one job,
-    # whose walk checks the deadline itself
+    # at one worker nothing can time out a wait: each job's walk checks the
+    # deadline itself, however many jobs l = 30 has spilled by then
     started = time.monotonic()
-    with pytest.raises(BudgetExceededError, match="N=3 l=30 with 1 jobs outstanding"):
+    with pytest.raises(BudgetExceededError, match=r"N=3 l=30 with \d+ jobs outstanding"):
         scan_colength(3, 30, budget_seconds=0.3)
     assert time.monotonic() - started < 1.5
 
@@ -635,6 +638,7 @@ def test_fewer_than_one_variable_is_refused(tmp_path, nvars, workers):
 def test_jobs_cover_each_level_once(monkeypatch, budget):
     # run by hand, the jobs of a colength meet each of its staircases once,
     # and a job hands back children only after it has spent its budget
+    monkeypatch.setattr(scan, "JOB_BUDGET", budget)
     met = []
     monkeypatch.setattr(scan, "_total", lambda gens, cells: met.append(frozenset(cells)) or 0)
     for l in (5, 9, 20):
@@ -643,7 +647,7 @@ def test_jobs_cover_each_level_once(monkeypatch, budget):
         while todo:
             job = todo.pop()
             assert len(job[0]) < l
-            _l, stats, new = _job(3, job, budget)
+            _l, stats, new = _job(3, job)
             scanned = sum(count for count, _t, _a in stats.values())
             assert scanned >= budget or not new
             todo.extend(new)
@@ -651,7 +655,7 @@ def test_jobs_cover_each_level_once(monkeypatch, budget):
         assert set(met) == {cells for cells, _corners in _level(3, l)}
     monkeypatch.undo()
     # through the scan, at every worker count: the small budgets are what
-    # start a pool at these levels, the default budget never does
+    # split these levels into several jobs, the default budget never does
     monkeypatch.setattr(scan, "JOB_BUDGET", budget)
     for l in (5, 9, 20):
         one = scan_colength(3, l)
@@ -661,17 +665,36 @@ def test_jobs_cover_each_level_once(monkeypatch, budget):
             assert multiprocessing.active_children() == []
 
 
-def test_levels_within_the_budget_start_no_pool(monkeypatch):
-    # every N=3 level up to l = 18 fits one job, so the benchmark's cold
-    # scan runs in process at any worker count
-    assert all(not _spilled(3, l) for l in range(10, 19))
-    monkeypatch.setattr(multiprocessing, "Pool", None)
+def _no_pool(*args, **kwargs):
+    pytest.fail("a pool was created")
+
+
+def test_one_worker_never_creates_a_pool(monkeypatch):
+    # neither for levels that fit one job each (l = 10..18) nor for one
+    # that spills (l = 24)
+    assert not any(_spilled(3, l) for l in range(10, 19)) and _spilled(3, 24)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", _no_pool)
+    assert _records_digest(scan_colength_range(3, 10, 18)) == PINNED_N3_L10_18
+    records = scan_colength(3, 24)
+    assert sum(record.ideal_count for record in records.values()) == count_strongly_stable(3, 24)
+
+
+def _job_outside(parent, nvars, job, deadline=None):
+    if os.getpid() == parent:
+        raise AssertionError(f"a job of l={job[2]} ran in the parent")
+    return _job(nvars, job, deadline)
+
+
+def test_several_workers_run_every_job_in_the_pool(monkeypatch):
+    # even levels that fit one job each: the parent only sends and merges
+    monkeypatch.setattr(scan, "_job", partial(_job_outside, os.getpid()))
     assert _records_digest(scan_colength_range(3, 10, 18, workers=2)) == PINNED_N3_L10_18
+    assert multiprocessing.active_children() == []
 
 
 def test_records_agree_at_any_worker_count_n4(monkeypatch):
     # the largest level, l = 16, holds 289 staircases: within the default
-    # budget, so budget 1 is what sends these levels to the pool
+    # budget, so budget 1 is what splits these levels into several jobs
     one = _records_digest(scan_colength_range(4, 8, 16, workers=1))
     for budget in (scan.JOB_BUDGET, 1):
         monkeypatch.setattr(scan, "JOB_BUDGET", budget)
