@@ -32,6 +32,7 @@ from .monomials import (
     ideal_to_json,
     parse_ideal,
 )
+from .published_table import TABLE_LMAX, TABLE_LMIN
 from .region3d import UnsupportedDimensionError, region_slice, region_slice_to_json
 from .scan import (
     CACHE_ENV_VAR,
@@ -184,8 +185,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("table", help="recompute the published N=3 T_max table "
                         "and report PASS/FAIL per cell")
-    p.add_argument("--lmin", type=_int, default=10)
-    p.add_argument("--lmax", type=_int, default=35)
+    p.add_argument("--lmin", type=_int, default=TABLE_LMIN)
+    p.add_argument("--lmax", type=_int, default=TABLE_LMAX)
     _add_scan_flags(p)
     _add_format_flag(p, choices=("text", "json", "csv"))
     p.set_defaults(func=_cmd_table)

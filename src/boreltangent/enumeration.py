@@ -22,9 +22,9 @@ has seen.
 The walk keeps one mutable cell set and its corners, updated in place as it
 steps down and back: adding c drops c from the corners and adds the
 c + e_t whose every divisor is a cell.  It holds O(l) state, and each
-visited staircase hands its cells, its corners and its largest cell to
-the visit, so no caller has to rederive them; m1 is one more than the
-largest cell's first coordinate.
+visited staircase hands its cells, its corners and its m1 (one more than
+its largest cell's first coordinate) to the visit, so no caller has to
+rederive them.
 
 A walk to size l packs every exponent e it forms into the integer
 code(e) = sum_t e_t * W_t, W_t = B^(N-1-t), in the single radix B = l + 1,
@@ -45,12 +45,14 @@ corner test is a few adds and set lookups on the true codes.  The walk
 keeps the cell tuples beside the codes, one add or remove a step, for its
 visit.
 
-A walk to size l visits the staircases of that size only.  A budgeted
-walk, as in the budgeted subtrees of Avis and Jordan's mts and mplrs
-(arXiv:1709.07605, arXiv:1610.07735), enters no more children above size
-l once it has visited its budget of staircases, and returns each one
-instead, as the cells and corners a later walk starts from.  The scan
-cuts its work into such jobs as it goes.
+A walk is given as a job (cells, corners, l): it visits the staircases of
+size l that contain that staircase.  :func:`_origin` makes the job of a
+whole level, and :func:`_descend` walks a job; these two are the only
+places that make or take a job apart.  A budgeted walk, as in the
+budgeted subtrees of Avis and Jordan's mts and mplrs (arXiv:1709.07605,
+arXiv:1610.07735), enters no more children above size l once it has
+visited its budget of staircases, and returns each one instead, as a job
+of the same shape.  The scan cuts its work into such jobs as it goes.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterator
 
 from .monomials import (
     Exponent,
@@ -101,8 +103,12 @@ class EnumFilter:
 
 
 #: a staircase of the walk as its visit sees it: its cells, its corners and
-#: its largest cell, whose first coordinate is m1 - 1
-Visit = Callable[[set[Exponent], tuple[Exponent, ...], Exponent], None]
+#: its m1, the exponent of its pure x1 power
+Visit = Callable[[set[Exponent], tuple[Exponent, ...], int], None]
+
+#: a walk to do: the cells and corners of a staircase, and the size l that
+#: the walk descends to
+Job = tuple[Collection[Exponent], Collection[Exponent], int]
 
 
 @lru_cache(maxsize=64)
@@ -133,10 +139,10 @@ def _support(e: Exponent) -> int:
     return sum(1 << t for t, x in enumerate(e) if x)
 
 
-def _descend(nvars: int, cells, corners, l: int, visit: Visit,
-             budget: int | None = None) -> list[tuple[list[Exponent], tuple[Exponent, ...]]]:
-    """Walk the Borel staircases of size l that contain the given one, its
-    cells and corners given as any collections, calling ``visit`` at each;
+def _descend(nvars: int, job: Job, visit: Visit, budget: int | None = None) -> list[Job]:
+    """Walk a job (cells, corners, l), its cells and corners given as any
+    collections: call ``visit`` with the cells, corners and m1 of each
+    Borel staircase of size l that contains the job's staircase, and
     return the children handed back as jobs.
 
     The walk updates one cell set, its packed codes and its corners (a
@@ -144,8 +150,9 @@ def _descend(nvars: int, cells, corners, l: int, visit: Visit,
     restores them on the way back, so a visit that keeps the cells must
     copy them.  With a ``budget``, once ``budget`` staircases of size l
     have been visited, a child above size l is no longer entered but
-    handed back as (cells, corners); with none, nothing is.
+    handed back as the job (cells, corners, l); with none, nothing is.
     """
+    cells, corners, l = job
     if l < len(cells):
         raise ValueError(f"a staircase of {len(cells)} cells lies below size {l}")
     weights, moves, grows = _tables(nvars, l + 1)
@@ -160,7 +167,7 @@ def _descend(nvars: int, cells, corners, l: int, visit: Visit,
         # ``top``, and lies ``levels`` cells short of size l
         nonlocal left
         if not levels:
-            visit(cells, tuple([e for e, _mask in corners.values()]), last)
+            visit(cells, tuple([e for e, _mask in corners.values()]), last[0] + 1)
             left -= 1
             return
         levels -= 1
@@ -188,7 +195,7 @@ def _descend(nvars: int, cells, corners, l: int, visit: Visit,
                     new.append(c + step)
                     corners[c + step] = (e[:t] + (e[t] + 1,) + e[t + 1:], grown)
             if levels and left <= 0:
-                jobs.append((list(cells), tuple([g for g, _mask in corners.values()])))
+                jobs.append((list(cells), tuple([g for g, _mask in corners.values()]), l))
             else:
                 walk(c, e, levels)
             for w in new:
@@ -207,11 +214,11 @@ def _descend(nvars: int, cells, corners, l: int, visit: Visit,
     return jobs
 
 
-def _origin(nvars: int) -> tuple[list[Exponent], list[Exponent]]:
-    """The cells and corners of the one-cell staircase, where every walk
-    starts: the cell 0, whose corners are the unit vectors."""
+def _origin(nvars: int, l: int) -> Job:
+    """The job of the whole level l: the one-cell staircase, where every
+    walk starts, whose one cell 0 has the unit vectors for corners."""
     origin = (0,) * nvars
-    return [origin], [origin[:t] + (1,) + origin[t + 1:] for t in range(nvars)]
+    return [origin], [origin[:t] + (1,) + origin[t + 1:] for t in range(nvars)], l
 
 
 def _walk_level(nvars: int, l: int, visit: Visit) -> None:
@@ -219,15 +226,7 @@ def _walk_level(nvars: int, l: int, visit: Visit) -> None:
     staircase."""
     if nvars < 1 or l < 1:
         raise ValueError("need nvars >= 1 and l >= 1")
-    _descend(nvars, *_origin(nvars), l, visit)
-
-
-def _level(nvars: int, l: int) -> list[tuple[frozenset[Exponent], tuple[Exponent, ...]]]:
-    """(cells, corners) of every Borel staircase of size l, in walk order."""
-    nodes = []
-    _walk_level(nvars, l, lambda cells, corners, _top:
-                nodes.append((frozenset(cells), corners)))
-    return nodes
+    _descend(nvars, _origin(nvars, l), visit)
 
 
 def iter_staircase_levels(nvars: int, max_colength: int) -> Iterator[tuple[int, list[frozenset[Exponent]]]]:
@@ -239,7 +238,9 @@ def iter_staircase_levels(nvars: int, max_colength: int) -> Iterator[tuple[int, 
     if nvars < 1 or max_colength < 1:
         raise ValueError("need nvars >= 1 and max_colength >= 1")
     for l in range(1, max_colength + 1):
-        yield l, [cells for cells, _corners in _level(nvars, l)]
+        level: list[frozenset[Exponent]] = []
+        _walk_level(nvars, l, lambda cells, _corners, _m1: level.append(frozenset(cells)))
+        yield l, level
 
 
 def _canonical(nvars: int, nodes) -> list[tuple[MonomialIdeal, object]]:
@@ -284,7 +285,7 @@ def enumerate_strongly_stable(nvars: int, l: int,
         raise ValueError(
             f"num_generators filter {filt.num_generators} is below nvars={nvars}")
     nodes = []
-    _walk_level(nvars, l, lambda _cells, corners, top: nodes.append((top[0] + 1, corners)))
+    _walk_level(nvars, l, lambda _cells, corners, m1: nodes.append((m1, corners)))
     emitted = 0
     for ideal, m1 in _canonical(nvars, nodes):
         if filt.m1 is not None and m1 != filt.m1:
@@ -302,7 +303,7 @@ def count_strongly_stable(nvars: int, l: int) -> int:
     the walk without holding any level."""
     count = 0
 
-    def tally(_cells, _corners, _top):
+    def tally(_cells, _corners, _m1):
         nonlocal count
         count += 1
 

@@ -128,9 +128,10 @@ def k_of_l(nvars: int, l: int) -> tuple[int, int]:
     return k, l - tetrahedral(nvars, k)
 
 
-def _minimal_gens(nvars: int, gens, strict: bool) -> tuple[tuple[Exponent, ...], int]:
-    """Validated generators in canonical order, and how many were dropped
-    as multiples of others; ``strict`` raises on such a multiple instead."""
+def _minimal_gens(nvars: int, gens) -> tuple[tuple[Exponent, ...], tuple[Exponent, Exponent] | None]:
+    """The validated antichain of the minimal ``gens``, in canonical order,
+    and the first (divisor, multiple) pair whose multiple it dropped, or
+    None when ``gens`` held no multiple of another generator."""
     if nvars < 1:
         raise ValueError("nvars must be >= 1")
     uniq = _canonical_order({tuple(map(index, g)) for g in gens})
@@ -146,17 +147,15 @@ def _minimal_gens(nvars: int, gens, strict: bool) -> tuple[tuple[Exponent, ...],
     # divisor of g has a smaller degree and sits before g, and a dropped
     # divisor has a kept one of its own
     keep = []
+    dropped = None
     for g in uniq:
         for h in keep:
             if all(map(le, h, g)):
-                if strict:
-                    raise ValueError(
-                        f"generators are not an antichain: {h} divides {g}; "
-                        "use MonomialIdeal.from_generators to minimalize")
+                dropped = dropped or (h, g)
                 break
         else:
             keep.append(g)
-    return tuple(keep), len(uniq) - len(keep)
+    return tuple(keep), dropped
 
 
 @dataclass(frozen=True)
@@ -173,13 +172,17 @@ class MonomialIdeal:
     gens: tuple[Exponent, ...]
 
     def __post_init__(self) -> None:
-        gens, _ = _minimal_gens(self.nvars, self.gens, strict=True)
+        gens, dropped = _minimal_gens(self.nvars, self.gens)
+        if dropped:
+            raise ValueError(
+                "generators are not an antichain: {} divides {}; "
+                "use MonomialIdeal.from_generators to minimalize".format(*dropped))
         object.__setattr__(self, "gens", gens)
 
     @classmethod
     def from_generators(cls, nvars: int, gens, warn: bool = False) -> "MonomialIdeal":
         """Build the ideal generated by ``gens``, dropping redundant ones."""
-        gens, dropped = _minimal_gens(nvars, gens, strict=False)
+        gens, dropped = _minimal_gens(nvars, gens)
         if warn and dropped:
             warnings.warn("generator list was not minimal; redundant generators dropped",
                           RedundantGeneratorWarning, stacklevel=2)
@@ -258,12 +261,9 @@ class StandardSet:
                     f"cell {c} has length {len(c)}, expected {self.nvars}")
             if min(c) < 0:
                 raise InvalidStaircaseError(f"negative exponent in cell {c}")
-            for t in range(self.nvars):
-                if c[t] > 0:
-                    below = c[:t] + (c[t] - 1,) + c[t + 1:]
-                    if below not in cells:
-                        raise InvalidStaircaseError(
-                            f"not divisor-closed: {c} present but {below} missing")
+            if not _divisors_in(self.nvars, cells, c):
+                raise InvalidStaircaseError(
+                    f"not divisor-closed: {c} present but one of its divisors missing")
         object.__setattr__(self, "cells", cells)
 
     @classmethod
@@ -359,8 +359,9 @@ def minimal_generators(staircase: StandardSet) -> MonomialIdeal:
     Inverse of :func:`standard_set`: round-trips exactly.  The empty
     staircase yields the unit ideal, generated by (0, ..., 0).
     """
+    # the corners of a divisor-closed set are an antichain
     gens = _gens_from_cells(staircase.nvars, staircase.cells)
-    return MonomialIdeal(staircase.nvars, gens)
+    return MonomialIdeal._trusted(staircase.nvars, tuple(_canonical_order(gens)))
 
 
 def pure_power_profile(ideal: MonomialIdeal) -> PurePowerProfile:
@@ -469,15 +470,10 @@ def _generator(text: str) -> tuple[tuple[tuple[int, int], ...], bool, int]:
     return tuple((idx - 1, e) for idx, e in sorted(exps.items())), alias_used, max(exps, default=1)
 
 
-def parse_ideal(text: str, nvars: int | None = None) -> MonomialIdeal:
-    """Parse the ideal text grammar.
-
-    Generators separated by ',', factors by '*', factor = VAR or VAR^INT.
-    VAR is x1..xN, with aliases x,y,z,w for the first four variables when
-    N <= 4.  Whitespace is ignored.  When ``nvars`` is omitted it is
-    inferred as the largest variable index used.  A non-minimal generator
-    list is minimalized with a RedundantGeneratorWarning.
-    """
+def _read_ideal(text: str, nvars: int | None) -> tuple[int, list[Exponent]]:
+    """The grammar of :func:`parse_ideal`: the ring size (``nvars``, or
+    the largest variable index used) and the generators as written, not
+    yet minimalized."""
     stripped = "".join(text.split())
     if not stripped:
         raise IdealSyntaxError("empty ideal text")
@@ -499,7 +495,19 @@ def parse_ideal(text: str, nvars: int | None = None) -> MonomialIdeal:
         for t, e in exps:
             g[t] = e
         gens.append(tuple(g))
-    return MonomialIdeal.from_generators(n, gens, warn=True)
+    return n, gens
+
+
+def parse_ideal(text: str, nvars: int | None = None) -> MonomialIdeal:
+    """Parse the ideal text grammar.
+
+    Generators separated by ',', factors by '*', factor = VAR or VAR^INT.
+    VAR is x1..xN, with aliases x,y,z,w for the first four variables when
+    N <= 4.  Whitespace is ignored.  When ``nvars`` is omitted it is
+    inferred as the largest variable index used.  A non-minimal generator
+    list is minimalized with a RedundantGeneratorWarning.
+    """
+    return MonomialIdeal.from_generators(*_read_ideal(text, nvars), warn=True)
 
 
 def ideal_to_json(ideal: MonomialIdeal) -> dict:

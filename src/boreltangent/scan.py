@@ -7,15 +7,15 @@ colength and keeps the maximum and *all* attaining ideals per m1 class
 
 The work goes out as jobs of the reverse-search walk of
 :mod:`.enumeration`, in the job model of mts and mplrs (Avis and Jordan,
-arXiv:1709.07605 and arXiv:1610.07735).  A job is (cells, corners, l): it
-walks the subtree of that staircase down to size l and runs the tangent
-kernel at every staircase there, on the corners the walk carries, until it
-has run it at ``JOB_BUDGET`` of them.  It returns, per m1 class, the
-count, the maximum and the staircases attaining it, and the children it
-did not enter as new jobs.  Each colength starts as one job from the
-one-cell staircase.  The parent counts the jobs outstanding per colength,
-and a colength is merged, cached and counted as completed when its count
-reaches zero.
+arXiv:1709.07605 and arXiv:1610.07735); that module alone makes jobs and
+takes them apart.  Running a job walks its subtree and runs the tangent
+kernel at every staircase of its colength, on the corners the walk
+carries, until it has run it at ``JOB_BUDGET`` of them.  It returns, per
+m1 class, the count, the maximum and the staircases attaining it, and the
+children the walk did not enter as new jobs.  Each colength starts as the
+one job of its whole level.  The parent counts the jobs outstanding per
+colength, and a colength is merged, cached and counted as completed when
+its count reaches zero.
 
 Every job is alike, and the worker count alone decides where jobs run.
 At one worker the parent runs them itself, in process, and never starts a
@@ -40,21 +40,13 @@ import queue
 import sys
 import threading
 import time
-import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .enumeration import _canonical, _descend, _origin
-from .monomials import (
-    MonomialIdeal,
-    RedundantGeneratorWarning,
-    format_ideal,
-    k_of_l,
-    parse_ideal,
-    tetrahedral,
-)
+from .monomials import MonomialIdeal, _read_ideal, format_ideal, k_of_l, tetrahedral
 from .published_table import TABLE_LMAX, TABLE_LMIN, expected_cells
 from .tangent import _total
 
@@ -98,8 +90,9 @@ class ScanKey:
     m1: int
 
     def __post_init__(self) -> None:
-        if self.nvars < 1 or self.l < 1 or self.m1 < 1:
-            raise ValueError("ScanKey fields must be >= 1")
+        for name, value in (("nvars", self.nvars), ("colength", self.l), ("m1", self.m1)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -167,16 +160,15 @@ def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
     merged: dict[int, list] = {}
     try:
         text = _cache_file(cache_dir, nvars, l).read_bytes().decode("utf-8")
-        with warnings.catch_warnings():
-            # a text that is not minimal does not write back, so is refused
-            warnings.simplefilter("ignore", RedundantGeneratorWarning)
-            for m1, line in zip(sorted(_m1_classes(nvars, l)), text.splitlines(), strict=True):
-                obj = json.loads(line)
-                # only the generators are kept: the texts written back are
-                # formatted afresh by _records' ideals, never taken from the file
-                merged[m1] = [operator.index(obj["ideal_count"]), operator.index(obj["t_max"]),
-                              {parse_ideal(t, nvars=nvars).gens for t in obj["argmax"]}]
-                elapsed = float(obj["elapsed"])
+        for m1, line in zip(sorted(_m1_classes(nvars, l)), text.splitlines(), strict=True):
+            obj = json.loads(line)
+            # only the generators are kept: the texts written back are
+            # formatted afresh by _records' ideals, never taken from the
+            # file, so a text that is not minimal does not write back
+            merged[m1] = [operator.index(obj["ideal_count"]), operator.index(obj["t_max"]),
+                          {MonomialIdeal.from_generators(*_read_ideal(t, nvars)).gens
+                           for t in obj["argmax"]}]
+            elapsed = float(obj["elapsed"])
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None
     records = _records(nvars, l, merged, elapsed)
@@ -213,22 +205,20 @@ def _fold(stats: dict[int, list], m1: int, count: int, total: int, argmax: list)
 
 
 def _job(nvars: int, job, deadline: float | None = None) -> tuple[int, dict[int, list], list]:
-    """Run one job (cells, corners, l): walk the staircase's subtree down to
-    size l and run the kernel at every staircase there, stopping once it
-    has run at ``JOB_BUDGET`` of them.  Returns (l, {m1:
-    [count, t_max, the argmax staircases' corner tuples]}, the children not
-    entered as new jobs).  Raises multiprocessing.TimeoutError past a
-    ``time.monotonic()`` deadline.  Module-level so that pool workers can
-    unpickle it."""
-    cells, corners, l = job
+    """Run one job of the walk (see :func:`.enumeration._descend`): run the
+    kernel at every staircase of its colength l in its subtree, stopping
+    once it has run at ``JOB_BUDGET`` of them.  Returns (l, {m1: [count,
+    t_max, the argmax staircases' corner tuples]}, the jobs handed back).
+    Raises multiprocessing.TimeoutError past a ``time.monotonic()``
+    deadline.  Module-level so that pool workers can unpickle it."""
     stats: dict[int, list] = {}
 
-    def visit(cells, gens, top):
+    def visit(cells, gens, m1):
         if deadline is not None and time.monotonic() > deadline:
             raise multiprocessing.TimeoutError
-        _fold(stats, top[0] + 1, 1, _total(gens, cells), [gens])
+        _fold(stats, m1, 1, _total(gens, cells), [gens])
 
-    return l, stats, [(c, g, l) for c, g in _descend(nvars, cells, corners, l, visit, JOB_BUDGET)]
+    return job[2], stats, _descend(nvars, job, visit, JOB_BUDGET)
 
 
 def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dict[int, ScanRecord]:
@@ -276,7 +266,7 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
 
     # the jobs not yet run, popped from the end: each colength's root, in
     # ascending colength, then the jobs handed back
-    jobs = [(*_origin(nvars), l) for l in reversed(pending)]
+    jobs = [_origin(nvars, l) for l in reversed(pending)]
     outstanding = Counter(pending)
     merged: dict[int, dict[int, list]] = {l: {} for l in pending}
     # the pool's callbacks put each job's result, or its error, here

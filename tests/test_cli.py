@@ -450,6 +450,16 @@ def test_scan_of_fewer_than_one_variable_exits_1(capsys, tmp_path, argv):
     assert (code, out, err) == (1, "", "error: nvars must be >= 1\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--vars", "3", "--l", "10", "--m1", "0"], "m1 must be >= 1"),
+    (["--vars", "3", "--l", "0", "--m1", "2"], "colength must be >= 1"),
+    (["--vars", "0", "--l", "5", "--m1", "1"], "nvars must be >= 1"),
+])
+def test_scan_of_one_class_refuses_each_field_by_name(capsys, argv, message):
+    code, out, err = run(capsys, "scan", *argv, "--no-cache")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [["tangent", "--ideal", ""],
                                   ["graded", "--ideal", "", "--alpha", "0"]])
 def test_empty_ideal_text_exit_2(capsys, argv):

@@ -21,7 +21,6 @@ from boreltangent.enumeration import (
     EnumFilter,
     _canonical,
     _descend,
-    _level,
     _origin,
     _support,
     _tables,
@@ -41,6 +40,13 @@ from boreltangent.monomials import (
     parse_ideal,
     standard_set,
 )
+
+
+def _level(nvars, l):
+    """(cells, corners) of every Borel staircase of size l, in walk order."""
+    nodes = []
+    _walk_level(nvars, l, lambda cells, corners, _m1: nodes.append((frozenset(cells), corners)))
+    return nodes
 
 
 def test_single_point():
@@ -83,11 +89,11 @@ def _children(nvars, cells):
     """The walk's children of a staircase with their carried corners."""
     found = {}
 
-    def keep(child, corners, top):
-        assert top == max(child)
+    def keep(child, corners, m1):
+        assert m1 == max(child)[0] + 1
         found[frozenset(child)] = set(corners)
 
-    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), len(cells) + 1, keep)
+    _descend(nvars, (cells, minimal_exponents_outside(cells, nvars), len(cells) + 1), keep)
     return found
 
 
@@ -148,17 +154,17 @@ def test_walk_at_the_edge_of_its_radix(l):
     cells = frozenset((0, 0, k) for k in range(l - 1))
     found = {}
 
-    def keep(child, corners, top):
-        found[frozenset(child)] = (set(corners), top)
+    def keep(child, corners, m1):
+        found[frozenset(child)] = (set(corners), m1)
 
-    _descend(nvars, cells, minimal_exponents_outside(cells, nvars), l, keep)
+    _descend(nvars, (cells, minimal_exponents_outside(cells, nvars), l), keep)
     expected = {grown for grown in one_cell_extensions(cells, nvars)
                 if largest_removable_cell(grown, nvars) == next(iter(grown - cells))}
     assert set(found) == expected
     assert cells | {(0, 0, l - 1)} in found
-    for child, (carried, top) in found.items():
+    for child, (carried, m1) in found.items():
         assert is_order_ideal(child, nvars) and is_borel_staircase(child, nvars)
-        assert top == max(child)
+        assert m1 == max(child)[0] + 1
         assert carried == minimal_exponents_outside(child, nvars)
     assert (0, 0, l) in found[cells | {(0, 0, l - 1)}][0]
 
@@ -167,14 +173,14 @@ def test_descend_refuses_a_target_below_the_staircase():
     # the walk's radix l + 1 holds the digits of staircases of at most l cells
     cells = {(0, 0), (0, 1), (1, 0)}
     with pytest.raises(ValueError):
-        _descend(2, cells, minimal_exponents_outside(cells, 2), 2, print)
+        _descend(2, (cells, minimal_exponents_outside(cells, 2), 2), print)
 
 
 def test_descend_calls_share_the_walk_tables():
     # the tables of one radix are built once and shared, so immutable
-    _descend(3, *_origin(3), 6, lambda *_: None)
+    _descend(3, _origin(3, 6), lambda *_: None)
     hits = _tables.cache_info().hits
-    _descend(3, *_origin(3), 6, lambda *_: None)
+    _descend(3, _origin(3, 6), lambda *_: None)
     assert _tables.cache_info().hits == hits + 1
     tables = _tables(3, 7)
     assert tables is _tables(3, 7)
@@ -193,18 +199,19 @@ def test_budgeted_walk_hands_back_children_with_their_corners(budget):
     nvars, l = 3, 12
     visited = []
 
-    def keep(cells, _corners, _top):
+    def keep(cells, _corners, _m1):
         visited.append(frozenset(cells))
 
-    jobs = _descend(nvars, *_origin(nvars), l, keep, budget)
+    jobs = _descend(nvars, _origin(nvars, l), keep, budget)
     assert budget <= len(visited) < budget + l
     assert jobs
     rest = []
-    for cells, corners in jobs:
+    for job in jobs:
+        cells, corners, size = job
+        assert size == l
         assert len(cells) < l and is_borel_staircase(set(cells), nvars)
         assert set(corners) == minimal_exponents_outside(set(cells), nvars)
-        assert not _descend(nvars, cells, corners, l,
-                            lambda cells, *_: rest.append(frozenset(cells)))
+        assert not _descend(nvars, job, lambda cells, *_: rest.append(frozenset(cells)))
     met = visited + rest
     assert len(met) == len(set(met))
     assert set(met) == {cells for cells, _corners in _level(nvars, l)}
@@ -219,10 +226,10 @@ def test_job_split_meets_each_staircase_once(nvars, l, budget):
     # meet each staircase of the level once; a walk hands back jobs only
     # once it has visited its budget of staircases
     met = []
-    todo = [_origin(nvars)]
+    todo = [_origin(nvars, l)]
     while todo:
         visited = []
-        jobs = _descend(nvars, *todo.pop(), l, lambda cells, *_: visited.append(frozenset(cells)),
+        jobs = _descend(nvars, todo.pop(), lambda cells, *_: visited.append(frozenset(cells)),
                         budget)
         assert len(visited) >= budget or not jobs
         met += visited
@@ -263,7 +270,7 @@ def test_walk_meets_a_staircase_once_with_its_corners(staircase):
     nvars, cells = staircase.nvars, staircase.cells
     met = []
 
-    def keep(node, corners, _top):
+    def keep(node, corners, _m1):
         if node == cells:
             met.append(set(corners))
 
@@ -341,36 +348,51 @@ def test_deterministic_stream():
     assert first == sorted(first)
 
 
-def _check_decorated(nvars, item):
-    """sorted_level builds no ideal: its generators and text must equal
-    those of the validated ideal of the definition-level corners."""
-    text, gens, cells = item
-    ideal = MonomialIdeal(nvars, tuple(minimal_exponents_outside(cells, nvars)))
-    assert gens == ideal.gens
-    assert text == format_ideal(ideal)
+def _validated(nvars, cells):
+    """The validated ideal of the definition-level corners of a staircase."""
+    return MonomialIdeal(nvars, tuple(minimal_exponents_outside(cells, nvars)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(staircases())
 @example(StandardSet(1, frozenset()))
 @example(StandardSet(5, frozenset()))
-def test_sorted_level_matches_validated_ideal(staircase):
-    [item] = sorted_level(staircase.nvars, [staircase.cells])
-    assert item[2] is staircase.cells
-    _check_decorated(staircase.nvars, item)
+def test_canonical_matches_validated_ideal(staircase):
+    # _canonical builds its ideals unchecked: their generators and text
+    # must equal those of the validated ideal, and the payload passes through
+    nvars, cells = staircase.nvars, staircase.cells
+    [(ideal, payload)] = _canonical(nvars, [(cells, _gens_from_cells(nvars, cells))])
+    assert payload is cells
+    expected = _validated(nvars, cells)
+    assert ideal.gens == expected.gens
+    assert format_ideal(ideal) == format_ideal(expected)
 
 
 @pytest.mark.parametrize("nvars,l", [(3, 9), (4, 8)])
-def test_sorted_level_whole_level(nvars, l):
-    level = dict(iter_staircase_levels(nvars, l))[l]
-    decorated = sorted_level(nvars, level)
-    assert decorated == [(format_ideal(ideal), ideal.gens, cells)
-                         for ideal, cells in _canonical(nvars, _level(nvars, l))]
-    assert {cells for _t, _g, cells in decorated} == set(level)
-    texts = [text for text, _g, _c in decorated]
+def test_stream_is_the_validated_ideals_in_text_order(nvars, l):
+    # the stream's generators and texts are those of the validated ideals
+    # of every staircase of the level, in strictly increasing text order
+    stream = [(format_ideal(ideal), ideal.gens) for ideal in enumerate_strongly_stable(nvars, l)]
+    expected = [_validated(nvars, cells) for cells, _corners in _level(nvars, l)]
+    assert stream == sorted((format_ideal(ideal), ideal.gens) for ideal in expected)
+    texts = [text for text, _gens in stream]
     assert all(a < b for a, b in zip(texts, texts[1:]))
-    for item in decorated:
-        _check_decorated(nvars, item)
+
+
+def test_iter_staircase_levels_smoke():
+    # the benchmark's level shim yields each level's staircases once, those
+    # of the stream
+    for l, level in iter_staircase_levels(3, 9):
+        assert len(level) == len(set(level))
+        assert set(level) == {standard_set(ideal).cells for ideal in enumerate_strongly_stable(3, l)}
+
+
+def test_sorted_level_smoke():
+    # the benchmark's sort shim gives the stream's order, generators and
+    # texts, each beside the staircase it was given
+    level = [cells for cells, _corners in _level(4, 8)]
+    assert sorted_level(4, level[::-1]) == [(format_ideal(ideal), ideal.gens, standard_set(ideal).cells)
+                                            for ideal in enumerate_strongly_stable(4, 8)]
 
 
 @pytest.mark.parametrize("nvars,l", [(3, 12), (4, 9)])

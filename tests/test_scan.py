@@ -15,8 +15,8 @@ import pytest
 
 from boreltangent import scan
 from boreltangent.enumeration import (
-    _level,
     _origin,
+    _walk_level,
     count_strongly_stable,
     enumerate_strongly_stable,
 )
@@ -50,9 +50,9 @@ from boreltangent.tangent import tangent_dimension
 
 
 def test_scan_key_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^colength must be >= 1$"):
         ScanKey(3, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m1 must be >= 1$"):
         ScanKey(3, 5, 0)
 
 
@@ -382,6 +382,18 @@ def test_cache_rejects_argmax_texts_out_of_canonical_form(tmp_path, edit):
     assert path.read_text() != edited
 
 
+def test_a_cache_read_leaves_the_warning_filters_alone(tmp_path):
+    # under the "default" action a warning shows once per call site; a
+    # cache read that edited the process's filters would show it again
+    scan_colength(3, 9, cache_dir=tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(3):
+            parse_ideal("x,x^2,y,z")
+            scan_colength(3, 9, cache_dir=tmp_path)
+    assert [w.category for w in caught] == [RedundantGeneratorWarning]
+
+
 # scan-N3-l8.jsonl as the writer of the first schema-1 release wrote it
 N3_L8_LINES = [
     '{"schema_version": 1, "nvars": 3, "l": 8, "m1": 1, "ideal_count": 6, "t_max": 24, '
@@ -479,7 +491,7 @@ def _slow_pool_jobs(monkeypatch, seconds):
 
 def _spilled(nvars, l):
     """The jobs the root job of a colength hands back."""
-    return _job(nvars, (*_origin(nvars), l))[2]
+    return _job(nvars, _origin(nvars, l))[2]
 
 
 def test_budget_breach_does_not_drain_the_pool(monkeypatch):
@@ -643,7 +655,7 @@ def test_jobs_cover_each_level_once(monkeypatch, budget):
     monkeypatch.setattr(scan, "_total", lambda gens, cells: met.append(frozenset(cells)) or 0)
     for l in (5, 9, 20):
         met.clear()
-        todo = [(*_origin(3), l)]
+        todo = [_origin(3, l)]
         while todo:
             job = todo.pop()
             assert len(job[0]) < l
@@ -652,7 +664,9 @@ def test_jobs_cover_each_level_once(monkeypatch, budget):
             assert scanned >= budget or not new
             todo.extend(new)
         assert len(met) == len(set(met))
-        assert set(met) == {cells for cells, _corners in _level(3, l)}
+        level = []
+        _walk_level(3, l, lambda cells, _corners, _m1: level.append(frozenset(cells)))
+        assert set(met) == set(level)
     monkeypatch.undo()
     # through the scan, at every worker count: the small budgets are what
     # split these levels into several jobs, the default budget never does
