@@ -90,11 +90,9 @@ def _float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
 
 
-def _parse_alpha(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(map(_int, text.split(",")))
-    except argparse.ArgumentTypeError:
-        raise _UsageError(f"bad --alpha {text!r}; expected comma-separated integers")
+def _alpha(text: str) -> tuple[int, ...]:
+    """A degree: comma-separated integers, each read by :func:`_int`."""
+    return tuple(map(_int, text.split(",")))
 
 
 def _stdout_to_devnull() -> None:
@@ -105,33 +103,9 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
-def _cache_dir(args):
-    if args.no_cache:
-        return None
-    return args.cache or os.environ.get(CACHE_ENV_VAR) or None
-
-
 def _scan_kwargs(args) -> dict:
-    return {
-        "workers": args.workers,
-        "cache_dir": _cache_dir(args),
-        "budget_seconds": args.budget_seconds,
-    }
-
-
-def _add_scan_flags(sub) -> None:
-    sub.add_argument("--workers", type=_int, default=1, help="parallel workers (default 1)")
-    sub.add_argument("--cache", metavar="DIR",
-                     help=f"results cache directory (default: ${CACHE_ENV_VAR})")
-    sub.add_argument("--no-cache", action="store_true", help="disable the cache")
-    sub.add_argument("--budget-seconds", type=_float, default=None, metavar="S",
-                     help="per-colength wall-clock budget, the staircase walk included; "
-                          "with several workers each wait for a job is bounded by it; "
-                          "S >= 0, and inf sets no bound")
-
-
-def _add_format_flag(sub, choices=("text", "json")) -> None:
-    sub.add_argument("--format", choices=choices, default="text")
+    cache = None if args.no_cache else args.cache or os.environ.get(CACHE_ENV_VAR) or None
+    return {"workers": args.workers, "cache_dir": cache, "budget_seconds": args.budget_seconds}
 
 
 def build_parser() -> _Parser:
@@ -139,80 +113,63 @@ def build_parser() -> _Parser:
                      description="Strongly stable ideals and Hilbert-scheme "
                                  "tangent space dimensions.")
     subs = parser.add_subparsers(dest="command", required=True)
+    # flag groups, each declared once and shared as argparse parents
+    ideal, alpha, colength, scan = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    ideal.add_argument("--vars", type=_int, default=None)
+    ideal.add_argument("--ideal", required=True)
+    alpha.add_argument("--alpha", type=_alpha, required=True,
+                       help="comma-separated degree, e.g. 0,2,-3")
+    colength.add_argument("--vars", type=_int, required=True)
+    colength.add_argument("--l", type=_int, required=True)
+    scan.add_argument("--workers", type=_int, default=1, help="parallel workers (default 1)")
+    scan.add_argument("--cache", metavar="DIR",
+                      help=f"results cache directory (default: ${CACHE_ENV_VAR})")
+    scan.add_argument("--no-cache", action="store_true", help="disable the cache")
+    scan.add_argument("--budget-seconds", type=_float, default=None, metavar="S",
+                      help="per-colength wall-clock budget, the staircase walk included; "
+                           "with several workers each wait for a job is bounded by it; "
+                           "S >= 0, and inf sets no bound")
 
-    p = subs.add_parser("enumerate", help="list strongly stable ideals "
-                        "of a colength in canonical order")
-    p.add_argument("--vars", type=_int, required=True)
-    p.add_argument("--l", type=_int, required=True)
+    def command(name, func, help, parents, formats=("text", "json")):
+        p = subs.add_parser(name, help=help, parents=parents)
+        p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("enumerate", _cmd_enumerate, "list strongly stable ideals "
+                "of a colength in canonical order", [colength], formats=("text", "jsonl"))
     p.add_argument("--m1", type=_int, default=None, help="restrict to pure x1 exponent")
     p.add_argument("--gens", type=_int, default=None, help="restrict to generator count")
     p.add_argument("--max-results", type=_int, default=None)
-    _add_format_flag(p, choices=("text", "jsonl"))
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = subs.add_parser("tangent", help="T(I), zero rank, and the graded report")
-    p.add_argument("--vars", type=_int, default=None)
-    p.add_argument("--ideal", required=True)
+    p = command("tangent", _cmd_tangent, "T(I), zero rank, and the graded report", [ideal])
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the exact matrix oracle")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_tangent)
 
-    p = subs.add_parser("graded", help="dimension of one graded piece of T(I)")
-    p.add_argument("--vars", type=_int, default=None)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--alpha", required=True, help="comma-separated degree, e.g. 0,2,-3")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_graded)
+    command("graded", _cmd_graded, "dimension of one graded piece of T(I)", [ideal, alpha])
 
-    p = subs.add_parser("region", help="grid-region slice at one degree (N=3)")
-    p.add_argument("--vars", type=_int, default=None)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--alpha", required=True)
+    p = command("region", _cmd_region, "grid-region slice at one degree (N=3)", [ideal, alpha])
     p.add_argument("--size-filter", type=_int, default=None)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_region)
 
-    p = subs.add_parser("scan", help="T_max and argmax ideals per m1 class")
-    p.add_argument("--vars", type=_int, required=True)
-    p.add_argument("--l", type=_int, required=True)
+    p = command("scan", _cmd_scan, "T_max and argmax ideals per m1 class",
+                [colength, scan], formats=("text", "json", "csv"))
     p.add_argument("--m1", type=_int, default=None, help="single class (default: all)")
     p.add_argument("--verify", action="store_true",
                    help="re-check argmax ideals with the matrix oracle")
-    _add_scan_flags(p)
-    _add_format_flag(p, choices=("text", "json", "csv"))
-    p.set_defaults(func=_cmd_scan)
 
-    p = subs.add_parser("table", help="recompute the published N=3 T_max table "
-                        "and report PASS/FAIL per cell")
+    p = command("table", _cmd_table, "recompute the published N=3 T_max table "
+                "and report PASS/FAIL per cell", [scan], formats=("text", "json", "csv"))
     p.add_argument("--lmin", type=_int, default=TABLE_LMIN)
     p.add_argument("--lmax", type=_int, default=TABLE_LMAX)
-    _add_scan_flags(p)
-    _add_format_flag(p, choices=("text", "json", "csv"))
-    p.set_defaults(func=_cmd_table)
 
-    p = subs.add_parser("check-monotonic", help="is T_max increasing in m1?")
-    p.add_argument("--vars", type=_int, required=True)
-    p.add_argument("--l", type=_int, required=True)
-    _add_scan_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_check_monotonic)
-
-    p = subs.add_parser("check-necessary", help="does the global argmax have m1 = k?")
-    p.add_argument("--vars", type=_int, required=True)
-    p.add_argument("--l", type=_int, required=True)
-    _add_scan_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_check_necessary)
-
-    p = subs.add_parser("check-tetrahedral", help="does m^k attain the maximum "
-                        "at the tetrahedral colength?")
+    command("check-monotonic", _cmd_check_monotonic, "is T_max increasing in m1?",
+            [colength, scan])
+    command("check-necessary", _cmd_check_necessary, "does the global argmax have m1 = k?",
+            [colength, scan])
+    p = command("check-tetrahedral", _cmd_check_tetrahedral, "does m^k attain the maximum "
+                "at the tetrahedral colength?", [scan])
     p.add_argument("--vars", type=_int, required=True)
     p.add_argument("--k", type=_int, required=True)
-    _add_scan_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_check_tetrahedral)
-
     return parser
 
 
@@ -243,11 +200,10 @@ def _cmd_tangent(args) -> int:
 
 def _cmd_graded(args) -> int:
     ideal = parse_ideal(args.ideal, nvars=args.vars)
-    alpha = _parse_alpha(args.alpha)
-    dim = graded_dimension(ideal, alpha)
+    dim = graded_dimension(ideal, args.alpha)
     if args.format == "json":
         print(json.dumps({"ideal": ideal_to_json(ideal),
-                          "alpha": list(alpha), "dim": dim}))
+                          "alpha": list(args.alpha), "dim": dim}))
     else:
         print(dim)
     return EXIT_OK
@@ -255,8 +211,7 @@ def _cmd_graded(args) -> int:
 
 def _cmd_region(args) -> int:
     ideal = parse_ideal(args.ideal, nvars=args.vars)
-    alpha = _parse_alpha(args.alpha)
-    slc = region_slice(ideal, alpha, size_filter=args.size_filter)
+    slc = region_slice(ideal, args.alpha, size_filter=args.size_filter)
     if args.format == "text":
         print(f"alpha: {','.join(str(a) for a in slc.alpha)}")
         print(f"cells: {len(slc.cells)}")
@@ -373,9 +328,6 @@ def main(argv=None) -> int:
         # a write error still buffered must surface here, not at exit
         sys.stdout.flush()
         return code
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (IdealSyntaxError, NonArtinianIdealError, InvalidStaircaseError,
             DimensionMismatchError, UnsupportedDimensionError) as exc:
         print(f"invalid ideal input: {exc}", file=sys.stderr)

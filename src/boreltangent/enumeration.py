@@ -224,8 +224,10 @@ def _origin(nvars: int, l: int) -> Job:
 def _walk_level(nvars: int, l: int, visit: Visit) -> None:
     """Visit every Borel staircase of size l, walking from the one-cell
     staircase."""
-    if nvars < 1 or l < 1:
-        raise ValueError("need nvars >= 1 and l >= 1")
+    if nvars < 1:
+        raise ValueError("nvars must be >= 1")
+    if l < 1:
+        raise ValueError("colength must be >= 1")
     _descend(nvars, _origin(nvars, l), visit)
 
 

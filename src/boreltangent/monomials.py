@@ -245,7 +245,11 @@ class StandardSet:
     """The standard monomials of an Artinian monomial ideal.
 
     ``cells`` is divisor-closed (an order ideal in N^nvars); its size is the
-    colength of the corresponding monomial ideal.
+    colength of the corresponding monomial ideal.  A finite divisor-closed
+    set is the staircase of exactly one ideal, the one its corners
+    generate; the set keeps those generators, in canonical order, in
+    ``_gens``, outside the dataclass fields (like ``MonomialIdeal._text``),
+    so equality, hashing, repr and ``asdict`` do not see them.
     """
 
     nvars: int
@@ -265,14 +269,19 @@ class StandardSet:
                 raise InvalidStaircaseError(
                     f"not divisor-closed: {c} present but one of its divisors missing")
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_gens",
+                           tuple(_canonical_order(_gens_from_cells(self.nvars, cells))))
 
     @classmethod
-    def _trusted(cls, nvars: int, cells: frozenset[Exponent]) -> "StandardSet":
-        """The standard set of a divisor-closed frozenset of exponents,
-        built without the constructor's checks."""
+    def _trusted(cls, nvars: int, cells: frozenset[Exponent],
+                 gens: tuple[Exponent, ...]) -> "StandardSet":
+        """The standard set of a divisor-closed frozenset of exponents and
+        the generators of its ideal in canonical order, built without the
+        constructor's checks."""
         standard = object.__new__(cls)
         object.__setattr__(standard, "nvars", nvars)
         object.__setattr__(standard, "cells", cells)
+        object.__setattr__(standard, "_gens", gens)
         return standard
 
     @property
@@ -345,7 +354,7 @@ def standard_set(ideal: MonomialIdeal) -> StandardSet:
                     above.add(w)
         level = above
     # grown divisor-closed, each cell from its divisors
-    return StandardSet._trusted(nvars, frozenset(cells))
+    return StandardSet._trusted(nvars, frozenset(cells), ideal.gens)
 
 
 def colength(ideal: MonomialIdeal) -> int:
@@ -360,8 +369,7 @@ def minimal_generators(staircase: StandardSet) -> MonomialIdeal:
     staircase yields the unit ideal, generated by (0, ..., 0).
     """
     # the corners of a divisor-closed set are an antichain
-    gens = _gens_from_cells(staircase.nvars, staircase.cells)
-    return MonomialIdeal._trusted(staircase.nvars, tuple(_canonical_order(gens)))
+    return MonomialIdeal._trusted(staircase.nvars, staircase._gens)
 
 
 def pure_power_profile(ideal: MonomialIdeal) -> PurePowerProfile:

@@ -110,12 +110,13 @@ Every entry point that takes a ``standard`` argument, here and in
 holds for all of them.  Without one, the ideal's own standard set is
 computed.  A caller's set must have the ideal's number of variables
 (DimensionMismatchError), the ideal must be Artinian
-(NonArtinianIdealError), and the set must hold no generator of the ideal
-(InvalidStaircaseError).  A standard set is divisor-closed, so holding no
-generator means no cell lies in the ideal, and in particular none reaches
-a pure power.  A set strictly inside the ideal's own staircase is not
-detected: telling it apart needs a corner pass that costs about as much as
-:func:`~.monomials.standard_set` itself, so such a set gives wrong values.
+(NonArtinianIdealError), and the set must be the ideal's own staircase
+(InvalidStaircaseError).  A finite divisor-closed set is the staircase of
+exactly the ideal its corners generate, and every standard set keeps those
+generators, so one comparison with the ideal's generators, O(G), refuses
+a set that holds a generator and a set strictly inside the staircase
+alike.  A set that :func:`~.monomials.standard_set` returned carries the
+ideal's generators, so reading it runs no growth and no corner pass.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ def _cells_of(ideal: MonomialIdeal, standard: StandardSet | None) -> frozenset[E
         raise DimensionMismatchError("standard set has wrong number of variables")
     if ideal.pure_powers() is None:
         raise NonArtinianIdealError("a standard set needs an Artinian ideal")
-    if not standard.cells.isdisjoint(ideal.gens):
-        raise InvalidStaircaseError("standard set holds a generator of the ideal")
+    if standard._gens != ideal.gens:
+        raise InvalidStaircaseError("standard set is not the staircase of the ideal")
     return standard.cells
 
 

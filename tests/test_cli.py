@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from boreltangent import scan
-from boreltangent.cli import main
+from boreltangent.cli import build_parser, main
 from boreltangent.monomials import format_ideal
 from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.tangent import VerificationError
@@ -210,6 +211,77 @@ def test_help_exit_0(capsys):
     assert "enumerate" in out
 
 
+# each command's options: (required, default, choices)
+CLI_SURFACE = {
+    "enumerate": {
+        "--vars": (True, None, None), "--l": (True, None, None),
+        "--m1": (False, None, None), "--gens": (False, None, None),
+        "--max-results": (False, None, None),
+        "--format": (False, "text", ("text", "jsonl")),
+    },
+    "tangent": {
+        "--vars": (False, None, None), "--ideal": (True, None, None),
+        "--verify": (False, False, None),
+        "--format": (False, "text", ("text", "json")),
+    },
+    "graded": {
+        "--vars": (False, None, None), "--ideal": (True, None, None),
+        "--alpha": (True, None, None),
+        "--format": (False, "text", ("text", "json")),
+    },
+    "region": {
+        "--vars": (False, None, None), "--ideal": (True, None, None),
+        "--alpha": (True, None, None), "--size-filter": (False, None, None),
+        "--format": (False, "text", ("text", "json")),
+    },
+    "scan": {
+        "--vars": (True, None, None), "--l": (True, None, None),
+        "--m1": (False, None, None), "--verify": (False, False, None),
+        "--workers": (False, 1, None), "--cache": (False, None, None),
+        "--no-cache": (False, False, None), "--budget-seconds": (False, None, None),
+        "--format": (False, "text", ("text", "json", "csv")),
+    },
+    "table": {
+        "--lmin": (False, 10, None), "--lmax": (False, 35, None),
+        "--workers": (False, 1, None), "--cache": (False, None, None),
+        "--no-cache": (False, False, None), "--budget-seconds": (False, None, None),
+        "--format": (False, "text", ("text", "json", "csv")),
+    },
+    "check-monotonic": {
+        "--vars": (True, None, None), "--l": (True, None, None),
+        "--workers": (False, 1, None), "--cache": (False, None, None),
+        "--no-cache": (False, False, None), "--budget-seconds": (False, None, None),
+        "--format": (False, "text", ("text", "json")),
+    },
+    "check-necessary": {
+        "--vars": (True, None, None), "--l": (True, None, None),
+        "--workers": (False, 1, None), "--cache": (False, None, None),
+        "--no-cache": (False, False, None), "--budget-seconds": (False, None, None),
+        "--format": (False, "text", ("text", "json")),
+    },
+    "check-tetrahedral": {
+        "--vars": (True, None, None), "--k": (True, None, None),
+        "--workers": (False, 1, None), "--cache": (False, None, None),
+        "--no-cache": (False, False, None), "--budget-seconds": (False, None, None),
+        "--format": (False, "text", ("text", "json")),
+    },
+}
+
+
+def test_each_command_takes_its_pinned_options():
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {a.option_strings[0]: (a.required, a.default,
+                                     None if a.choices is None else tuple(a.choices))
+               for a in sub._actions if a.dest != "help"}
+        for name, sub in commands.choices.items()}
+    assert list(surface) == list(CLI_SURFACE)
+    assert surface == CLI_SURFACE
+    assert all(len(a.option_strings) == 1 for sub in commands.choices.values()
+               for a in sub._actions if a.dest != "help")
+
+
 def test_budget_exit_4(capsys):
     code, _, err = run(capsys, "scan", "--vars", "3", "--l", "12",
                        "--budget-seconds", "0")
@@ -377,9 +449,13 @@ def test_check_tetrahedral_refuses_k_below_one_by_its_own_flag(capsys):
     assert (code, out, err) == (1, "", "error: need nvars >= 1 and k >= 1\n")
 
 
-@pytest.mark.parametrize("command", ["scan", "check-monotonic", "check-necessary"])
-def test_a_colength_below_one_is_refused_by_its_own_flag(capsys, command):
-    code, out, err = run(capsys, command, "--vars", "3", "--l", "0", "--no-cache")
+@pytest.mark.parametrize("argv", [["scan", "--vars", "3", "--l", "0", "--no-cache"],
+                                  ["check-monotonic", "--vars", "3", "--l", "0", "--no-cache"],
+                                  ["check-necessary", "--vars", "3", "--l", "0", "--no-cache"],
+                                  ["enumerate", "--vars", "3", "--l", "0"]],
+                         ids=lambda argv: argv[0])
+def test_a_colength_below_one_is_refused_by_its_own_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", "error: colength must be >= 1\n")
 
 
@@ -437,6 +513,11 @@ def test_numbers_on_the_command_line_are_ascii_exit_1(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_a_bad_alpha_is_refused_by_the_parser_like_any_number(capsys):
+    assert run(capsys, "graded", "--ideal", SESSION_TEXT, "--alpha", "a,b") == \
+        (1, "", "error: argument --alpha: invalid int value: 'a'\n")
+
+
 def test_whitespace_around_an_alpha_part_is_read(capsys):
     assert run(capsys, "graded", "--ideal", SESSION_TEXT, "--alpha", " -0, 2 ,-3 ") == \
         (0, "1\n", "")
@@ -444,9 +525,13 @@ def test_whitespace_around_an_alpha_part_is_read(capsys):
 
 @pytest.mark.parametrize("argv", [["check-monotonic", "--vars", "0", "--l", "5"],
                                   ["scan", "--vars", "0", "--l", "5"],
-                                  ["scan", "--vars", "-2", "--l", "5"]])
+                                  ["scan", "--vars", "-2", "--l", "5"],
+                                  ["enumerate", "--vars", "0", "--l", "5"],
+                                  ["enumerate", "--vars", "-2", "--l", "5"]])
 def test_scan_of_fewer_than_one_variable_exits_1(capsys, tmp_path, argv):
-    code, out, err = run(capsys, *argv, "--cache", str(tmp_path))
+    if argv[0] != "enumerate":  # enumerate takes no cache flags
+        argv = [*argv, "--cache", str(tmp_path)]
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", "error: nvars must be >= 1\n")
 
 

@@ -87,6 +87,24 @@ def test_carried_text_is_no_field():
     assert copy.pure_powers() == b.pure_powers() == (2, 3)
 
 
+def test_kept_generators_are_no_field():
+    # a standard set keeps its ideal's generators outside the dataclass
+    # fields: handed over by standard_set, found by the constructor
+    ideal = parse_ideal("x^2,x*y,y^3")
+    a = standard_set(ideal)
+    b = StandardSet(2, a.cells)
+    assert vars(a)["_gens"] == vars(b)["_gens"] == ideal.gens
+    assert [f.name for f in fields(StandardSet)] == ["nvars", "cells"]
+    assert (a, hash(a)) == (b, hash(b))
+    for std in (a, b):
+        assert repr(std) == f"StandardSet(nvars=2, cells={std.cells!r})"
+        assert asdict(std) == {"nvars": 2, "cells": a.cells}
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a)
+    assert vars(copy)["_gens"] == ideal.gens
+    assert minimal_generators(copy) == ideal
+
+
 def test_ideal_rejects_non_antichain():
     with pytest.raises(ValueError, match="antichain"):
         MonomialIdeal(2, ((1, 0), (2, 0)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import fraction_rank, graded_tangent_dims, iter_partitions, partition_staircase
 from strategies import TOP, artinian_ideals, borel_staircases, staircases
 
+import boreltangent.monomials as monomials_module
 import boreltangent.tangent as tangent_module
 from boreltangent.region3d import region_cells, region_component_count, region_slice
 from boreltangent.enumeration import enumerate_strongly_stable
@@ -19,6 +20,7 @@ from boreltangent.monomials import (
     NonArtinianIdealError,
     StandardSet,
     _gens_from_cells,
+    canonical_key,
     colength,
     is_strongly_stable,
     minimal_generators,
@@ -309,6 +311,17 @@ def test_verify_tangent_builds_the_standard_set_once(monkeypatch):
     assert calls == [SQUARE]
 
 
+def test_the_ideals_own_standard_set_is_read_without_a_corner_pass(monkeypatch):
+    std = standard_set(SQUARE)
+
+    def refuse(*args):
+        raise AssertionError("growth or a corner pass")
+
+    monkeypatch.setattr(tangent_module, "standard_set", refuse)
+    monkeypatch.setattr(monomials_module, "_gens_from_cells", refuse)
+    assert verify_tangent(SQUARE, std).total == 36
+
+
 def test_verify_tangent_raises_on_mismatch(monkeypatch):
     monkeypatch.setattr(tangent_module, "tangent_dimension_oracle",
                         lambda ideal, standard=None: -1)
@@ -469,24 +482,37 @@ def test_kernel_refuses_a_standard_set_past_the_pure_powers():
     # 7 for x,y,z^2, whose T is 6
     line = parse_ideal("x,y,z^2")
     column = StandardSet(3, frozenset({(0, 0, 0), (0, 0, 1), (0, 0, 2)}))
-    for entry in _entry_points(3):
-        for ideal, cells in ((SQUARE, wide), (SQUARE, wider), (SQUARE, mixed), (line, column)):
+    # sets strictly inside the staircase: read as given, the kernel fails
+    # with a KeyError and the oracle counts 4 (T = 8), 18 (T = 36) and 6 (T = 8)
+    inner = ((parse_ideal("x^2,y^2"), StandardSet(2, frozenset({(0, 0), (1, 0)}))),
+             (SQUARE, StandardSet(3, frozenset({(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}))),
+             (parse_ideal("x^3,y^2,x*y"), StandardSet(2, frozenset({(0, 0), (1, 0), (0, 1)}))))
+    for ideal, cells in ((SQUARE, wide), (SQUARE, wider), (SQUARE, mixed), (line, column),
+                         *inner):
+        for entry in _entry_points(ideal.nvars):
             with pytest.raises(InvalidStaircaseError):
                 entry(ideal, cells)
+    for entry in _entry_points(3):
         with pytest.raises(NonArtinianIdealError):
             entry(parse_ideal("x^2,x*y,y^2", nvars=3), std)
 
 
 @settings(max_examples=60, deadline=None)
 @given(artinian_ideals(), st.data())
-def test_every_entry_point_refuses_a_standard_set_holding_a_generator(ideal, data):
+def test_every_entry_point_refuses_a_standard_set_other_than_the_ideals_own(ideal, data):
     # every proper divisor of a minimal generator is a cell, so the
-    # staircase plus one generator is still divisor-closed
+    # staircase plus one generator is still divisor-closed; a cell of the
+    # largest degree divides no other cell, so the staircase without it is
+    # divisor-closed too
+    cells = standard_set(ideal).cells
     g = data.draw(st.sampled_from(ideal.gens))
-    grown = StandardSet(ideal.nvars, standard_set(ideal).cells | {g})
+    others = [StandardSet(ideal.nvars, cells | {g})]
+    if cells:
+        others.append(StandardSet(ideal.nvars, cells - {max(cells, key=canonical_key)}))
     for entry in _entry_points(ideal.nvars):
-        with pytest.raises(InvalidStaircaseError):
-            entry(ideal, grown)
+        for std in others:
+            with pytest.raises(InvalidStaircaseError):
+                entry(ideal, std)
 
 
 @settings(max_examples=60, deadline=None)
