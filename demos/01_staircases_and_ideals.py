@@ -24,7 +24,8 @@ print("generators:     ", ideal.gens)
 print("colength:       ", colength(ideal))
 
 staircase = standard_set(ideal)
-print("standard cells: ", staircase.sorted_cells())
+# by total degree, then x before y before z
+print("standard cells: ", sorted(staircase.cells, key=lambda c: (sum(c), [-e for e in c])))
 
 # the staircase determines the ideal right back
 assert minimal_generators(staircase) == ideal

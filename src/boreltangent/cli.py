@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .enumeration import EnumerationLimitError, EnumFilter, enumerate_strongly_stable
@@ -68,6 +69,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word like -1 or -1,0 is a value, as in --alpha -1,0: no option
+        # looks like a negative number
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -126,9 +133,9 @@ def build_parser() -> _Parser:
                       help=f"results cache directory (default: ${CACHE_ENV_VAR})")
     scan.add_argument("--no-cache", action="store_true", help="disable the cache")
     scan.add_argument("--budget-seconds", type=_float, default=None, metavar="S",
-                      help="per-colength wall-clock budget, the staircase walk included; "
-                           "with several workers each wait for a job is bounded by it; "
-                           "S >= 0, and inf sets no bound")
+                      help="wall-clock budget of the whole scan, every colength and the "
+                           "staircase walk included; with several workers each wait for a "
+                           "job is bounded by the time left; S >= 0, and inf sets no bound")
 
     def command(name, func, help, parents, formats=("text", "json")):
         p = subs.add_parser(name, help=help, parents=parents)

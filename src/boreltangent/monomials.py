@@ -67,24 +67,12 @@ class RedundantGeneratorWarning(UserWarning):
     """A generator list was not an antichain and has been minimalized."""
 
 
-def divides(a: Exponent, b: Exponent) -> bool:
-    """True iff x^a divides x^b, i.e. a <= b componentwise."""
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"exponent lengths differ: {len(a)} vs {len(b)}")
-    return all(map(le, a, b))
-
-
-def canonical_key(e: Exponent) -> tuple[int, Exponent]:
-    """Sort key: total degree, then lexicographic on the exponent sequence
-    with the earlier (Borel-dominant) variables first, so that e.g. the
-    maximal ideal reads x,y,z and squares read x^2,x*y,y^2,..."""
-    return (sum(e), tuple(-c for c in e))
-
-
 def _canonical_order(exps) -> list[Exponent]:
-    """Distinct exponents in :func:`canonical_key` order, by two stable
-    sorts on C-level keys: descending tuple order, then total degree
-    (ascending -e is descending e)."""
+    """Distinct exponents in the package's one generator order: ascending
+    total degree, then descending exponent tuple, so that the earlier
+    (Borel-dominant) variables come first and e.g. the maximal ideal reads
+    x,y,z and squares read x^2,x*y,y^2,...  Two stable sorts on C-level
+    keys: descending tuple order, then total degree."""
     order = sorted(exps, reverse=True)
     order.sort(key=sum)
     return order
@@ -162,9 +150,8 @@ def _minimal_gens(nvars: int, gens) -> tuple[tuple[Exponent, ...], tuple[Exponen
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators (an antichain).
 
-    Generators are stored in canonical order (total degree, then lex on the
-    exponent sequence), so equal ideals compare and hash equal regardless of
-    input order.  Construction rejects non-antichain input; use
+    Generators are stored in canonical order (see :func:`_canonical_order`),
+    so equal ideals compare and hash equal regardless of input order.  Construction rejects non-antichain input; use
     :meth:`from_generators` to minimalize a redundant list instead.
     """
 
@@ -287,9 +274,6 @@ class StandardSet:
     @property
     def size(self) -> int:
         return len(self.cells)
-
-    def sorted_cells(self) -> list[Exponent]:
-        return sorted(self.cells, key=canonical_key)
 
 
 @dataclass(frozen=True)
@@ -521,12 +505,3 @@ def parse_ideal(text: str, nvars: int | None = None) -> MonomialIdeal:
 def ideal_to_json(ideal: MonomialIdeal) -> dict:
     """JSON form: {"vars": N, "gens": [[e1,...,eN], ...]} in canonical order."""
     return {"vars": ideal.nvars, "gens": [list(g) for g in ideal.gens]}
-
-
-def ideal_from_json(obj: dict) -> MonomialIdeal:
-    try:
-        nvars = index(obj["vars"])
-        gens = [tuple(map(index, g)) for g in obj["gens"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IdealSyntaxError(f"bad ideal JSON object: {exc}") from exc
-    return MonomialIdeal.from_generators(nvars, gens, warn=True)

@@ -66,11 +66,11 @@ CACHE_ENV_VAR = "BORELTANGENT_CACHE"
 
 
 class BudgetExceededError(RuntimeError):
-    """A per-colength wall-clock budget was exceeded.
+    """The wall-clock budget of a scan was exceeded.
 
-    The clock of a colength runs from the end of the previous completed
-    colength (or the start of the scan, which starts the pool), so it
-    counts the walk and the tangent computations.  At one worker each job
+    The budget bounds the whole scan, every colength of a range together:
+    one deadline is set when the scan starts, before its pool, so it counts
+    the walk and the tangent computations of every colength.  At one worker each job
     checks the deadline at every staircase it scans; with several, every
     wait for a job is bounded by the time left.
 
@@ -272,13 +272,13 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     # the pool's callbacks put each job's result, or its error, here
     returned: queue.SimpleQueue = queue.SimpleQueue()
     started = time.monotonic()
+    deadline = None if budget_seconds is None else started + budget_seconds
     pool = _POOL_CONTEXT.Pool(workers) if workers > 1 else None
     try:
         while outstanding:
             while pool is not None and jobs:
                 pool.apply_async(_job, (nvars, jobs.pop()),
                                  callback=returned.put, error_callback=returned.put)
-            deadline = None if budget_seconds is None else started + budget_seconds
             try:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise multiprocessing.TimeoutError

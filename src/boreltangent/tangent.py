@@ -555,16 +555,6 @@ def _bareiss_rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def bareiss_rank(rows) -> int:
-    """Exact rank of an integer matrix via fraction-free elimination.
-
-    One-step Bareiss: all divisions are exact over the integers, so the
-    result is immune to overflow and to the unlucky-prime undercounting a
-    modular rank could suffer.  The dense rows are stored sparse.
-    """
-    return _bareiss_rank([{j: v for j, v in enumerate(row) if v} for row in rows])
-
-
 def tangent_dimension_oracle(ideal: MonomialIdeal, standard: StandardSet | None = None) -> int:
     """T(I) by exact elimination on the G*l coordinates of candidate maps.
 

@@ -132,6 +132,13 @@ def minimal_elements(exps) -> set:
             if not any(v != u and all(a <= b for a, b in zip(v, u)) for v in exps)}
 
 
+def canonical_key(e):
+    """Sort key of the generator order, from its definition: total degree
+    first, then the larger exponent of the earliest variable that
+    differs."""
+    return (sum(e), [-c for c in e])
+
+
 def ideal_text(gens, nvars: int) -> str:
     """The canonical text of a minimal generator list, from the grammar's
     definition: generators by total degree, then with the larger exponent
@@ -139,7 +146,7 @@ def ideal_text(gens, nvars: int) -> str:
     when nvars <= 4 and x1..xN otherwise, a power written as VAR^e only when
     e > 1, and the text 1 for the unit monomial."""
     names = "xyzw"[:nvars] if nvars <= 4 else ["x" + str(t) for t in range(1, nvars + 1)]
-    order = sorted(gens, key=lambda g: (sum(g), [-e for e in g]))
+    order = sorted(gens, key=canonical_key)
     texts = []
     for g in order:
         factors = []

@@ -523,6 +523,18 @@ def test_whitespace_around_an_alpha_part_is_read(capsys):
         (0, "1\n", "")
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["graded", "--ideal", "x,y", "--alpha", "-1,0"], "1\n"),
+    (["region", "--ideal", "x,y,z", "--alpha", "-1,0,0"],
+     "alpha: -1,0,0\ncells: 1\ncomponents: 1\ncounted: 1\n"),
+], ids=["graded", "region"])
+def test_an_alpha_with_a_negative_first_part_is_a_value(capsys, argv, out):
+    # a word that starts with '-' and a digit is read as a value, the same
+    # as after '='
+    assert run(capsys, *argv) == (0, out, "")
+    assert run(capsys, *argv[:-2], "--alpha=" + argv[-1]) == (0, out, "")
+
+
 @pytest.mark.parametrize("argv", [["check-monotonic", "--vars", "0", "--l", "5"],
                                   ["scan", "--vars", "0", "--l", "5"],
                                   ["scan", "--vars", "-2", "--l", "5"],

@@ -582,6 +582,16 @@ def test_budget_breach_keeps_finished_colengths(monkeypatch, tmp_path):
         assert all(full[l][m1].elapsed == completed[l][m1].elapsed for m1 in full[l])
 
 
+def test_budget_bounds_the_whole_range(monkeypatch):
+    # one deadline for the whole scan: every job sleeps 0.2 s, so l = 5 and
+    # 6 finish inside the 0.5 s budget and l = 7 runs past it, though no
+    # one colength takes the budget
+    _slow_jobs(monkeypatch, 0.2)
+    with pytest.raises(BudgetExceededError, match="N=3 l=7") as err:
+        scan_colength_range(3, 5, 9, budget_seconds=0.5)
+    assert sorted(err.value.completed) == [5, 6]
+
+
 def test_budget_seconds_zero(monkeypatch):
     # the budget is spent before the first job runs, so the scan must
     # raise without running one; each job here would take a second
