@@ -25,9 +25,13 @@ Two independent algorithms are provided by design:
   of u with g(x_j * u), for each minimal generator u and each j < max(u),
   generate the syzygies.  Such a pair's lcm is x_j * u itself, and there
   are at most (N-1)*G of them.  The package's x1-dominant convention is
-  theirs.  For any other monomial ideal the kernel falls back on all
-  G(G-1)/2 pairs, whose Taylor relations generate the syzygies of every
-  monomial ideal.
+  theirs.  The partner takes one lookup when w = x_j * u / x_max(u) is a
+  generator: w lies in I by strong stability (x_j replaces x_max(u), j <
+  max(u)), and x_j * u = w * x_max(u) with max(w) <= max(u), which is the
+  factorization that defines g(x_j * u).  Otherwise the last variable of
+  x_j * u is stripped while what remains lies in I.  For any other
+  monomial ideal the kernel falls back on all G(G-1)/2 pairs, whose Taylor
+  relations generate the syzygies of every monomial ideal.
 
   One sweep counts every degree at once, on sets of degree positions.
   With maxgen_t and maxcell_t the largest exponent of x_t among the
@@ -69,6 +73,35 @@ Two independent algorithms are provided by design:
   go through a union-find.  The degree-alpha dimension is the number of
   active generators with no edge at alpha, plus c.  Only degrees with a
   positive dimension are decoded.
+
+  In three variables the scan sweeps half the box.  Maulik, Nekrasov,
+  Okounkov and Pandharipande (Compositio Math. 142, 2006,
+  arXiv:math/0312059) derive from Serre duality on a threefold that
+  T_alpha - T_alpha* = [t^alpha] V at every degree, where alpha* = -alpha -
+  (1, 1, 1), V = Q - Qbar/(t1 t2 t3) + Q Qbar (1 - t1)(1 - t2)(1 - t3)/(t1
+  t2 t3), and Q is the sum of t^s over the cells.  Sum it over the half
+  box H = {alpha : alpha_1 >= 0}, alpha_1 the degree in x1, whose duals
+  make up the rest of Z^3.  Qbar/(t1 t2 t3) has no term in H, and in the
+  last term membership in H ignores t2 and t3, whose factors (1 - t_u)
+  then cancel in pairs.  So V sums to l over H, and T = 2 * sum_{alpha_1 >=
+  0} T_alpha - l, likewise for alpha_2 and alpha_3; parity T = l (mod 2)
+  follows.  x1 is coordinate 0, the code's most significant digit, so H is
+  the positions at or above lo_0 * W_0.  With that dropped from the
+  offset, position 0 is alpha_1 = 0, and a negative position lies outside
+  H: a shifted mask drops it, and a set must.  The sweep then returns
+  sum_i |A_i within H| less the rank there.  The identity is a threefold's:
+  the formula failed for every axis of every Borel staircase with l <= 10
+  in two variables (84 checks) and in four (420), so other numbers of
+  variables sweep the whole box.
+  :func:`verify_tangent` checks the three half sums on a graded report.
+
+  The scan meets a radix at a run of staircases in a row, so
+  :func:`_total` takes the weights, the box size and the codes from a
+  table per radix tuple lo: the 32 radixes used last, each with a dict
+  from exponent to code that the staircases fill as they meet them, at
+  most prod_t lo_t codes, as every digit is below lo_t.  The request path
+  packs afresh: its ideals seldom share a radix, and a bounded table there
+  would only add misses.
 
   A mask spans the whole box, prod_t R_t bits, where a frozenset holds at
   most l positions: a staircase thin in several variables (x^200, y^200,
@@ -123,7 +156,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, combinations
 from operator import add, index, mul, rshift, sub
 from typing import Callable
@@ -226,17 +259,44 @@ def alpha_support_box(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     return tuple((-d, d - 1) for d in m)
 
 
+def _weights(lo) -> tuple[list[int], int]:
+    """Per-variable weights W_t for digit offsets lo_t, and the box size
+    prod_t R_t (see the module docstring)."""
+    weights = [1] * len(lo)
+    for t in range(len(lo) - 1, 0, -1):
+        weights[t - 1] = weights[t] * (2 * lo[t] - 1)
+    return weights, weights[0] * (2 * lo[0] - 1)
+
+
 def _pack(gens, cells) -> tuple[list[int], list[int], list[int], set[int], int]:
     """Per-variable weights and digit offsets, generator codes, cell codes
     and the box size prod_t R_t (see the module docstring)."""
-    nvars = len(gens[0])
-    lo = [1 + max(a[t] for a in gens) for t in range(nvars)]
-    weights = [1] * nvars
-    for t in range(nvars - 1, 0, -1):
-        weights[t - 1] = weights[t] * (2 * lo[t] - 1)
+    lo = [1 + max(col) for col in zip(*gens)]
+    weights, box = _weights(lo)
     codes = [sum(map(mul, a, weights)) for a in gens]
     cell_codes = {sum(map(mul, s, weights)) for s in cells}
-    return weights, lo, codes, cell_codes, weights[0] * (2 * lo[0] - 1)
+    return weights, lo, codes, cell_codes, box
+
+
+class _Codes(dict):
+    """Linear codes of exponents under fixed weights, each computed at its
+    first lookup and kept."""
+
+    def __init__(self, weights: list[int]) -> None:
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, e: Exponent) -> int:
+        code = self[e] = sum(map(mul, e, self.weights))
+        return code
+
+
+@lru_cache(maxsize=32)
+def _radix(lo: tuple[int, ...]) -> tuple[list[int], int, _Codes]:
+    """The weights, the box size and a table of codes of one radix, shared
+    by the staircases of the scan that have it (see :func:`_total`)."""
+    weights, box = _weights(lo)
+    return weights, box, _Codes(weights)
 
 
 def _taylor_pairs(gens, weights) -> list[tuple[int, int, int]]:
@@ -268,9 +328,10 @@ def _ek_pairs(gens, codes, weights, cell_codes) -> list[tuple[int, int, int]]:
     """The Eliahou-Kervaire pairs (i, k, packed lcm) of a Borel staircase,
     which is not checked.
 
-    The EK partner of generator u and j < max(u) is g(x_j*u), found by
-    stripping the last variable of x_j*u while what remains is not a cell,
-    that is, lies in I; the pair's lcm is x_j*u.
+    The EK partner of generator u and j < max(u) is g(x_j*u): the generator
+    x_j*u/x_max(u) when there is one, and otherwise found by stripping the
+    last variable of x_j*u while what remains is not a cell, that is, lies
+    in I (see the module docstring).  The pair's lcm is x_j*u.
     """
     nvars = len(weights)
     index = {c: i for i, c in enumerate(codes)}
@@ -281,16 +342,22 @@ def _ek_pairs(gens, codes, weights, cell_codes) -> list[tuple[int, int, int]]:
             last -= 1
         for j in range(last):
             lcm = codes[i] + weights[j]
-            w, e, t = lcm, list(a), last
-            e[j] += 1
-            while True:
-                while not e[t]:
-                    t -= 1
-                if w - weights[t] in cell_codes:
-                    break
-                w -= weights[t]
+            # x_j*u/x_max(u) lies in I; when it is a generator it is g(x_j*u)
+            w = lcm - weights[last]
+            k = index.get(w)
+            if k is None:
+                e, t = list(a), last
+                e[j] += 1
                 e[t] -= 1
-            pairs.append((i, index[w], lcm))
+                while True:
+                    while not e[t]:
+                        t -= 1
+                    if w - weights[t] in cell_codes:
+                        break
+                    w -= weights[t]
+                    e[t] -= 1
+                k = index[w]
+            pairs.append((i, k, lcm))
     return pairs
 
 
@@ -329,9 +396,9 @@ def _positions(mask: int):
 
 
 def _sweep(pairs, active: list, meet, members, size) -> tuple[int, Callable[[], Counter]]:
-    """The zero rank and a callable giving the positive dimensions by
-    position, every degree's constraint graph at once (see the module
-    docstring).
+    """The dimension summed over the positions and a callable giving the
+    positive dimensions by position, every degree's constraint graph at
+    once (see the module docstring).
 
     A set of positions is a mask or a frozenset, combined only by ``&``,
     ``|``, ``^`` and truthiness; ``members`` lists its positions and
@@ -396,15 +463,17 @@ def _sweep(pairs, active: list, meet, members, size) -> tuple[int, Callable[[], 
             found.update(members(a ^ (a & t)))
         return found
 
-    return sum(map(size, touched)) - size(single) - sum(multi.values()), dims
+    # sum |A_i| - sum |touched_i| + sum c, the rank being |V| - c
+    return (sum(map(size, active)) - sum(map(size, touched)) + size(single)
+            + sum(multi.values()), dims)
 
 
 def _bit_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, Callable[[], Counter]]:
-    """The zero rank, and a callable giving the positive dimensions by
-    position, from masks over the whole degree box."""
-    # a byte array, not a sum of one-bit integers, each of which would copy
-    # the mask; a cell's digits are below lo_t, so its bit is below 2*offset
-    bits = bytearray((2 * offset + 7) >> 3)
+    """The dimension summed over the positions, and a callable giving the
+    positive dimensions by position, from masks over the degree box."""
+    # a byte array up to the highest cell's bit, not a sum of one-bit
+    # integers, each of which would copy the mask
+    bits = bytearray((max(cell_codes, default=0) + offset >> 3) + 1)
     for c in cell_codes:
         c += offset
         bits[c >> 3] |= 1 << (c & 7)
@@ -420,24 +489,27 @@ def _set_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, Callable[[],
     cells = [c + offset for c in cell_codes]
 
     def meet(code):
-        return frozenset([c - code for c in cells])
+        # a negative position lies below the box, as a shifted mask drops it
+        return frozenset([c - code for c in cells if c >= code])
 
     return _sweep(pairs, list(map(meet, codes)), meet, iter, len)
 
 
-def _kernel(gens, cells, pair_rule=_syzygy_pairs) -> tuple[list[int], list[int], int,
-                                                            Callable[[], Counter]]:
-    """Weights, digit offsets, the zero rank and a callable giving the
-    positive dimensions by position, over the pairs ``pair_rule`` builds.
+def _kernel(gens, packed, pair_rule=_syzygy_pairs, shift: int = 0) -> tuple[
+        int, Callable[[], Counter]]:
+    """The dimension summed over the box positions from ``shift`` up, and a
+    callable giving the positive dimensions by position less ``shift``, of a
+    staircase that :func:`_pack` packed, over the pairs ``pair_rule``
+    builds.  A shift of lo_0 * W_0 keeps the half box alpha_1 >= 0.
 
     The masks cost the box, prod_t R_t bits each, and the sets cost the
     cells: a staircase whose box holds more than ``BOX_PER_CELL`` positions
     per cell goes through the set sweep.
     """
-    weights, lo, codes, cell_codes, box = _pack(gens, cells)
+    weights, lo, codes, cell_codes, box = packed
     pairs = pair_rule(gens, codes, weights, cell_codes)
-    sweep = _set_sweep if box > BOX_PER_CELL * len(cells) else _bit_sweep
-    return weights, lo, *sweep(pairs, codes, cell_codes, sum(map(mul, lo, weights)))
+    sweep = _set_sweep if box > BOX_PER_CELL * len(cell_codes) else _bit_sweep
+    return sweep(pairs, codes, cell_codes, sum(map(mul, lo, weights)) - shift)
 
 
 def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None = None) -> int:
@@ -459,8 +531,7 @@ def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None =
     # can constrain this degree
     pairs = [(i, k, tuple(map(max, shifted[i], shifted[k])))
              for i in ends for k in range(len(active)) if not (active[k] and k <= i)]
-    zero_rank, _ = _sweep(pairs, active, meet, _positions, int.bit_count)
-    return len(ends) - zero_rank
+    return _sweep(pairs, active, meet, _positions, int.bit_count)[0]
 
 
 def _degrees(positions: list[int], weights: list[int], lo: list[int]) -> list[Exponent]:
@@ -478,27 +549,36 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     recomputation; it follows the contract in the module docstring.
     """
     cells = _cells_of(ideal, standard)
-    weights, lo, zero_rank, dims = _kernel(ideal.gens, cells)
+    packed = _pack(ideal.gens, cells)
+    total, dims = _kernel(ideal.gens, packed)
     dims = dims()
     positions = sorted(dims)
-    graded = list(zip(_degrees(positions, weights, lo), map(dims.__getitem__, positions)))
+    graded = list(zip(_degrees(positions, *packed[:2]), map(dims.__getitem__, positions)))
     g = len(ideal.gens)
     l = len(cells)
     return GradedTangentReport(
         ideal=ideal,
-        total=g * l - zero_rank,
+        total=total,
         graded=tuple(graded),
         g=g,
         l=l,
-        zero_rank=zero_rank,
+        zero_rank=g * l - total,
     )
 
 
 def _total(gens, cells) -> int:
     """Raw total at one Borel staircase given with its corners, as the walk
     makes them: its EK pairs, no Borel test, no report object, no
-    validation, no decoding of degrees."""
-    return len(gens) * len(cells) - _kernel(gens, cells, _ek_pairs)[2]
+    validation, no decoding of degrees.  The codes come from the table of
+    the staircase's radix, and in three variables the sweep runs over the
+    half box alpha_1 >= 0 (see the module docstring)."""
+    lo = [1 + max(col) for col in zip(*gens)]
+    weights, box, code = _radix(tuple(lo))
+    codes = list(map(code.__getitem__, gens))
+    packed = weights, lo, codes, set(map(code.__getitem__, cells)), box
+    if len(lo) != 3:
+        return _kernel(gens, packed, _ek_pairs)[0]
+    return 2 * _kernel(gens, packed, _ek_pairs, lo[0] * weights[0])[0] - len(cells)
 
 
 def _bareiss_rank(rows: list[dict[int, int]]) -> int:
@@ -608,17 +688,28 @@ def constraint_rank(ideal: MonomialIdeal, standard: StandardSet | None = None) -
     Equals the oracle matrix rank whenever the oracle runs.  ``standard``
     follows the contract in the module docstring.
     """
-    return _kernel(ideal.gens, _cells_of(ideal, standard))[2]
+    gens = ideal.gens
+    cells = _cells_of(ideal, standard)
+    return len(gens) * len(cells) - _kernel(gens, _pack(gens, cells))[0]
 
 
 def verify_tangent(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:
     """Run both algorithms and raise VerificationError on disagreement.
 
-    ``standard`` follows the contract in the module docstring.
+    In three variables the graded report must also put (T + l) / 2 in
+    each half box alpha_t >= 0 (see the module docstring).  ``standard``
+    follows the contract in the module docstring.
     """
     if standard is None:
         standard = standard_set(ideal)
     report = tangent_dimension(ideal, standard)
+    if ideal.nvars == 3:
+        for t in range(3):
+            half = sum(d for alpha, d in report.graded if alpha[t] >= 0)
+            if 2 * half != report.total + report.l:
+                raise VerificationError(
+                    f"graded pieces with alpha_{t + 1} >= 0 sum to {half}, not "
+                    f"(T + l)/2 = ({report.total} + {report.l})/2, for {ideal}")
     oracle = tangent_dimension_oracle(ideal, standard)
     if oracle != report.total:
         raise VerificationError(

@@ -266,6 +266,29 @@ def graded_tangent_dims(gens, cells) -> dict:
     return dims
 
 
+def mnop_character(cells) -> dict:
+    """The coefficients {alpha: [t^alpha] V}, zero ones left out, of
+    V = Q - Qbar/(t1 t2 t3) + Q Qbar (1 - t1)(1 - t2)(1 - t3)/(t1 t2 t3),
+    where Q is the sum of t^s over the cells of a staircase in three
+    variables and Qbar the sum of t^-s.
+
+    Maulik, Nekrasov, Okounkov and Pandharipande (Compositio Math. 142,
+    2006, arXiv:math/0312059) give T_alpha - T_alpha* = [t^alpha] V at every
+    degree alpha, alpha* = -alpha - (1, 1, 1), from Serre duality.
+    """
+    v = Counter()
+    for s in cells:
+        v[s] += 1
+        v[tuple(-x - 1 for x in s)] -= 1
+    # Q Qbar, then each of the eight terms of (1 - t1)(1 - t2)(1 - t3)/(t1 t2 t3)
+    diffs = Counter(tuple(x - y for x, y in zip(s, u)) for s in cells for u in cells)
+    for steps in product((0, 1), repeat=3):
+        sign = -1 if sum(steps) % 2 else 1
+        for d, count in diffs.items():
+            v[tuple(x + e - 1 for x, e in zip(d, steps))] += sign * count
+    return {alpha: c for alpha, c in v.items() if c}
+
+
 def fraction_rank(rows) -> int:
     """Exact rank by plain Gaussian elimination over Fractions."""
     from fractions import Fraction

@@ -2,6 +2,7 @@ import inspect
 import random
 import time
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,11 @@ from oracles import (
     canonical_key,
     fraction_rank,
     graded_tangent_dims,
+    is_borel_staircase,
     iter_partitions,
+    mnop_character,
     partition_staircase,
+    standard_exponents_in_box,
 )
 from strategies import TOP, artinian_ideals, borel_staircases, staircases
 
@@ -40,6 +44,7 @@ from boreltangent.tangent import (
     _bareiss_rank,
     _bit_sweep,
     _ek_pairs,
+    _kernel,
     _pack,
     _set_sweep,
     _syzygy_pairs,
@@ -260,14 +265,71 @@ def test_bareiss_rank_matches_fraction_rank_on_sparse_matrices():
 
 def test_every_n3_total_has_the_parity_of_its_colength():
     # T = l (mod 2) in three variables (Maulik, Nekrasov, Okounkov and
-    # Pandharipande, arXiv:math/0312059), checked at every staircase the
-    # scan's walk and kernel reach; it fails at N = 4, so N = 3 only
+    # Pandharipande, arXiv:math/0312059), checked on the full box's count
+    # at every staircase the scan's walk reaches.  The scan's half-box
+    # total 2x - l has l's parity whatever x is, so it is checked against
+    # the full count instead.  Parity fails at N = 4, so N = 3 only
     totals = []
     for l in range(1, 21):
         _descend(3, _origin(3, l), lambda cells, gens, _m1: totals.append(
-            (len(cells), _total(gens, cells), sorted(gens))))
+            (len(cells), _kernel(gens, _pack(gens, cells), _ek_pairs)[0], _total(gens, cells),
+             sorted(gens))))
     assert len(totals) == 1732
-    assert [t for t in totals if (t[1] - t[0]) % 2] == []
+    assert [t for t in totals if (t[1] - t[0]) % 2 or t[1] != t[2]] == []
+
+
+def _dual(alpha):
+    return tuple(-a - 1 for a in alpha)
+
+
+def _mnop_failures(ideal) -> list:
+    """The degrees where T_alpha - T_alpha* differs from [t^alpha] V, over
+    the report's degrees, their duals and the support of V."""
+    dims = tangent_dimension(ideal).per_alpha
+    character = mnop_character(standard_exponents_in_box(ideal.gens, 3))
+    degrees = set(dims) | set(map(_dual, dims)) | set(character)
+    return sorted(alpha for alpha in degrees
+                  if dims.get(alpha, 0) - dims.get(_dual(alpha), 0) != character.get(alpha, 0))
+
+
+def _random_non_borel_n3(rng):
+    """A seeded Artinian ideal in three variables whose staircase is not Borel."""
+    while True:
+        powers = [rng.randint(1, 5) for _ in range(3)]
+        gens = [tuple(p if s == t else 0 for s in range(3)) for t, p in enumerate(powers)]
+        gens += [tuple(rng.randrange(p) for p in powers) for _ in range(rng.randint(0, 6))]
+        ideal = MonomialIdeal.from_generators(3, gens)
+        if not is_borel_staircase(standard_exponents_in_box(ideal.gens, 3), 3):
+            return ideal
+
+
+def test_graded_pieces_obey_the_mnop_identity():
+    # T_alpha - T_alpha* = [t^alpha] V at every degree (arXiv:math/0312059),
+    # V from the cells alone: every N=3 Borel staircase with l <= 12 and
+    # seeded ideals that are not Borel
+    borel = [ideal for l in range(1, 13) for ideal in enumerate_strongly_stable(3, l)]
+    rng = random.Random(312)
+    others = [_random_non_borel_n3(rng) for _ in range(300)]
+    assert len(borel) == 155
+    assert [ideal for ideal in borel + others if _mnop_failures(ideal)] == []
+
+
+@pytest.mark.parametrize("n, total", [(8, 72), (50, 450), (200, 1800)])
+def test_half_box_on_the_set_sweep(n, total):
+    # no staircase of the N=3 scans reaches BOX_PER_CELL, so the scan never
+    # runs the half box on sets: the half must drop the negative positions
+    # and keep the others, shifted
+    ideal = parse_ideal(f"x^{n},y^{n},z^{n},x*y,x*z,y*z")
+    cells = standard_set(ideal).cells
+    weights, lo, codes, cell_codes, _ = _pack(ideal.gens, cells)
+    pairs = _taylor_pairs(ideal.gens, weights)
+    offset = sum(map(mul, lo, weights))
+    shift = lo[0] * weights[0]
+    for sweep in (_set_sweep, _bit_sweep) if n <= 50 else (_set_sweep,):
+        full, full_dims = sweep(pairs, codes, cell_codes, offset)
+        half, half_dims = sweep(pairs, codes, cell_codes, offset - shift)
+        assert full == 2 * half - len(cells) == total
+        assert half_dims() == {p - shift: d for p, d in full_dims().items() if p >= shift}
 
 
 @pytest.mark.parametrize("nvars, k", [(3, 3), (3, 4), (3, 5), (3, 6), (4, 2), (4, 3)])
@@ -343,6 +405,23 @@ def test_the_ideals_own_standard_set_is_read_without_a_corner_pass(monkeypatch):
     assert verify_tangent(SQUARE, std).total == 36
 
 
+def test_verify_tangent_checks_the_half_boxes_at_n3(monkeypatch):
+    # with the last EK pair dropped and the oracle agreeing with the
+    # kernel, the three half-box sums alone flag every wrong total
+    levels = {l: [(ideal, tangent_dimension(ideal).total)
+                  for ideal in enumerate_strongly_stable(3, l)] for l in range(8, 15)}
+    ek_pairs = tangent_module._ek_pairs
+    monkeypatch.setattr(tangent_module, "_ek_pairs", lambda *args: ek_pairs(*args)[:-1])
+    monkeypatch.setattr(tangent_module, "tangent_dimension_oracle",
+                        lambda ideal, standard=None: tangent_dimension(ideal, standard).total)
+    for l, ideals in levels.items():
+        wrong = [ideal for ideal, total in ideals if tangent_dimension(ideal).total != total]
+        assert wrong, l
+        for ideal in wrong:
+            with pytest.raises(VerificationError, match="alpha_"):
+                verify_tangent(ideal)
+
+
 def test_verify_tangent_raises_on_mismatch(monkeypatch):
     monkeypatch.setattr(tangent_module, "tangent_dimension_oracle",
                         lambda ideal, standard=None: -1)
@@ -401,7 +480,7 @@ def test_kernel_properties_on_random_ideals(ideal, data):
     assert all(dim > 0 for dim in per_alpha.values())
     assert report.zero_rank == report.g * report.l - report.total >= 0
     if report.g * report.l <= PROPERTY_ORACLE_CAP:
-        assert report.total == tangent_dimension_oracle(ideal)
+        assert verify_tangent(ideal).total == report.total
     for alpha, dim in report.graded:
         assert graded_dimension(ideal, alpha) == dim
     box = alpha_support_box(ideal)
@@ -435,8 +514,8 @@ def test_ek_pairs_match_taylor_pairs_per_degree(staircase):
     results = set()
     for pairs in (_syzygy_pairs(gens, codes, weights, cell_codes), _taylor_pairs(gens, weights)):
         for sweep in (_bit_sweep, _set_sweep):
-            zero_rank, dims = sweep(pairs, codes, cell_codes, offset)
-            results.add((zero_rank, frozenset(dims().items())))
+            total, dims = sweep(pairs, codes, cell_codes, offset)
+            results.add((total, frozenset(dims().items())))
     assert len(results) == 1
 
 
@@ -605,21 +684,22 @@ def _names_in(code) -> set[str]:
     return names
 
 
-KERNEL = {"_pack", "_syzygy_pairs", "_ek_pairs", "_taylor_pairs", "_positions", "_sweep",
-          "_forest_rank", "_bit_sweep", "_set_sweep", "_kernel",
+KERNEL = {"_weights", "_pack", "_Codes", "_radix", "_syzygy_pairs", "_ek_pairs", "_taylor_pairs",
+          "_positions", "_sweep", "_forest_rank", "_bit_sweep", "_set_sweep", "_kernel",
           "_degrees", "_total", "tangent_dimension", "graded_dimension"}
 
 
 def _reached(function) -> set[str]:
     """Names of the tangent module's own functions that a function calls,
-    directly or through one another."""
+    directly or through one another, seen through a cache's wrapper."""
     own = {name for name, value in vars(tangent_module).items()
-           if inspect.isfunction(value) and value.__module__ == tangent_module.__name__}
+           if inspect.isfunction(inspect.unwrap(value))
+           and value.__module__ == tangent_module.__name__}
     reached, todo = set(), [function]
     while todo:
         names = (_names_in(todo.pop().__code__) & own) - reached
         reached |= names
-        todo.extend(getattr(tangent_module, name) for name in names)
+        todo.extend(inspect.unwrap(getattr(tangent_module, name)) for name in names)
     return reached
 
 
