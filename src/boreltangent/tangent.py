@@ -95,13 +95,16 @@ Two independent algorithms are provided by design:
   variables sweep the whole box.
   :func:`verify_tangent` checks the three half sums on a graded report.
 
-  The scan meets a radix at a run of staircases in a row, so
+  The scan meets a radix at a run of staircases in a row, and a range
+  scan meets most of a colength's radixes again at the next colengths, so
   :func:`_total` takes the weights, the box size and the codes from a
-  table per radix tuple lo: the 32 radixes used last, each with a dict
+  table per radix tuple lo: the 64 radixes used last, each with a dict
   from exponent to code that the staircases fill as they meet them, at
-  most prod_t lo_t codes, as every digit is below lo_t.  The request path
-  packs afresh: its ideals seldom share a radix, and a bounded table there
-  would only add misses.
+  most prod_t lo_t codes, as every digit is below lo_t.  Over N=3 l =
+  10..18 (94 radixes) that table missed 2 735 codes, against 7 450 with 32
+  radixes and 2 328 with no bound.  The request path packs afresh: its
+  ideals seldom share a radix, and a bounded table there would only add
+  misses.
 
   A mask spans the whole box, prod_t R_t bits, where a frozenset holds at
   most l positions: a staircase thin in several variables (x^200, y^200,
@@ -291,7 +294,7 @@ class _Codes(dict):
         return code
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _radix(lo: tuple[int, ...]) -> tuple[list[int], int, _Codes]:
     """The weights, the box size and a table of codes of one radix, shared
     by the staircases of the scan that have it (see :func:`_total`)."""
