@@ -3,6 +3,17 @@
 Subcommands: enumerate, tangent, graded, region, scan, table,
 check-monotonic, check-necessary, check-tetrahedral.
 
+Output: a command's handler returns its result as a JSON value and a list
+of text lines, and :func:`main` alone writes stdout: ``--format json``
+prints the value as one document indented by 2, and every other format
+prints the lines.  ``scan`` and ``table`` also take ``--format csv``, for
+which the lines are the CSV rows under their header.  Two handlers print
+for themselves: ``enumerate`` streams one ideal per line, as text or as
+JSON lines (``--format jsonl``), so that its output needs no bound and a
+``--max-results`` prefix is printed before the cap's exit 4; ``graded``
+prints its JSON document on one line.  Errors go to stderr, one line
+each, with these exit codes.
+
 Exit codes: 0 success; 1 usage error; 2 invalid ideal input; 3 internal
 consistency failure (graded method vs matrix oracle under --verify);
 4 budget or size cap exceeded (partial results are flushed to the cache
@@ -180,7 +191,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> None:
+    # streams: the output has no bound, and a --max-results prefix must
+    # reach stdout before the cap's exit 4
     filt = EnumFilter(m1=args.m1, num_generators=args.gens,
                       max_results=args.max_results)
     for ideal in enumerate_strongly_stable(args.vars, args.l, filt):
@@ -188,24 +201,20 @@ def _cmd_enumerate(args) -> int:
             print(json.dumps(ideal_to_json(ideal)))
         else:
             print(format_ideal(ideal))
-    return EXIT_OK
 
 
-def _cmd_tangent(args) -> int:
+def _cmd_tangent(args) -> tuple[object, list[str]]:
     ideal = parse_ideal(args.ideal, nvars=args.vars)
     report = verify_tangent(ideal) if args.verify else tangent_dimension(ideal)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(f"ideal: {format_ideal(ideal)}")
-        print(f"l: {report.l}")
-        print(f"g: {report.g}")
-        print(f"total: {report.total}")
-        print(f"zero_rank: {report.zero_rank}")
-    return EXIT_OK
+    return report.to_json(), [f"ideal: {format_ideal(ideal)}",
+                              f"l: {report.l}",
+                              f"g: {report.g}",
+                              f"total: {report.total}",
+                              f"zero_rank: {report.zero_rank}"]
 
 
-def _cmd_graded(args) -> int:
+def _cmd_graded(args) -> None:
+    # its JSON document is one line, not indented like every other command's
     ideal = parse_ideal(args.ideal, nvars=args.vars)
     dim = graded_dimension(ideal, args.alpha)
     if args.format == "json":
@@ -213,39 +222,18 @@ def _cmd_graded(args) -> int:
                           "alpha": list(args.alpha), "dim": dim}))
     else:
         print(dim)
-    return EXIT_OK
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args) -> tuple[object, list[str]]:
     ideal = parse_ideal(args.ideal, nvars=args.vars)
     slc = region_slice(ideal, args.alpha, size_filter=args.size_filter)
-    if args.format == "text":
-        print(f"alpha: {','.join(str(a) for a in slc.alpha)}")
-        print(f"cells: {len(slc.cells)}")
-        print(f"components: {len(slc.components)}")
-        print(f"counted: {slc.counted}")
-    else:
-        print(json.dumps(region_slice_to_json(slc), indent=2))
-    return EXIT_OK
+    return region_slice_to_json(slc), [f"alpha: {','.join(str(a) for a in slc.alpha)}",
+                                       f"cells: {len(slc.cells)}",
+                                       f"components: {len(slc.components)}",
+                                       f"counted: {slc.counted}"]
 
 
-def _print_records(records, fmt) -> None:
-    if fmt == "csv":
-        print(CSV_HEADER)
-        for record in records:
-            print(record.to_csv_row())
-    elif fmt == "json":
-        print(json.dumps([r.to_json() for r in records], indent=2))
-    else:
-        for r in records:
-            t = "-" if r.t_max is None else r.t_max
-            print(f"N={r.key.nvars} l={r.key.l} m1={r.key.m1}: "
-                  f"ideal_count={r.ideal_count} t_max={t} n_argmax={len(r.argmax)}")
-            for ideal in r.argmax:
-                print(f"  argmax: {format_ideal(ideal)}")
-
-
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[object, list[str]]:
     kwargs = _scan_kwargs(args)
     if args.m1 is not None:
         records = [t_max(ScanKey(args.vars, args.l, args.m1), **kwargs)]
@@ -256,69 +244,63 @@ def _cmd_scan(args) -> int:
         for record in records:
             for ideal in record.argmax:
                 verify_tangent(ideal)
-    _print_records(records, args.format)
-    return EXIT_OK
+    if args.format == "csv":
+        lines = [CSV_HEADER, *(r.to_csv_row() for r in records)]
+    else:
+        lines = []
+        for r in records:
+            t = "-" if r.t_max is None else r.t_max
+            lines.append(f"N={r.key.nvars} l={r.key.l} m1={r.key.m1}: "
+                         f"ideal_count={r.ideal_count} t_max={t} n_argmax={len(r.argmax)}")
+            lines.extend(f"  argmax: {format_ideal(ideal)}" for ideal in r.argmax)
+    return [r.to_json() for r in records], lines
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[object, list[str]]:
     cells = reproduce_published_table(args.lmin, args.lmax, **_scan_kwargs(args))
-    if args.format == "json":
-        print(json.dumps([c.to_json() for c in cells], indent=2))
-    elif args.format == "csv":
-        print("l,k,m1,expected,computed,ok")
+    if args.format == "csv":
+        lines = ["l,k,m1,expected,computed,ok"]
         for c in cells:
             computed = "" if c.computed is None else c.computed
-            print(f"{c.l},{c.k},{c.m1},{c.expected},{computed},{str(c.ok).lower()}")
+            lines.append(f"{c.l},{c.k},{c.m1},{c.expected},{computed},{str(c.ok).lower()}")
     else:
-        print(f"{'l':>3} {'k':>2} {'m1':>3} {'expected':>9} {'computed':>9}  status")
+        lines = [f"{'l':>3} {'k':>2} {'m1':>3} {'expected':>9} {'computed':>9}  status"]
         for c in cells:
             computed = "-" if c.computed is None else c.computed
             status = "PASS" if c.ok else "FAIL"
-            print(f"{c.l:>3} {c.k:>2} {c.m1:>3} {c.expected:>9} {computed:>9}  {status}")
+            lines.append(f"{c.l:>3} {c.k:>2} {c.m1:>3} {c.expected:>9} {computed:>9}  {status}")
         good = sum(1 for c in cells if c.ok)
-        print(f"{good}/{len(cells)} cells match")
-    return EXIT_OK
+        lines.append(f"{good}/{len(cells)} cells match")
+    return [c.to_json() for c in cells], lines
 
 
-def _cmd_check_monotonic(args) -> int:
+def _cmd_check_monotonic(args) -> tuple[object, list[str]]:
     verdict = check_monotonicity(args.vars, args.l, **_scan_kwargs(args))
-    if args.format == "json":
-        print(json.dumps(verdict.to_json(), indent=2))
+    seq = "  ".join(f"m1={m1}:{t}" for m1, t in verdict.sequence)
+    if verdict.strictly_increasing:
+        word = "STRICTLY INCREASING"
+    elif verdict.weakly_increasing:
+        word = "WEAKLY INCREASING"
     else:
-        seq = "  ".join(f"m1={m1}:{t}" for m1, t in verdict.sequence)
-        print(f"N={verdict.nvars} l={verdict.l}  {seq}")
-        if verdict.strictly_increasing:
-            word = "STRICTLY INCREASING"
-        elif verdict.weakly_increasing:
-            word = "WEAKLY INCREASING"
-        else:
-            word = "NOT INCREASING"
-        print(word)
-    return EXIT_OK
+        word = "NOT INCREASING"
+    return verdict.to_json(), [f"N={verdict.nvars} l={verdict.l}  {seq}", word]
 
 
-def _cmd_check_necessary(args) -> int:
+def _cmd_check_necessary(args) -> tuple[object, list[str]]:
     verdict = check_necessary_condition(args.vars, args.l, **_scan_kwargs(args))
-    if args.format == "json":
-        print(json.dumps(verdict.to_json(), indent=2))
-    else:
-        m1s = ",".join(str(m) for m in verdict.argmax_m1)
-        print(f"N={verdict.nvars} l={verdict.l} k={verdict.k}: "
-              f"global max {verdict.t_max} attained at m1 in {{{m1s}}}")
-        print("HOLDS (every argmax has m1 = k)" if verdict.holds
-              else "VIOLATED (some argmax has m1 != k)")
-    return EXIT_OK
+    m1s = ",".join(str(m) for m in verdict.argmax_m1)
+    return verdict.to_json(), [f"N={verdict.nvars} l={verdict.l} k={verdict.k}: "
+                               f"global max {verdict.t_max} attained at m1 in {{{m1s}}}",
+                               "HOLDS (every argmax has m1 = k)" if verdict.holds
+                               else "VIOLATED (some argmax has m1 != k)"]
 
 
-def _cmd_check_tetrahedral(args) -> int:
+def _cmd_check_tetrahedral(args) -> tuple[object, list[str]]:
     verdict = check_tetrahedral_max(args.vars, args.k, **_scan_kwargs(args))
-    if args.format == "json":
-        print(json.dumps(verdict.to_json(), indent=2))
-    else:
-        print(f"N={verdict.nvars} k={verdict.k} l={verdict.l}: "
-              f"global max {verdict.t_max}, m^k attains it: {verdict.power_attains}, "
-              f"unique: {verdict.unique} (n_argmax={verdict.n_argmax})")
-    return EXIT_OK
+    return verdict.to_json(), [f"N={verdict.nvars} k={verdict.k} l={verdict.l}: "
+                               f"global max {verdict.t_max}, m^k attains it: "
+                               f"{verdict.power_attains}, unique: {verdict.unique} "
+                               f"(n_argmax={verdict.n_argmax})"]
 
 
 def main(argv=None) -> int:
@@ -331,10 +313,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        code = args.func(args)
+        result = args.func(args)
+        if result is not None:
+            value, lines = result
+            if args.format == "json":
+                print(json.dumps(value, indent=2))
+            else:
+                for line in lines:
+                    print(line)
         # a write error still buffered must surface here, not at exit
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except (IdealSyntaxError, NonArtinianIdealError, InvalidStaircaseError,
             DimensionMismatchError, UnsupportedDimensionError) as exc:
         print(f"invalid ideal input: {exc}", file=sys.stderr)

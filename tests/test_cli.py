@@ -13,6 +13,7 @@ from boreltangent.cli import build_parser, main
 from boreltangent.monomials import format_ideal
 from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.tangent import VerificationError
+from test_scan import N3_L8_LINES
 
 SQUARE_TEXT = "x^2,x*y,y^2,x*z^2,y*z^2,z^4"
 SESSION_TEXT = "x^2,y^3,z^3,x*y,x*z,y*z^2,y^2*z"
@@ -442,6 +443,123 @@ def test_check_tetrahedral_json_is_pinned(capsys):
   "n_argmax": 1
 }
 """
+
+
+SCAN_N3_L8_TEXT = """\
+N=3 l=8 m1=1: ideal_count=6 t_max=24 n_argmax=6
+  argmax: x,y,z^8
+  argmax: x,y^2,y*z,z^7
+  argmax: x,y^2,y*z^2,z^6
+  argmax: x,y^2,y*z^3,z^5
+  argmax: x,y^3,y^2*z,y*z^2,z^5
+  argmax: x,y^3,y^2*z,y*z^3,z^4
+N=3 l=8 m1=2: ideal_count=6 t_max=36 n_argmax=1
+  argmax: x^2,x*y,y^2,x*z^2,y*z^2,z^4
+"""
+
+SCAN_N3_L8_JSON = """\
+[
+  {
+    "schema_version": 1,
+    "nvars": 3,
+    "l": 8,
+    "m1": 1,
+    "ideal_count": 6,
+    "t_max": 24,
+    "argmax": [
+      "x,y,z^8",
+      "x,y^2,y*z,z^7",
+      "x,y^2,y*z^2,z^6",
+      "x,y^2,y*z^3,z^5",
+      "x,y^3,y^2*z,y*z^2,z^5",
+      "x,y^3,y^2*z,y*z^3,z^4"
+    ],
+    "elapsed": 0.0011092010026914068
+  },
+  {
+    "schema_version": 1,
+    "nvars": 3,
+    "l": 8,
+    "m1": 2,
+    "ideal_count": 6,
+    "t_max": 36,
+    "argmax": [
+      "x^2,x*y,y^2,x*z^2,y*z^2,z^4"
+    ],
+    "elapsed": 0.0011092010026914068
+  }
+]
+"""
+
+# the graded report of SQUARE_TEXT, one (alpha, dim) per piece in order
+SQUARE_GRADED = [
+    ((-2, 0, 2), 1), ((-2, 0, 3), 1), ((-2, 1, 0), 1), ((-2, 1, 1), 1),
+    ((-1, -1, 2), 1), ((-1, -1, 3), 1), ((-1, 0, 0), 3), ((-1, 0, 1), 3),
+    ((-1, 1, -2), 1), ((-1, 1, -1), 1), ((0, -2, 2), 1), ((0, -2, 3), 1),
+    ((0, -1, 0), 3), ((0, -1, 1), 3), ((0, 0, -2), 3), ((0, 0, -1), 3),
+    ((0, 1, -4), 1), ((0, 1, -3), 1), ((1, -2, 0), 1), ((1, -2, 1), 1),
+    ((1, -1, -2), 1), ((1, -1, -1), 1), ((1, 0, -4), 1), ((1, 0, -3), 1),
+]
+SQUARE_GENS = [[2, 0, 0], [1, 1, 0], [0, 2, 0], [1, 0, 2], [0, 1, 2], [0, 0, 4]]
+SQUARE_CELLS = [[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 3], [1, 0, 0], [1, 0, 1]]
+
+
+def _indented(value) -> str:
+    """A literal value as the CLI prints a JSON document: indented by 2."""
+    return json.dumps(value, indent=2) + "\n"
+
+
+def _case_id(argv) -> str:
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    return f"{argv[0]}-{fmt}"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["tangent", "--ideal", SQUARE_TEXT],
+     "ideal: x^2,x*y,y^2,x*z^2,y*z^2,z^4\nl: 8\ng: 6\ntotal: 36\nzero_rank: 12\n"),
+    (["tangent", "--ideal", SQUARE_TEXT, "--format", "json"],
+     _indented({"ideal": {"vars": 3, "gens": SQUARE_GENS}, "l": 8, "g": 6, "total": 36,
+                "zero_rank": 12,
+                "graded": [{"alpha": list(a), "dim": d} for a, d in SQUARE_GRADED]})),
+    (["graded", "--ideal", SESSION_TEXT, "--alpha", "0,2,-3"], "1\n"),
+    (["graded", "--ideal", SESSION_TEXT, "--alpha", "0,2,-3", "--format", "json"],
+     '{"ideal": {"vars": 3, "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 3, 0], '
+     '[0, 2, 1], [0, 1, 2], [0, 0, 3]]}, "alpha": [0, 2, -3], "dim": 1}\n'),
+    (["region", "--ideal", SQUARE_TEXT, "--alpha=0,1,-2", "--format", "json"],
+     _indented({"alpha": [0, 1, -2], "cells": SQUARE_CELLS, "components": [SQUARE_CELLS],
+                "counted": 1})),
+    (["scan", "--vars", "3", "--l", "8"], SCAN_N3_L8_TEXT),
+    (["scan", "--vars", "3", "--l", "8", "--format", "json"], SCAN_N3_L8_JSON),
+    (["scan", "--vars", "3", "--l", "8", "--format", "csv"],
+     'N,l,k,delta,m1,ideal_count,t_max,n_argmax,first_argmax\n'
+     '3,8,2,4,1,6,24,6,"x,y,z^8"\n'
+     '3,8,2,4,2,6,36,1,"x^2,x*y,y^2,x*z^2,y*z^2,z^4"\n'),
+    (["table", "--lmin", "10", "--lmax", "10", "--no-cache"],
+     "  l  k  m1  expected  computed  status\n"
+     " 10  3   2        46        46  PASS\n"
+     " 10  3   3        60        60  PASS\n"
+     "2/2 cells match\n"),
+    (["table", "--lmin", "10", "--lmax", "10", "--no-cache", "--format", "csv"],
+     "l,k,m1,expected,computed,ok\n10,3,2,46,46,true\n10,3,3,60,60,true\n"),
+    (["check-necessary", "--vars", "3", "--l", "8", "--no-cache"],
+     "N=3 l=8 k=2: global max 36 attained at m1 in {2}\nHOLDS (every argmax has m1 = k)\n"),
+    (["check-tetrahedral", "--vars", "3", "--k", "2", "--no-cache"],
+     "N=3 k=2 l=4: global max 18, m^k attains it: True, unique: True (n_argmax=1)\n"),
+    (["enumerate", "--vars", "3", "--l", "5"],
+     "x,y,z^5\nx,y^2,y*z,z^4\nx,y^2,y*z^2,z^3\nx^2,x*y,x*z,y^2,y*z,z^3\n"),
+    (["enumerate", "--vars", "3", "--l", "5", "--format", "jsonl"],
+     '{"vars": 3, "gens": [[1, 0, 0], [0, 1, 0], [0, 0, 5]]}\n'
+     '{"vars": 3, "gens": [[1, 0, 0], [0, 2, 0], [0, 1, 1], [0, 0, 4]]}\n'
+     '{"vars": 3, "gens": [[1, 0, 0], [0, 2, 0], [0, 1, 2], [0, 0, 3]]}\n'
+     '{"vars": 3, "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], '
+     '[0, 0, 3]]}\n'),
+], ids=lambda v: _case_id(v) if isinstance(v, list) else "stdout")
+def test_command_stdout_is_pinned(capsys, tmp_path, argv, out):
+    if argv[0] == "scan":
+        # served from a file of fixed elapsed, as the schema 1 writer wrote it
+        (tmp_path / "scan-N3-l8.jsonl").write_text("".join(line + "\n" for line in N3_L8_LINES))
+        argv = [*argv, "--cache", str(tmp_path)]
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_check_tetrahedral_refuses_k_below_one_by_its_own_flag(capsys):

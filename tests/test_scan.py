@@ -9,11 +9,13 @@ import threading
 import time
 import warnings
 from functools import partial
+from importlib import resources
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from boreltangent import scan
+from boreltangent import published_table, scan
 from boreltangent.enumeration import (
     _origin,
     _walk_level,
@@ -27,6 +29,7 @@ from boreltangent.monomials import (
     format_ideal,
     parse_ideal,
 )
+from boreltangent.published_table import TableDataError, expected_table
 from boreltangent.scan import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -210,6 +213,34 @@ def test_reproduce_published_table_clips_a_range_that_overlaps_it(tmp_path):
         reproduce_published_table(10, 12, cache_dir=tmp_path)
     assert reproduce_published_table(35, 40, cache_dir=tmp_path) == \
         reproduce_published_table(35, 35, cache_dir=tmp_path)
+
+
+BUNDLED_TABLE = resources.files("boreltangent").joinpath("data/tmax_n3.csv").read_bytes()
+WRONG_K_TABLE = BUNDLED_TABLE.replace(b"\n11,3,2,49\n", b"\n11,4,2,49\n")
+
+
+@pytest.mark.parametrize("data, digest, message", [
+    (BUNDLED_TABLE, "0" * 64, "does not match the pinned transcription"),
+    # a wrong row that its own digest lets through reaches the row check
+    (WRONG_K_TABLE, hashlib.sha256(WRONG_K_TABLE).hexdigest(),
+     "row l=11 carries k=4, expected 3"),
+], ids=["digest", "row"])
+def test_the_published_table_refuses_data_it_does_not_pin(monkeypatch, tmp_path, data,
+                                                          digest, message):
+    assert WRONG_K_TABLE != BUNDLED_TABLE
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "tmax_n3.csv").write_bytes(data)
+    monkeypatch.setattr(published_table, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    monkeypatch.setattr(published_table, "_SHA256", digest)
+    # the table is cached: clear it, so that this reads the file above and
+    # later tests read the bundled one
+    expected_table.cache_clear()
+    try:
+        with pytest.raises(TableDataError, match=message):
+            expected_table()
+    finally:
+        expected_table.cache_clear()
 
 
 def test_record_csv_row():
