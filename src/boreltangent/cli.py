@@ -3,15 +3,15 @@
 Subcommands: enumerate, tangent, graded, region, scan, table,
 check-monotonic, check-necessary, check-tetrahedral.
 
-Output: a command's handler returns its result as a JSON value and a list
-of text lines, and :func:`main` alone writes stdout: ``--format json``
-prints the value as one document indented by 2, and every other format
-prints the lines.  ``scan`` and ``table`` also take ``--format csv``, for
-which the lines are the CSV rows under their header.  Two handlers print
-for themselves: ``enumerate`` streams one ideal per line, as text or as
-JSON lines (``--format jsonl``), so that its output needs no bound and a
-``--max-results`` prefix is printed before the cap's exit 4; ``graded``
-prints its JSON document on one line.  Errors go to stderr, one line
+Output: a command's handler returns its result as a JSON value and its
+text lines, and :func:`main` writes stdout: ``--format json`` prints the
+value as one document indented by 2, and every other format prints the
+lines.  ``scan`` and ``table`` also take ``--format csv``, for which the
+lines are the CSV rows under their header.  ``enumerate`` returns its
+lines lazily, one ideal each, as text or as JSON lines (``--format
+jsonl``), so its output streams with no bound and a ``--max-results``
+prefix is printed before the cap's exit 4.  ``graded`` alone prints for
+itself, its JSON document on one line.  Errors go to stderr, one line
 each, with these exit codes.
 
 Exit codes: 0 success; 1 usage error; 2 invalid ideal input; 3 internal
@@ -191,16 +191,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_enumerate(args) -> None:
-    # streams: the output has no bound, and a --max-results prefix must
-    # reach stdout before the cap's exit 4
+def _cmd_enumerate(args) -> tuple[None, map]:
+    # lazy lines, which main prints as the ideals are found: the output has
+    # no bound, and a --max-results prefix must reach stdout before the
+    # cap's exit 4
     filt = EnumFilter(m1=args.m1, num_generators=args.gens,
                       max_results=args.max_results)
-    for ideal in enumerate_strongly_stable(args.vars, args.l, filt):
-        if args.format == "jsonl":
-            print(json.dumps(ideal_to_json(ideal)))
-        else:
-            print(format_ideal(ideal))
+    ideals = enumerate_strongly_stable(args.vars, args.l, filt)
+    if args.format == "jsonl":
+        return None, map(json.dumps, map(ideal_to_json, ideals))
+    return None, map(format_ideal, ideals)
 
 
 def _cmd_tangent(args) -> tuple[object, list[str]]:

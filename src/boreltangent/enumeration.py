@@ -254,8 +254,8 @@ def _canonical(nvars: int, nodes) -> list[tuple[MonomialIdeal, object]]:
     staircases.  Each ideal is built once, from its corners in the order
     :class:`MonomialIdeal` stores, with ``MonomialIdeal._trusted``, which
     checks nothing: the corners of a divisor-closed set are an antichain.
-    The sort formats each ideal's text, which the ideal keeps, so no
-    consumer formats it again.  The payload passes through untouched: the
+    Each ideal is built with its text, which the sort reads and every
+    consumer reads again.  The payload passes through untouched: the
     cells for :func:`sorted_level`, m1 for the enumeration, None for the
     scan's argmax lists.
     """

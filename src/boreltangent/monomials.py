@@ -78,27 +78,6 @@ def _canonical_order(exps) -> list[Exponent]:
     return order
 
 
-class _kept:
-    """A method read as an attribute, computed on first use and then kept
-    in the instance dict, which shadows this non-data descriptor, so later
-    reads are plain attribute lookups.  Unlike ``functools.cached_property``
-    on Python 3.11 it takes no lock: two threads may both compute a value,
-    and either one is kept."""
-
-    def __init__(self, func) -> None:
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 def tetrahedral(nvars: int, k: int) -> int:
     """Colength of m^k in nvars variables: C(nvars-1+k, nvars)."""
     if nvars < 1 or k < 0:
@@ -153,6 +132,12 @@ class MonomialIdeal:
     Generators are stored in canonical order (see :func:`_canonical_order`),
     so equal ideals compare and hash equal regardless of input order.  Construction rejects non-antichain input; use
     :meth:`from_generators` to minimalize a redundant list instead.
+
+    A frozen value of this package sets its derived data when it is built,
+    outside the dataclass fields, so equality, hashing, repr and ``asdict``
+    do not see it: an ideal keeps the text of :func:`format_ideal` in
+    ``_text``, set here and by :meth:`_trusted`, and a :class:`StandardSet`
+    keeps its ideal's generators in ``_gens``.
     """
 
     nvars: int
@@ -165,6 +150,7 @@ class MonomialIdeal:
                 "generators are not an antichain: {} divides {}; "
                 "use MonomialIdeal.from_generators to minimalize".format(*dropped))
         object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "_text", ",".join(map(_monomial_text, gens)))
 
     @classmethod
     def from_generators(cls, nvars: int, gens, warn: bool = False) -> "MonomialIdeal":
@@ -178,10 +164,12 @@ class MonomialIdeal:
     @classmethod
     def _trusted(cls, nvars: int, gens: tuple[Exponent, ...]) -> "MonomialIdeal":
         """The ideal of an antichain already in canonical order (see
-        :func:`_canonical_order`), built without the constructor's checks."""
+        :func:`_canonical_order`), built without the constructor's checks
+        but with its text, as the constructor sets it."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "nvars", nvars)
         object.__setattr__(ideal, "gens", gens)
+        object.__setattr__(ideal, "_text", ",".join(map(_monomial_text, gens)))
         return ideal
 
     def contains(self, e: Exponent) -> bool:
@@ -198,12 +186,6 @@ class MonomialIdeal:
     def pure_powers(self) -> tuple[int, ...] | None:
         """(m_1, ..., m_N) with m_t minimal such that x_t^(m_t) lies in the
         ideal, or None if some variable has no pure power (non-Artinian)."""
-        return self._pure_powers
-
-    @_kept
-    def _pure_powers(self) -> tuple[int, ...] | None:
-        """What :meth:`pure_powers` returns, found on first use and kept
-        like :attr:`_text`."""
         m = [0] * self.nvars
         for g in self.gens:
             d = sum(g)
@@ -215,13 +197,6 @@ class MonomialIdeal:
                 # antichain holds at most one pure power per variable
                 m[g.index(d)] = d
         return tuple(m) if all(m) else None
-
-    @_kept
-    def _text(self) -> str:
-        """The text of :func:`format_ideal`, formatted on first use and kept
-        in the instance dict, outside the dataclass fields, so equality,
-        hashing and repr do not see it."""
-        return ",".join(map(_monomial_text, self.gens))
 
     def __str__(self) -> str:
         return self._text
@@ -235,8 +210,7 @@ class StandardSet:
     colength of the corresponding monomial ideal.  A finite divisor-closed
     set is the staircase of exactly one ideal, the one its corners
     generate; the set keeps those generators, in canonical order, in
-    ``_gens``, outside the dataclass fields (like ``MonomialIdeal._text``),
-    so equality, hashing, repr and ``asdict`` do not see them.
+    ``_gens``, set when it is built (see :class:`MonomialIdeal`).
     """
 
     nvars: int

@@ -46,7 +46,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .enumeration import _canonical, _descend, _origin
-from .monomials import MonomialIdeal, _read_ideal, format_ideal, k_of_l, tetrahedral
+from .monomials import MonomialIdeal, _minimal_gens, _read_ideal, format_ideal, k_of_l, tetrahedral
 from .published_table import TABLE_LMAX, TABLE_LMIN, expected_cells
 from .tangent import _total
 
@@ -166,8 +166,7 @@ def _load_cached(cache_dir, nvars: int, l: int) -> dict[int, ScanRecord] | None:
             # formatted afresh by _records' ideals, never taken from the
             # file, so a text that is not minimal does not write back
             merged[m1] = [operator.index(obj["ideal_count"]), operator.index(obj["t_max"]),
-                          {MonomialIdeal.from_generators(*_read_ideal(t, nvars)).gens
-                           for t in obj["argmax"]}]
+                          {_minimal_gens(*_read_ideal(t, nvars))[0] for t in obj["argmax"]}]
             elapsed = float(obj["elapsed"])
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None

@@ -226,14 +226,19 @@ class GradedTangentReport:
 def _cells_of(ideal: MonomialIdeal, standard: StandardSet | None) -> frozenset[Exponent]:
     """The cells of ``standard``, or of the ideal's own standard set when it
     is None: the one reader of a caller's standard set, under the contract
-    the module docstring states."""
+    the module docstring states.
+
+    The set's generators were set when it was built (see
+    :class:`MonomialIdeal`), as the corners of a finite staircase, so a
+    set whose generators are the ideal's belongs to an Artinian ideal;
+    the pure powers are read only to name the refusal of any other set."""
     if standard is None:
         return standard_set(ideal).cells
     if standard.nvars != ideal.nvars:
         raise DimensionMismatchError("standard set has wrong number of variables")
-    if ideal.pure_powers() is None:
-        raise NonArtinianIdealError("a standard set needs an Artinian ideal")
     if standard._gens != ideal.gens:
+        if ideal.pure_powers() is None:
+            raise NonArtinianIdealError("a standard set needs an Artinian ideal")
         raise InvalidStaircaseError("standard set is not the staircase of the ideal")
     return standard.cells
 

@@ -1,5 +1,6 @@
+import copy as copy_module
 import pickle
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -53,25 +54,42 @@ def test_ideal_canonical_order_and_equality():
 
 
 def test_carried_text_is_no_field():
-    # the text and the pure powers an ideal keeps once found are not
-    # dataclass fields, so equality, hashing, repr and asdict ignore them,
-    # and pickling keeps them
+    # the text an ideal keeps is not a dataclass field, so equality,
+    # hashing, repr and asdict ignore it, and pickling keeps it
     a = MonomialIdeal(2, ((0, 3), (2, 0), (1, 1)))
     b = MonomialIdeal(2, ((2, 0), (1, 1), (0, 3)))
     assert format_ideal(a) == str(a) == "x^2,x*y,y^3"
     assert a.pure_powers() == (2, 3)
-    assert {"_text", "_pure_powers"} <= set(vars(a))
-    assert not {"_text", "_pure_powers"} & set(vars(b))
+    assert "_text" in vars(a)
     assert [f.name for f in fields(MonomialIdeal)] == ["nvars", "gens"]
-    # a non-data descriptor, which the kept value in the instance dict shadows
-    assert not any(hasattr(vars(MonomialIdeal)[name], "__set__")
-                   for name in ("_text", "_pure_powers"))
     assert (a, hash(a), repr(a), asdict(a)) == (b, hash(b), repr(b), asdict(b))
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and hash(copy) == hash(a)
-    assert {"_text", "_pure_powers"} <= set(vars(copy))
+    assert "_text" in vars(copy)
     assert format_ideal(copy) == format_ideal(b) == "x^2,x*y,y^3"
     assert copy.pure_powers() == b.pure_powers() == (2, 3)
+
+
+def test_every_ideal_is_built_with_its_text():
+    # each way an ideal is made sets its text before anything formats it
+    gens = ((0, 3, 0), (2, 0, 0), (1, 1, 0), (0, 0, 1))
+    a = MonomialIdeal(3, gens)
+    built = {
+        "constructor": a,
+        "from_generators": MonomialIdeal.from_generators(3, [*gens, (2, 1, 0)]),
+        "parse_ideal": parse_ideal("z, y^3, x*y, x^2", nvars=3),
+        "minimal_generators": minimal_generators(standard_set(a)),
+        "replace": replace(a, gens=((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        "copy": copy_module.copy(a),
+        "pickle": pickle.loads(pickle.dumps(a)),
+        "unit": MonomialIdeal(2, ((0, 0),)),
+        "x1..x5": parse_ideal("x1^2,x2,x3,x4,x5"),
+    }
+    for name, ideal in built.items():
+        assert vars(ideal)["_text"] == ideal_text(ideal.gens, ideal.nvars), name
+    assert vars(built["replace"])["_text"] == "x,y,z"
+    for ideal in enumerate_strongly_stable(3, 8):
+        assert vars(ideal)["_text"] == ideal_text(ideal.gens, 3)
 
 
 def test_kept_generators_are_no_field():
