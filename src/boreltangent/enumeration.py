@@ -19,7 +19,7 @@ one parent, so a depth-first walk from the one-cell staircase meets each
 staircase of each size once, with no frontier and no record of what it
 has seen.
 
-The walk keeps one mutable cell set and its corners, updated in place as it
+The walk keeps one staircase's cells and corners, updated in place as it
 steps down and back: adding c drops c from the corners and adds the
 c + e_t whose every divisor is a cell.  It holds O(l) state, and each
 visited staircase hands its cells, its corners and its m1 (one more than
@@ -41,9 +41,9 @@ corner carries the bit mask of the variables where it is positive, and two
 tables indexed by that mask, built once per radix and shared by every
 walk in it, list the offsets that subtract only from those variables.  So
 no digit goes below zero and no add carries: every Borel test and every
-corner test is a few adds and set lookups on the true codes.  The walk
-keeps the cell tuples beside the codes, one add or remove a step, for its
-visit.
+corner test is a few adds and lookups on the true codes.  The walk keeps
+one map from each cell's code to the cell, one add or remove a step, and
+hands its visit the map's cells.
 
 A walk is given as a job (cells, corners, l): it visits the staircases of
 size l that contain that staircase.  :func:`_origin` makes the job of a
@@ -102,9 +102,10 @@ class EnumFilter:
             raise ValueError("max_results must be >= 0")
 
 
-#: a staircase of the walk as its visit sees it: its cells, its corners and
-#: its m1, the exponent of its pure x1 power
-Visit = Callable[[set[Exponent], tuple[Exponent, ...], int], None]
+#: a staircase of the walk as its visit sees it: its cells, as a live view
+#: that the walk changes after the visit returns, its corners and its m1,
+#: the exponent of its pure x1 power
+Visit = Callable[[Collection[Exponent], tuple[Exponent, ...], int], None]
 
 #: a walk to do: the cells and corners of a staircase, and the size l that
 #: the walk descends to
@@ -145,19 +146,19 @@ def _descend(nvars: int, job: Job, visit: Visit, budget: int | None = None) -> l
     Borel staircase of size l that contains the job's staircase, and
     return the children handed back as jobs.
 
-    The walk updates one cell set, its packed codes and its corners (a
-    corner's code mapped to the corner and its support mask) in place and
-    restores them on the way back, so a visit that keeps the cells must
-    copy them.  With a ``budget``, once ``budget`` staircases of size l
-    have been visited, a child above size l is no longer entered but
-    handed back as the job (cells, corners, l); with none, nothing is.
+    The walk updates two maps in place and restores them on the way back:
+    each cell's packed code to the cell, and each corner's code to the
+    corner and its support mask.  The visit gets a live view of the cells,
+    so a visit that keeps them must copy them.  With a ``budget``, once
+    ``budget`` staircases of size l have been visited, a child above size
+    l is no longer entered but handed back as the job (cells, corners, l);
+    with none, nothing is.
     """
     cells, corners, l = job
     if l < len(cells):
         raise ValueError(f"a staircase of {len(cells)} cells lies below size {l}")
     weights, moves, grows = _tables(nvars, l + 1)
-    codes = {sum(map(mul, e, weights)) for e in cells}
-    cells = set(cells)
+    cells = {sum(map(mul, e, weights)): e for e in cells}
     corners = {sum(map(mul, e, weights)): (e, _support(e)) for e in corners}
     jobs = []
     left = float("inf") if budget is None else budget
@@ -167,7 +168,7 @@ def _descend(nvars: int, job: Job, visit: Visit, budget: int | None = None) -> l
         # ``top``, and lies ``levels`` cells short of size l
         nonlocal left
         if not levels:
-            visit(cells, tuple([e for e, _mask in corners.values()]), last[0] + 1)
+            visit(cells.values(), tuple([e for e, _mask in corners.values()]), last[0] + 1)
             left -= 1
             return
         levels -= 1
@@ -176,37 +177,36 @@ def _descend(nvars: int, job: Job, visit: Visit, budget: int | None = None) -> l
             if c > top:
                 # the child rule, then the Borel moves of c
                 for d in moves[item[1]]:
-                    if c + d not in codes:
+                    if c + d not in cells:
                         break
                 else:
                     children.append((c, item))
         for c, item in children:
             e, support = item
-            codes.add(c)
-            cells.add(e)
+            cells[c] = e
             del corners[c]
             new = []
             for t, step, grown, offsets in grows[support]:
                 # c + e_t is a corner when its other divisors c + e_t - e_u are cells
                 for d in offsets:
-                    if c + d not in codes:
+                    if c + d not in cells:
                         break
                 else:
                     new.append(c + step)
                     corners[c + step] = (e[:t] + (e[t] + 1,) + e[t + 1:], grown)
             if levels and left <= 0:
-                jobs.append((list(cells), tuple([g for g, _mask in corners.values()]), l))
+                jobs.append((list(cells.values()), tuple([g for g, _mask in corners.values()]), l))
             else:
                 walk(c, e, levels)
             for w in new:
                 del corners[w]
             corners[c] = item
-            cells.remove(e)
-            codes.remove(c)
+            del cells[c]
 
     try:
         # code order is tuple order, so the largest code is the largest cell's
-        walk(max(codes), max(cells), l - len(cells))
+        top = max(cells)
+        walk(top, cells[top], l - len(cells))
     finally:
         # walk reaches itself through its closure; clearing that cell frees
         # the walk's state now, not at some later cyclic collection

@@ -422,17 +422,16 @@ def _generator(text: str) -> tuple[tuple[tuple[int, int], ...], bool, int]:
         raise IdealSyntaxError("empty generator (stray comma?)")
     exps: dict[int, int] = {}
     alias_used = False
-    if text != "1":
-        for factor in text.split("*"):
-            if not factor:
-                raise IdealSyntaxError(f"empty factor in {text!r}")
-            if factor == "1":
-                continue
-            name, e = _parse_factor(factor)
-            idx = _variable_index(name)
-            if name in ALIASES:
-                alias_used = True
-            exps[idx] = exps.get(idx, 0) + e
+    for factor in text.split("*"):
+        if not factor:
+            raise IdealSyntaxError(f"empty factor in {text!r}")
+        if factor == "1":
+            continue
+        name, e = _parse_factor(factor)
+        idx = _variable_index(name)
+        if name in ALIASES:
+            alias_used = True
+        exps[idx] = exps.get(idx, 0) + e
     return tuple((idx - 1, e) for idx, e in sorted(exps.items())), alias_used, max(exps, default=1)
 
 

@@ -25,13 +25,14 @@ Two independent algorithms are provided by design:
   of u with g(x_j * u), for each minimal generator u and each j < max(u),
   generate the syzygies.  Such a pair's lcm is x_j * u itself, and there
   are at most (N-1)*G of them.  The package's x1-dominant convention is
-  theirs.  The partner takes one lookup when w = x_j * u / x_max(u) is a
-  generator: w lies in I by strong stability (x_j replaces x_max(u), j <
-  max(u)), and x_j * u = w * x_max(u) with max(w) <= max(u), which is the
-  factorization that defines g(x_j * u).  Otherwise the last variable of
-  x_j * u is stripped while what remains lies in I.  For any other
-  monomial ideal the kernel falls back on all G(G-1)/2 pairs, whose Taylor
-  relations generate the syzygies of every monomial ideal.
+  theirs.  One rule finds the partner: start from w = x_j * u / x_max(u),
+  which lies in I by strong stability (x_j replaces x_max(u), j <
+  max(u)), and strip the last variable of w while what remains lies in I.
+  What is left is g(x_j * u), since it lies in I, loses I when its last
+  variable goes (so by strong stability it is a minimal generator), and
+  every variable stripped, x_max(u) first, is at least its largest.  For
+  any other monomial ideal the kernel falls back on all G(G-1)/2 pairs,
+  whose Taylor relations generate the syzygies of every monomial ideal.
 
   One sweep counts every degree at once, on sets of degree positions.
   With maxgen_t and maxcell_t the largest exponent of x_t among the
@@ -336,10 +337,11 @@ def _ek_pairs(gens, codes, weights, cell_codes) -> list[tuple[int, int, int]]:
     """The Eliahou-Kervaire pairs (i, k, packed lcm) of a Borel staircase,
     which is not checked.
 
-    The EK partner of generator u and j < max(u) is g(x_j*u): the generator
-    x_j*u/x_max(u) when there is one, and otherwise found by stripping the
-    last variable of x_j*u while what remains is not a cell, that is, lies
-    in I (see the module docstring).  The pair's lcm is x_j*u.
+    The EK partner of generator u and j < max(u) is g(x_j*u), found by one
+    rule: start from x_j*u/x_max(u), which lies in I, and strip its last
+    variable while what remains lies in I, that is, is not a cell (the
+    module docstring says why this ends at g(x_j*u)).  The pair's lcm is
+    x_j*u.
     """
     nvars = len(weights)
     index = {c: i for i, c in enumerate(codes)}
@@ -350,22 +352,18 @@ def _ek_pairs(gens, codes, weights, cell_codes) -> list[tuple[int, int, int]]:
             last -= 1
         for j in range(last):
             lcm = codes[i] + weights[j]
-            # x_j*u/x_max(u) lies in I; when it is a generator it is g(x_j*u)
             w = lcm - weights[last]
-            k = index.get(w)
-            if k is None:
-                e, t = list(a), last
-                e[j] += 1
+            e, t = list(a), last
+            e[j] += 1
+            e[t] -= 1
+            while True:
+                while not e[t]:
+                    t -= 1
+                if w - weights[t] in cell_codes:
+                    break
+                w -= weights[t]
                 e[t] -= 1
-                while True:
-                    while not e[t]:
-                        t -= 1
-                    if w - weights[t] in cell_codes:
-                        break
-                    w -= weights[t]
-                    e[t] -= 1
-                k = index[w]
-            pairs.append((i, k, lcm))
+            pairs.append((i, index[w], lcm))
     return pairs
 
 

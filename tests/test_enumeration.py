@@ -271,7 +271,7 @@ def test_walk_meets_a_staircase_once_with_its_corners(staircase):
     met = []
 
     def keep(node, corners, _m1):
-        if node == cells:
+        if set(node) == cells:
             met.append(set(corners))
 
     _walk_level(nvars, len(cells), keep)

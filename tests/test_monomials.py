@@ -130,6 +130,8 @@ def test_ideal_rejects_bad_exponents():
         MonomialIdeal.from_generators(2, [])
     with pytest.raises(ValueError):
         MonomialIdeal(0, ((0,),))
+    with pytest.raises(DimensionMismatchError):
+        MonomialIdeal(2, ((1, 0), (0, 1))).contains((0, 0, 0))
 
 
 def test_from_generators_minimalizes():
@@ -267,6 +269,10 @@ def test_standard_set_rejects_non_staircase():
         StandardSet(2, frozenset([(0, 0), (1, 1)]))
     with pytest.raises(InvalidStaircaseError):
         StandardSet(2, frozenset([(0, -1)]))
+    with pytest.raises(DimensionMismatchError):
+        StandardSet(3, {(0, 0)})
+    with pytest.raises(ValueError, match="nvars must be >= 1"):
+        StandardSet(0, set())
 
 
 def test_staircase_round_trip_small():
@@ -308,6 +314,8 @@ def test_tetrahedral_and_k_of_l():
     assert k_of_l(3, 11) == (3, 1)
     with pytest.raises(ValueError):
         k_of_l(3, 0)
+    with pytest.raises(ValueError, match="k >= 0"):
+        tetrahedral(3, -1)
 
 
 def test_parse_format_round_trip_examples():
@@ -407,6 +415,8 @@ def test_parse_errors():
         parse_ideal("y,x5^2")  # alias in a 5-variable ring
     with pytest.raises(IdealSyntaxError, match="empty factor"):
         parse_ideal("x**y")
+    with pytest.raises(ValueError, match="nvars must be >= 1"):
+        parse_ideal("x", nvars=0)
 
 
 def test_parse_skips_unit_factors():

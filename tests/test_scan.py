@@ -217,6 +217,8 @@ def test_reproduce_published_table_clips_a_range_that_overlaps_it(tmp_path):
 
 BUNDLED_TABLE = resources.files("boreltangent").joinpath("data/tmax_n3.csv").read_bytes()
 WRONG_K_TABLE = BUNDLED_TABLE.replace(b"\n11,3,2,49\n", b"\n11,4,2,49\n")
+WRONG_M1_TABLE = BUNDLED_TABLE.replace(b"\n11,3,2,49\n", b"\n11,3,1,49\n")
+SHORT_TABLE = BUNDLED_TABLE.replace(b"\n11,3,2,49\n", b"\n")
 
 
 @pytest.mark.parametrize("data, digest, message", [
@@ -224,10 +226,12 @@ WRONG_K_TABLE = BUNDLED_TABLE.replace(b"\n11,3,2,49\n", b"\n11,4,2,49\n")
     # a wrong row that its own digest lets through reaches the row check
     (WRONG_K_TABLE, hashlib.sha256(WRONG_K_TABLE).hexdigest(),
      "row l=11 carries k=4, expected 3"),
-], ids=["digest", "row"])
+    (WRONG_M1_TABLE, hashlib.sha256(WRONG_M1_TABLE).hexdigest(), "row l=11 has m1=1 outside 2..k"),
+    (SHORT_TABLE, hashlib.sha256(SHORT_TABLE).hexdigest(), "expected 69 table cells, found 68"),
+], ids=["digest", "row", "m1", "count"])
 def test_the_published_table_refuses_data_it_does_not_pin(monkeypatch, tmp_path, data,
                                                           digest, message):
-    assert WRONG_K_TABLE != BUNDLED_TABLE
+    assert BUNDLED_TABLE not in (WRONG_K_TABLE, WRONG_M1_TABLE, SHORT_TABLE)
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "tmax_n3.csv").write_bytes(data)
     monkeypatch.setattr(published_table, "resources",
