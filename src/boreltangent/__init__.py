@@ -44,6 +44,7 @@ from .region3d import (
 )
 from .scan import (
     BudgetExceededError,
+    WorkerLostError,
     check_monotonicity,
     check_necessary_condition,
     check_tetrahedral_max,
@@ -79,6 +80,7 @@ __all__ = [
     "UnknownVariableError",
     "UnsupportedDimensionError",
     "VerificationError",
+    "WorkerLostError",
     "alpha_support_box",
     "check_monotonicity",
     "check_necessary_condition",

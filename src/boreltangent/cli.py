@@ -18,8 +18,10 @@ Exit codes: 0 success; 1 usage error; 2 invalid ideal input; 3 internal
 consistency failure (graded method vs matrix oracle under --verify);
 4 budget or size cap exceeded (partial results are flushed to the cache
 when caching is enabled); 5 input/output error, such as a full disk under
-stdout or a cache that cannot be written; 141 (128 + SIGPIPE) the reader
-of stdout went away, as under ``| head``.
+stdout or a cache that cannot be written; 6 scan workers died mid-job
+more often than a scan runs a lost job again (completed colengths are
+flushed as under 4); 141 (128 + SIGPIPE) the reader of stdout went away,
+as under ``| head``.
 
 Numbers on the command line are ASCII, as in the ideal grammar: an
 integer is an optional '-' and ASCII digits.
@@ -51,6 +53,7 @@ from .scan import (
     CSV_HEADER,
     BudgetExceededError,
     ScanKey,
+    WorkerLostError,
     check_monotonicity,
     check_necessary_condition,
     check_tetrahedral_max,
@@ -72,6 +75,7 @@ EXIT_BAD_IDEAL = 2
 EXIT_INCONSISTENT = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
+EXIT_WORKER_LOST = 6
 EXIT_BROKEN_PIPE = 141
 
 
@@ -331,11 +335,12 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetExceededError, WorkerLostError) as exc:
+        lost = isinstance(exc, WorkerLostError)
+        print(f"{'worker lost' if lost else 'budget exceeded'}: {exc}", file=sys.stderr)
         if exc.completed:
             print(f"completed colengths: {sorted(exc.completed)}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_WORKER_LOST if lost else EXIT_BUDGET
     except (EnumerationLimitError, OracleSizeError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

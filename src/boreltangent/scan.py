@@ -18,11 +18,19 @@ colength, and a colength is merged, cached and counted as completed when
 its count reaches zero.
 
 Every job is alike, and the worker count alone decides where jobs run.
-At one worker the parent runs them itself, in process, and never starts a
-pool.  With several, a pool starts with the scan, and every job goes to
-it: first the roots, in ascending colength, then each job handed back.
-The merge ignores the order of the jobs, and each argmax list is sorted
-into canonical order, so results are identical for any worker count.
+At one worker the parent runs them itself, in process, and starts no
+process.  With several, every job goes to a worker process, as the mplrs
+master hands them out: the parent keeps the list of jobs, gives each idle
+worker one, and so always knows which job each worker holds.  A worker
+starts only when a job waits and no started worker is idle, so a colength
+that fits one job starts one worker, whatever the worker count.  Jobs
+leave the list from its end, so the jobs a reply hands back go before the
+roots still waiting, which leave in ascending colength.  A worker that
+dies mid-job sends no reply; its job goes back on the list for a fresh
+worker, ``LOST_JOB_RERUNS`` times in a scan, and the next death raises
+:class:`WorkerLostError`.  The merge ignores the order of the jobs, and
+each argmax list is sorted into canonical order, so results are
+identical for any worker count.
 
 Completed colengths are cached as JSONL files (``scan-N{N}-l{l}.jsonl``,
 one record per m1 class, schema-versioned); reruns skip cached colengths,
@@ -36,7 +44,7 @@ import json
 import multiprocessing
 import operator
 import os
-import queue
+import signal
 import sys
 import threading
 import time
@@ -57,30 +65,49 @@ SCHEMA_VERSION = 1
 #: millisecond to send a job and merge it
 JOB_BUDGET = 400
 
-#: the pool's start method: fork on Linux, where it starts workers fastest
-#: (Python 3.14 makes forkserver the default there), the default elsewhere
-_POOL_CONTEXT = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
+#: worker deaths a scan outlives: the job of each dead worker runs again
+#: on a fresh one, and one death more raises WorkerLostError
+LOST_JOB_RERUNS = 2
+
+#: the workers' start method: fork on Linux, where a worker starts fastest
+#: (Python 3.14 makes forkserver the default there) and runs the module's
+#: ``_job`` as the parent sees it, the default elsewhere
+_WORKER_CONTEXT = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
+
+#: the longest one wait for the workers, in seconds; a later deadline is
+#: waited for in waits of this length: connection.wait counts its timeout
+#: in milliseconds in a C int, which threading.TIMEOUT_MAX overflows
+_LONGEST_WAIT = 86400.0
 
 #: environment variable holding the default cache directory
 CACHE_ENV_VAR = "BORELTANGENT_CACHE"
 
 
-class BudgetExceededError(RuntimeError):
-    """The wall-clock budget of a scan was exceeded.
-
-    The budget bounds the whole scan, every colength of a range together:
-    one deadline is set when the scan starts, before its pool, so it counts
-    the walk and the tangent computations of every colength.  At one worker each job
-    checks the deadline at every staircase it scans; with several, every
-    wait for a job is bounded by the time left.
-
-    ``completed`` holds the records of every colength finished before the
-    breach (already flushed to the cache when caching is enabled).
-    """
+class _ScanStopped(RuntimeError):
+    """A scan stopped before its last colength.  ``completed`` holds the
+    records of every colength finished before (already flushed to the
+    cache when caching is enabled)."""
 
     def __init__(self, message: str, completed=None):
         super().__init__(message)
         self.completed = completed or {}
+
+
+class BudgetExceededError(_ScanStopped):
+    """The wall-clock budget of a scan was exceeded.
+
+    The budget bounds the whole scan, every colength of a range together:
+    one deadline is set when the scan starts, before any worker, so it
+    counts the walk and the tangent computations of every colength.  At one
+    worker each job checks the deadline at every staircase it scans; with
+    several, every wait for the workers is bounded by the time left, and
+    the workers are killed when it runs out.
+    """
+
+
+class WorkerLostError(_ScanStopped):
+    """Workers died mid-job more than ``LOST_JOB_RERUNS`` times in one scan
+    (an OOM kill, a segfault, ``os._exit``)."""
 
 
 @dataclass(frozen=True)
@@ -209,7 +236,7 @@ def _job(nvars: int, job, deadline: float | None = None) -> tuple[int, dict[int,
     once it has run at ``JOB_BUDGET`` of them.  Returns (l, {m1: [count,
     t_max, the argmax staircases' corner tuples]}, the jobs handed back).
     Raises multiprocessing.TimeoutError past a ``time.monotonic()``
-    deadline.  Module-level so that pool workers can unpickle it."""
+    deadline."""
     stats: dict[int, list] = {}
 
     def visit(cells, gens, m1):
@@ -218,6 +245,113 @@ def _job(nvars: int, job, deadline: float | None = None) -> tuple[int, dict[int,
         _fold(stats, m1, 1, _total(gens, cells), [gens])
 
     return job[2], stats, _descend(nvars, job, visit, JOB_BUDGET)
+
+
+def _serve(pipe, parent_ends) -> None:
+    """A worker's loop: read (nvars, job) from its pipe, run it and send
+    back the result, or the exception it raised, until it is killed or
+    the parent is gone.  ``_job`` is looked up at each call, so a forked
+    worker runs the one the parent's module held when the worker started.
+    An interrupt from the terminal is the parent's to act on: it kills the
+    workers."""
+    # a forked worker holds a copy of the parent's end of every pipe; once
+    # they are closed, a worker whose parent died reads end of file
+    for end in parent_ends:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            nvars, job = pipe.recv()
+            try:
+                reply = _job(nvars, job)
+            except Exception as exc:
+                import traceback  # only on this path: it is slow to import
+                # the worker's traceback goes as a note (PEP 678), which pickles
+                # with the exception and prints under its parent's traceback
+                exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                                 f"raised in a scan worker:\n{traceback.format_exc()}"]
+                reply = exc
+            pipe.send(reply)
+    except (EOFError, BrokenPipeError):
+        pass  # the parent is gone
+
+
+class _Master:
+    """The worker processes of a scan and the one job each holds."""
+
+    def __init__(self, nvars: int, workers: int):
+        # imported here, not with the package: its few milliseconds would
+        # fall on every process that imports it, most of which start no worker
+        import multiprocessing.connection
+        self.nvars = nvars
+        self.workers = workers
+        self.processes = {}  # pipe -> process, of every live worker
+        self.idle = []       # the pipes of the workers that hold no job
+        self.held = {}       # pipe -> the job its worker holds
+        self.deaths = []     # (l, exit code) of each job whose worker died
+
+    def send(self, jobs: list) -> None:
+        """Give jobs from the end of ``jobs`` to idle workers, starting a
+        worker when none is idle, up to the worker count."""
+        while jobs and (self.idle or len(self.processes) < self.workers):
+            if not self.idle:
+                pipe, child = _WORKER_CONTEXT.Pipe()
+                process = _WORKER_CONTEXT.Process(target=_serve, daemon=True,
+                                                  args=(child, [pipe, *self.processes]))
+                process.start()
+                child.close()
+                self.processes[pipe] = process
+                self.idle.append(pipe)
+            pipe = self.idle.pop()
+            self.held[pipe] = jobs.pop()
+            try:
+                pipe.send((self.nvars, self.held[pipe]))
+            except OSError:
+                pass  # the worker died after its last reply; wait() finds it
+
+    def wait(self, jobs: list, deadline: float | None) -> list:
+        """The replies received once a worker holding a job replies or dies,
+        or at the deadline (None waits for ever).  A dead worker's job goes
+        back on ``jobs``, and a job's error is raised here."""
+        timeout = None if deadline is None else \
+            min(max(0.0, deadline - time.monotonic()), _LONGEST_WAIT)
+        pipes = {self.processes[pipe].sentinel: pipe for pipe in self.held}
+        pipes.update((pipe, pipe) for pipe in self.held)
+        replies = []
+        for pipe in dict.fromkeys(pipes[ready] for ready in
+                                  multiprocessing.connection.wait(list(pipes), timeout)):
+            job = self.held.pop(pipe)
+            try:
+                # a dead worker's pipe reads end of file, or ends mid-reply
+                reply = pipe.recv() if pipe.poll() else None
+            except (EOFError, OSError):
+                reply = None
+            if isinstance(reply, BaseException):
+                raise reply
+            if reply is not None:
+                self.idle.append(pipe)
+                replies.append(reply)
+                continue
+            process = self.processes.pop(pipe)
+            process.join(1.0)
+            self.deaths.append((job[2], process.exitcode))
+            self._stop(pipe, process)
+            jobs.append(job)
+        return replies
+
+    @staticmethod
+    def _stop(pipe, process) -> None:
+        process.kill()
+        process.join()
+        process.close()
+        pipe.close()
+
+    def close(self) -> None:
+        """Kill every worker and wait for each."""
+        for process in self.processes.values():
+            process.kill()
+        for pipe, process in self.processes.items():
+            self._stop(pipe, process)
 
 
 def _records(nvars: int, l: int, merged: dict[int, list], elapsed: float) -> dict[int, ScanRecord]:
@@ -268,50 +402,51 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     jobs = [_origin(nvars, l) for l in reversed(pending)]
     outstanding = Counter(pending)
     merged: dict[int, dict[int, list]] = {l: {} for l in pending}
-    # the pool's callbacks put each job's result, or its error, here
-    returned: queue.SimpleQueue = queue.SimpleQueue()
     started = time.monotonic()
-    deadline = None if budget_seconds is None else started + budget_seconds
-    pool = _POOL_CONTEXT.Pool(workers) if workers > 1 else None
+    deadline = None if budget_seconds in (None, float("inf")) else started + budget_seconds
+    master = _Master(nvars, workers) if workers > 1 else None
     try:
         while outstanding:
-            while pool is not None and jobs:
-                pool.apply_async(_job, (nvars, jobs.pop()),
-                                 callback=returned.put, error_callback=returned.put)
             try:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise multiprocessing.TimeoutError
-                if pool is None:
+                if master is None:
                     # in process the walk itself watches the deadline
-                    l, stats, new = _job(nvars, jobs.pop(), deadline)
+                    replies = [_job(nvars, jobs.pop(), deadline)]
                 else:
-                    # an infinite budget waits as long as a wait can
-                    left = None if deadline is None else \
-                        min(max(0.0, deadline - time.monotonic()), threading.TIMEOUT_MAX)
-                    reply = returned.get(timeout=left)
-                    if isinstance(reply, BaseException):
-                        raise reply
-                    l, stats, new = reply
-            except (multiprocessing.TimeoutError, queue.Empty):
+                    master.send(jobs)
+                    replies = master.wait(jobs, deadline)
+            except multiprocessing.TimeoutError:
                 late = min(outstanding)
                 raise BudgetExceededError(
                     f"budget of {budget_seconds}s exceeded scanning N={nvars} l={late} "
                     f"with {outstanding[late]} jobs outstanding", completed=results) from None
-            for m1, entry in stats.items():
-                _fold(merged[l], m1, *entry)
-            outstanding[l] += len(new) - 1
-            jobs += new
-            if not outstanding[l]:
-                del outstanding[l]
-                now = time.monotonic()
-                results[l] = _records(nvars, l, merged.pop(l), now - started)
-                if cache_dir:
-                    _store_cached(cache_dir, nvars, l, results[l])
-                started = now
+            if master is not None and len(master.deaths) > LOST_JOB_RERUNS:
+                raise WorkerLostError(
+                    f"{len(master.deaths)} workers died mid-job scanning N={nvars}, the last "
+                    f"at l={master.deaths[-1][0]} with exit code {master.deaths[-1][1]}; a scan "
+                    f"runs a lost job again {LOST_JOB_RERUNS} times at most", completed=results)
+            for _l, _stats, new in replies:
+                jobs += new
+            if master is not None:
+                # the workers that replied take their next jobs before the merge
+                master.send(jobs)
+            for l, stats, new in replies:
+                for m1, entry in stats.items():
+                    _fold(merged[l], m1, *entry)
+                outstanding[l] += len(new) - 1
+                if not outstanding[l]:
+                    del outstanding[l]
+                    now = time.monotonic()
+                    results[l] = _records(nvars, l, merged.pop(l), now - started)
+                    if cache_dir:
+                        _store_cached(cache_dir, nvars, l, results[l])
+                    started = now
     finally:
-        # queued jobs are useless after a failure, and none is left after success
-        if pool is not None:
-            pool.terminate()
+        # jobs still held are useless after a failure, and none is left
+        # after success
+        if master is not None:
+            master.close()
     return dict(sorted(results.items()))
 
 

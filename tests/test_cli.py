@@ -13,7 +13,7 @@ from boreltangent.cli import build_parser, main
 from boreltangent.monomials import format_ideal
 from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.tangent import VerificationError
-from test_scan import N3_L8_LINES
+from test_scan import N3_L8_LINES, needs_fork
 
 SQUARE_TEXT = "x^2,x*y,y^2,x*z^2,y*z^2,z^4"
 SESSION_TEXT = "x^2,y^3,z^3,x*y,x*z,y*z^2,y^2*z"
@@ -592,6 +592,26 @@ def test_budget_breach_names_the_completed_colengths(capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert err == ("budget exceeded: budget of 0.3s exceeded scanning N=3 l=11 "
                    "with 1 jobs outstanding\ncompleted colengths: [10]\n")
+
+
+@needs_fork
+def test_lost_workers_name_the_completed_colengths(capsys, monkeypatch):
+    # every job of l = 11 kills its worker, late enough that l = 10 completes first
+    job = scan._job
+
+    def dies_at_11(nvars, task, deadline=None):
+        if task[2] == 11:
+            time.sleep(0.3)
+            os._exit(137)
+        return job(nvars, task, deadline)
+
+    monkeypatch.setattr(scan, "_job", dies_at_11)
+    code, out, err = run(capsys, "table", "--lmin", "10", "--lmax", "11", "--no-cache",
+                         "--workers", "2")
+    assert (code, out) == (6, "")
+    assert err == (f"worker lost: {scan.LOST_JOB_RERUNS + 1} workers died mid-job scanning "
+                   f"N=3, the last at l=11 with exit code 137; a scan runs a lost job again "
+                   f"{scan.LOST_JOB_RERUNS} times at most\ncompleted colengths: [10]\n")
 
 
 @pytest.mark.parametrize("text", ["x^²,y,z", "x^١,y,z", "x²,y,z"])

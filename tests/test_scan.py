@@ -2,15 +2,19 @@ import errno
 import hashlib
 import json
 import multiprocessing
-import multiprocessing.pool
+import multiprocessing.process
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
 from functools import partial
 from importlib import resources
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -40,6 +44,7 @@ from boreltangent.scan import (
     ScanRecord,
     TableCell,
     TetrahedralVerdict,
+    WorkerLostError,
     check_monotonicity,
     check_necessary_condition,
     check_tetrahedral_max,
@@ -582,6 +587,111 @@ def test_pool_job_error_surfaces(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+#: a job monkeypatched into the scan reaches its workers only when they fork
+needs_fork = pytest.mark.skipif(scan._WORKER_CONTEXT.get_start_method() != "fork",
+                                reason="workers do not fork here")
+
+
+def _first(flag) -> bool:
+    """True for the one caller, of any process, that makes the file flag."""
+    try:
+        os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _exit_at_l12(flag, nvars, job, deadline=None):
+    """Kill the worker at the first job of l = 12, or at each one when flag is None."""
+    if job[2] == 12 and (flag is None or _first(flag)):
+        os._exit(137)
+    return _job(nvars, job, deadline)
+
+
+@needs_fork
+def test_a_lost_job_runs_again(monkeypatch, tmp_path):
+    # the worker dies mid-job and sends no reply: the job goes to a fresh
+    # worker, and the records are a clean scan's
+    clean = scan_colength_range(3, 10, 14, workers=2)
+    monkeypatch.setattr(scan, "_job", partial(_exit_at_l12, tmp_path / "died"))
+    started = time.monotonic()
+    assert scan_colength_range(3, 10, 14, workers=2) == clean
+    assert time.monotonic() - started < 5.0
+    assert (tmp_path / "died").exists()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("budget_seconds", [None, 60.0])
+def test_a_job_that_always_kills_its_worker_stops_the_scan(monkeypatch, budget_seconds):
+    # within 5 s, with the budget far off or none at all
+    clean = scan_colength_range(3, 10, 14, workers=2)
+    monkeypatch.setattr(scan, "_job", partial(_exit_at_l12, None))
+    started = time.monotonic()
+    with pytest.raises(WorkerLostError, match=f"^{scan.LOST_JOB_RERUNS + 1} workers died mid-job "
+                       "scanning N=3, the last at l=12 with exit code 137;") as err:
+        scan_colength_range(3, 10, 14, workers=2, budget_seconds=budget_seconds)
+    assert time.monotonic() - started < 5.0
+    assert 12 not in err.value.completed
+    assert all(records == clean[l] for l, records in err.value.completed.items())
+    assert multiprocessing.active_children() == []
+
+
+_KILLED_PARENT = """
+import os, time
+from boreltangent import scan
+
+job = scan._job
+
+def slow(nvars, task, deadline=None):
+    os.write(1, b"%d\\n" % os.getpid())
+    time.sleep(2.0 if task[2] == 11 else 0.0)
+    return job(nvars, task, deadline)
+
+scan._job = slow
+scan.scan_colength_range(3, 10, 11, workers=2)
+"""
+
+
+def _gone(pid) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@needs_fork
+def test_workers_exit_once_the_scan_process_is_killed():
+    # the scan is SIGKILLed with one worker idle after l = 10 and one in the
+    # job of l = 11: the idle one reads end of file at once, and the busy
+    # one finds the parent gone when it replies
+    env = dict(os.environ, PYTHONPATH=str(Path(scan.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-c", _KILLED_PARENT], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            workers = {int(proc.stdout.readline()) for _ in range(2)}
+            time.sleep(0.3)
+        finally:
+            proc.kill()
+        deadline = time.monotonic() + 10.0
+        while not all(map(_gone, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if not _gone(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
+        assert proc.stderr.read() == ""
+
+
+def test_a_job_error_carries_the_worker_traceback(monkeypatch):
+    monkeypatch.setattr(scan, "_job", _failing_pool_job)
+    with pytest.raises(ArithmeticError) as err:
+        scan_colength(3, 24, workers=2)
+    assert "in _failing_pool_job" in err.value.__notes__[-1]
+    assert multiprocessing.active_children() == []
+
+
 def test_budget_bounds_the_walk_in_process():
     # at one worker nothing can time out a wait: each job's walk checks the
     # deadline itself, however many jobs l = 30 has spilled by then
@@ -724,18 +834,32 @@ def test_jobs_cover_each_level_once(monkeypatch, budget):
             assert multiprocessing.active_children() == []
 
 
-def _no_pool(*args, **kwargs):
-    pytest.fail("a pool was created")
+def _no_process(*args, **kwargs):
+    pytest.fail("a worker process was started")
 
 
 def test_one_worker_never_creates_a_pool(monkeypatch):
-    # neither for levels that fit one job each (l = 10..18) nor for one
-    # that spills (l = 24)
+    # nor any process: neither for levels that fit one job each (l =
+    # 10..18) nor for one that spills (l = 24)
     assert not any(_spilled(3, l) for l in range(10, 19)) and _spilled(3, 24)
-    monkeypatch.setattr(multiprocessing.pool, "Pool", _no_pool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_process)
     assert _records_digest(scan_colength_range(3, 10, 18)) == PINNED_N3_L10_18
     records = scan_colength(3, 24)
     assert sum(record.ideal_count for record in records.values()) == count_strongly_stable(3, 24)
+
+
+def test_a_colength_of_one_job_starts_one_worker(monkeypatch):
+    # workers start on demand, so the one job of l = 15 forks one process
+    # however many workers the scan may use
+    assert not _spilled(3, 15)
+    one = scan_colength(3, 15)
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda process: started.append(process) or start(process))
+    assert scan_colength(3, 15, workers=4) == one
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
 
 
 def _job_outside(parent, nvars, job, deadline=None):
