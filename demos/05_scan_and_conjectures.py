@@ -6,8 +6,9 @@ exponent m1 and maximize T over each class.  The published table lists
 these maxima for N=3, l = 10..35; reproduce a slice here, then run the
 monotonicity, necessary-condition, and tetrahedral-maximum checks on it.
 
-The full range takes a couple of minutes (see the README); this demo stays
-at l <= 14 so it finishes in seconds.  Pass a cache directory via
+The full range takes a few seconds at 2 workers (see the README's
+Performance section); this demo stays at l <= 14 so it finishes in well
+under one.  Pass a cache directory via
 BORELTANGENT_CACHE or the functions' cache_dir= to make reruns instant.
 """
 

@@ -4,15 +4,15 @@ Subcommands: enumerate, tangent, graded, region, scan, table,
 check-monotonic, check-necessary, check-tetrahedral.
 
 Output: a command's handler returns its result as a JSON value and its
-text lines, and :func:`main` writes stdout: ``--format json`` prints the
-value as one document indented by 2, and every other format prints the
-lines.  ``scan`` and ``table`` also take ``--format csv``, for which the
-lines are the CSV rows under their header.  ``enumerate`` returns its
-lines lazily, one ideal each, as text or as JSON lines (``--format
-jsonl``), so its output streams with no bound and a ``--max-results``
-prefix is printed before the cap's exit 4.  ``graded`` alone prints for
-itself, its JSON document on one line.  Errors go to stderr, one line
-each, with these exit codes.
+text lines, and :func:`main` alone writes stdout: ``--format json``
+prints the value as one document indented by 2, and every other format,
+or a handler with no value (None), prints the lines.  ``scan`` and
+``table`` also take ``--format csv``, for which the lines are the CSV
+rows under their header.  ``enumerate`` returns its lines lazily, one
+ideal each, as text or as JSON lines (``--format jsonl``), so its output
+streams with no bound and a ``--max-results`` prefix is printed before
+the cap's exit 4.  ``graded`` returns its JSON document as its one line,
+unindented.  Errors go to stderr, one line each, with these exit codes.
 
 Exit codes: 0 success; 1 usage error; 2 invalid ideal input; 3 internal
 consistency failure (graded method vs matrix oracle under --verify);
@@ -217,15 +217,12 @@ def _cmd_tangent(args) -> tuple[object, list[str]]:
                               f"zero_rank: {report.zero_rank}"]
 
 
-def _cmd_graded(args) -> None:
+def _cmd_graded(args) -> tuple[None, list[str]]:
     # its JSON document is one line, not indented like every other command's
     ideal = parse_ideal(args.ideal, nvars=args.vars)
     dim = graded_dimension(ideal, args.alpha)
-    if args.format == "json":
-        print(json.dumps({"ideal": ideal_to_json(ideal),
-                          "alpha": list(args.alpha), "dim": dim}))
-    else:
-        print(dim)
+    doc = {"ideal": ideal_to_json(ideal), "alpha": list(args.alpha), "dim": dim}
+    return None, [json.dumps(doc) if args.format == "json" else str(dim)]
 
 
 def _cmd_region(args) -> tuple[object, list[str]]:
@@ -317,14 +314,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        result = args.func(args)
-        if result is not None:
-            value, lines = result
-            if args.format == "json":
-                print(json.dumps(value, indent=2))
-            else:
-                for line in lines:
-                    print(line)
+        value, lines = args.func(args)
+        if value is not None and args.format == "json":
+            print(json.dumps(value, indent=2))
+        else:
+            for line in lines:
+                print(line)
         # a write error still buffered must surface here, not at exit
         sys.stdout.flush()
         return EXIT_OK

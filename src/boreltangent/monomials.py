@@ -290,8 +290,8 @@ def standard_set(ideal: MonomialIdeal) -> StandardSet:
     grow one total degree at a time from (0, ..., 0): an exponent w lies
     outside the ideal iff it is not a generator and every w - e_u with
     w_u > 0 lies outside (a generator g != w dividing w also divides some
-    w - e_u), which is the corner rule of :func:`_divisors_in` on the cells
-    of the degree below.  That is O(N^2) set lookups per cell, and no
+    w - e_u), so each level is :func:`_corners` of the level below, outside
+    the generators.  That is O(N^2) set lookups per cell, and no
     membership is tested generator by generator.
     """
     if ideal.pure_powers() is None:
@@ -304,13 +304,7 @@ def standard_set(ideal: MonomialIdeal) -> StandardSet:
     level = set() if zero in gens else {zero}
     while level:
         cells |= level
-        above = set()
-        for v in level:
-            for t in range(nvars):
-                w = v[:t] + (v[t] + 1,) + v[t + 1:]
-                if w not in above and w not in gens and _divisors_in(nvars, cells, w):
-                    above.add(w)
-        level = above
+        level = _corners(nvars, level, gens, cells)
     # grown divisor-closed, each cell from its divisors
     return StandardSet._trusted(nvars, frozenset(cells), ideal.gens)
 
@@ -344,15 +338,21 @@ def _gens_from_cells(nvars: int, cells) -> set[Exponent]:
 
     Trusted internal path: assumes divisor-closure, skips validation.
     """
-    if not cells:
-        return {(0,) * nvars}
-    gens = set()
-    for v in cells:
+    # a nonempty finite set has a corner; the empty one's is (0, ..., 0)
+    return _corners(nvars, cells, cells, cells) or {(0,) * nvars}
+
+
+def _corners(nvars: int, frontier, outside, cells) -> set[Exponent]:
+    """The exponents one step above the frontier that are not in
+    ``outside`` and pass the corner rule of :func:`_divisors_in` on the
+    cells."""
+    found = set()
+    for v in frontier:
         for t in range(nvars):
             w = v[:t] + (v[t] + 1,) + v[t + 1:]
-            if w not in cells and w not in gens and _divisors_in(nvars, cells, w):
-                gens.add(w)
-    return gens
+            if w not in found and w not in outside and _divisors_in(nvars, cells, w):
+                found.add(w)
+    return found
 
 
 def _divisors_in(nvars: int, cells, w: Exponent) -> bool:

@@ -127,9 +127,10 @@ class ScanRecord:
     """Result of maximizing T over one (nvars, l, m1) class.
 
     ``argmax`` lists every attaining ideal in canonical order.  ``elapsed``
-    is the wall time from the end of the previous completed colength (or
-    the start of the scan) to the end of this one, and is excluded from
-    equality so cached records compare equal to fresh ones.
+    is the wall time from the start of the scan, the origin of its budget,
+    to the completion of this colength (a cached record keeps the one it
+    was stored with), and is excluded from equality so cached records
+    compare equal to fresh ones.
     """
 
     key: ScanKey
@@ -437,11 +438,9 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
                 outstanding[l] += len(new) - 1
                 if not outstanding[l]:
                     del outstanding[l]
-                    now = time.monotonic()
-                    results[l] = _records(nvars, l, merged.pop(l), now - started)
+                    results[l] = _records(nvars, l, merged.pop(l), time.monotonic() - started)
                     if cache_dir:
                         _store_cached(cache_dir, nvars, l, results[l])
-                    started = now
     finally:
         # jobs still held are useless after a failure, and none is left
         # after success

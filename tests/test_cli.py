@@ -291,7 +291,7 @@ def test_budget_exit_4(capsys):
 
 
 def test_infinite_budget_means_no_bound(capsys):
-    # l = 24 outgrows one job, so the scan waits on a pool with this budget
+    # l = 24 outgrows one job, so the scan waits on its workers with this budget
     code, out, _ = run(capsys, "scan", "--vars", "3", "--l", "24", "--workers", "2",
                        "--no-cache", "--budget-seconds", "inf")
     assert code == 0
@@ -404,6 +404,20 @@ def test_check_monotonic_weakly_increasing_is_pinned(capsys):
     code, out, err = run(capsys, "check-monotonic", "--vars", "2", "--l", "6", "--no-cache")
     assert (code, err) == (0, "")
     assert out == "N=2 l=6  m1=1:12  m1=2:12  m1=3:12\nWEAKLY INCREASING\n"
+
+
+def test_check_monotonic_not_increasing_is_pinned(capsys, monkeypatch):
+    # no scanned colength decreases, so the verdict is made up
+    import boreltangent.cli as cli
+
+    def decreasing(nvars, l, **kwargs):
+        return scan.MonotonicityVerdict(nvars=nvars, l=l, sequence=((1, 30), (2, 24)),
+                                        strictly_increasing=False, weakly_increasing=False)
+
+    monkeypatch.setattr(cli, "check_monotonicity", decreasing)
+    code, out, err = run(capsys, "check-monotonic", "--vars", "3", "--l", "8", "--no-cache")
+    assert (code, err) == (0, "")
+    assert out == "N=3 l=8  m1=1:30  m1=2:24\nNOT INCREASING\n"
 
 
 def test_check_necessary_json_is_pinned(capsys):

@@ -385,6 +385,9 @@ def test_iter_staircase_levels_smoke():
     for l, level in iter_staircase_levels(3, 9):
         assert len(level) == len(set(level))
         assert set(level) == {standard_set(ideal).cells for ideal in enumerate_strongly_stable(3, l)}
+    for nvars, max_colength in [(0, 3), (3, 0)]:
+        with pytest.raises(ValueError, match="need nvars >= 1 and max_colength >= 1"):
+            next(iter_staircase_levels(nvars, max_colength))
 
 
 def test_sorted_level_smoke():

@@ -525,7 +525,7 @@ def _slow_pool_job(delay, nvars, job, deadline=None):
 
 def _slow_pool_jobs(monkeypatch, seconds):
     """Make every job the root job hands back sleep first; the root, the
-    one-cell staircase, runs at full speed in the pool like any other job."""
+    one-cell staircase, runs at full speed in a worker like any other job."""
     monkeypatch.setattr(scan, "_job", partial(_slow_pool_job, seconds))
 
 
@@ -535,10 +535,10 @@ def _spilled(nvars, l):
 
 
 def test_budget_breach_does_not_drain_the_pool(monkeypatch):
-    # l = 24 (1 193 staircases) outgrows the root job's budget, which starts
-    # the pool; every job sent to it sleeps, so that draining the 2 workers
-    # would take seconds, and a breach at the first wait must stop them
-    # (the budget outlasts the root job, tens of milliseconds)
+    # l = 24 (1 193 staircases) outgrows the root job's budget, so the root
+    # hands jobs back; each of them sleeps in its worker, so that draining
+    # the 2 workers would take seconds, and a breach at the first wait must
+    # stop them (the budget outlasts the root job, tens of milliseconds)
     outstanding = len(_spilled(3, 24))
     assert outstanding >= 2
     delay = 2.0
@@ -554,7 +554,7 @@ def test_budget_breach_does_not_drain_the_pool(monkeypatch):
 
 def test_budget_bounds_a_deep_colength():
     # l = 40 (48 545 staircases) takes seconds at 2 workers; the wait for
-    # the pool's jobs ends at the budget, and the pool is torn down with it
+    # the workers' jobs ends at the budget, and the workers are killed with it
     started = time.monotonic()
     with pytest.raises(BudgetExceededError, match="N=3 l=40 with"):
         scan_colength(3, 40, workers=2, budget_seconds=0.2)
@@ -563,7 +563,7 @@ def test_budget_bounds_a_deep_colength():
 
 
 def test_budget_bounds_each_wait(monkeypatch):
-    # a pool job that runs past the budget is not waited for
+    # a worker's job that runs past the budget is not waited for
     _slow_pool_jobs(monkeypatch, 2.0)
     started = time.monotonic()
     with pytest.raises(BudgetExceededError, match="N=3 l=24 with"):
@@ -579,8 +579,8 @@ def _failing_pool_job(nvars, job, deadline=None):
 
 
 def test_pool_job_error_surfaces(monkeypatch):
-    # with no budget every wait is unbounded, so the error a pool worker
-    # raises must come back through the job's callback and stop the scan
+    # with no budget every wait is unbounded, so the error a worker raises
+    # must come back as the job's reply and stop the scan
     monkeypatch.setattr(scan, "_job", _failing_pool_job)
     with pytest.raises(ArithmeticError, match="job failed at l=24"):
         scan_colength(3, 24, workers=2)
@@ -634,6 +634,30 @@ def test_a_job_that_always_kills_its_worker_stops_the_scan(monkeypatch, budget_s
     assert time.monotonic() - started < 5.0
     assert 12 not in err.value.completed
     assert all(records == clean[l] for l, records in err.value.completed.items())
+    assert multiprocessing.active_children() == []
+
+
+def test_a_job_sent_to_a_worker_that_died_idle_goes_back():
+    # the worker dies between its reply and its next job: the send finds
+    # its pipe closed, and the wait finds it dead and puts the job back
+    master = scan._Master(3, 1)
+    try:
+        jobs = [_origin(3, 8)]
+        master.send(jobs)
+        assert len(master.wait(jobs, None)) == 1
+        (idle,) = master.idle
+        process = master.processes[idle]
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(10.0)
+        assert process.exitcode == -signal.SIGKILL
+        jobs = [_origin(3, 9)]
+        master.send(jobs)
+        assert jobs == []
+        assert master.wait(jobs, None) == []
+        assert jobs == [_origin(3, 9)]
+        assert master.deaths == [(9, -signal.SIGKILL)]
+    finally:
+        master.close()
     assert multiprocessing.active_children() == []
 
 
@@ -750,7 +774,7 @@ def test_budget_seconds_zero(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("budget_seconds", [float("inf"), 1e300])
 def test_an_infinite_budget_is_no_bound(workers, budget_seconds):
-    # l = 24 outgrows one job, so at 2 workers the scan waits on the pool
+    # l = 24 outgrows one job, so at 2 workers the scan waits on its workers
     assert scan_colength(3, 24, workers=workers, budget_seconds=budget_seconds) == \
         scan_colength(3, 24)
     assert multiprocessing.active_children() == []
@@ -901,6 +925,17 @@ PINNED_N3_L10_18 = "8f97fd43a4d6b8bd040c36bce680f353d52f7a268884a1f295238c25612d
 def test_scan_records_are_pinned(workers):
     records = scan_colength_range(3, 10, 18, workers=workers)
     assert _records_digest(records) == PINNED_N3_L10_18
+
+
+def test_elapsed_counts_from_the_start_of_the_scan():
+    # the budget's origin: the last colength's elapsed is nearly the whole
+    # call, and at one worker the colengths complete in ascending order
+    started = time.monotonic()
+    records = scan_colength_range(3, 10, 16)
+    wall = time.monotonic() - started
+    elapsed = [records[l][min(records[l])].elapsed for l in sorted(records)]
+    assert wall / 2 <= max(elapsed) <= wall
+    assert elapsed == sorted(elapsed)
 
 
 def test_scan_range_shares_one_pass():
