@@ -24,13 +24,20 @@ master hands them out: the parent keeps the list of jobs, gives each idle
 worker one, and so always knows which job each worker holds.  A worker
 starts only when a job waits and no started worker is idle, so a colength
 that fits one job starts one worker, whatever the worker count.  Jobs
-leave the list from its end, so the jobs a reply hands back go before the
-roots still waiting, which leave in ascending colength.  A worker that
-dies mid-job sends no reply; its job goes back on the list for a fresh
-worker, ``LOST_JOB_RERUNS`` times in a scan, and the next death raises
-:class:`WorkerLostError`.  The merge ignores the order of the jobs, and
-each argmax list is sorted into canonical order, so results are
-identical for any worker count.
+leave the list from its end, so the jobs a reply hands back go before
+the roots still waiting.  With several workers the roots leave largest
+colength first: a job's cost grows with its colength, so the longest
+starts first and the smaller ones fill the other workers around it,
+rather than the longest starting last while the others sit idle
+(Graham's longest-processing-time-first rule, SIAM J. Appl. Math. 17,
+1969).  In process the order changes no time, and the roots leave in
+ascending colength.  So the colengths a budget breach has finished are
+the smallest at one worker and mostly the largest at several; the cache
+resumes from either.  A worker that dies mid-job sends no reply; its job
+goes back on the list for a fresh worker, ``LOST_JOB_RERUNS`` times in a
+scan, and the next death raises :class:`WorkerLostError`.  The merge
+ignores the order of the jobs, and each argmax list is sorted into
+canonical order, so results are identical for any worker count.
 
 Completed colengths are cached as JSONL files (``scan-N{N}-l{l}.jsonl``,
 one record per m1 class, schema-versioned); reruns skip cached colengths,
@@ -86,11 +93,12 @@ CACHE_ENV_VAR = "BORELTANGENT_CACHE"
 class _ScanStopped(RuntimeError):
     """A scan stopped before its last colength.  ``completed`` holds the
     records of every colength finished before (already flushed to the
-    cache when caching is enabled)."""
+    cache when caching is enabled), in ascending colength as a finished
+    scan returns them."""
 
     def __init__(self, message: str, completed=None):
         super().__init__(message)
-        self.completed = completed or {}
+        self.completed = dict(sorted((completed or {}).items()))
 
 
 class BudgetExceededError(_ScanStopped):
@@ -398,9 +406,11 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
     if cache_dir:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
 
-    # the jobs not yet run, popped from the end: each colength's root, in
-    # ascending colength, then the jobs handed back
-    jobs = [_origin(nvars, l) for l in reversed(pending)]
+    # the colengths in the order their roots go out (see the module
+    # docstring), and the jobs not yet run, popped from the end: the jobs
+    # handed back, then the roots
+    roots = pending[::-1] if workers > 1 else pending
+    jobs = [_origin(nvars, l) for l in reversed(roots)]
     outstanding = Counter(pending)
     merged: dict[int, dict[int, list]] = {l: {} for l in pending}
     started = time.monotonic()
@@ -418,7 +428,7 @@ def scan_colength_range(nvars: int, lmin: int, lmax: int, *, workers: int = 1,
                     master.send(jobs)
                     replies = master.wait(jobs, deadline)
             except multiprocessing.TimeoutError:
-                late = min(outstanding)
+                late = next(l for l in roots if l in outstanding)
                 raise BudgetExceededError(
                     f"budget of {budget_seconds}s exceeded scanning N={nvars} l={late} "
                     f"with {outstanding[late]} jobs outstanding", completed=results) from None

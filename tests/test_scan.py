@@ -633,6 +633,7 @@ def test_a_job_that_always_kills_its_worker_stops_the_scan(monkeypatch, budget_s
         scan_colength_range(3, 10, 14, workers=2, budget_seconds=budget_seconds)
     assert time.monotonic() - started < 5.0
     assert 12 not in err.value.completed
+    assert list(err.value.completed) == sorted(err.value.completed)
     assert all(records == clean[l] for l, records in err.value.completed.items())
     assert multiprocessing.active_children() == []
 
@@ -897,6 +898,50 @@ def test_several_workers_run_every_job_in_the_pool(monkeypatch):
     monkeypatch.setattr(scan, "_job", partial(_job_outside, os.getpid()))
     assert _records_digest(scan_colength_range(3, 10, 18, workers=2)) == PINNED_N3_L10_18
     assert multiprocessing.active_children() == []
+
+
+def test_several_workers_take_the_largest_colength_first(monkeypatch):
+    # the master hands out the roots of l = 10..18, one job each, from the
+    # largest down; in process the jobs run ascending
+    handed = []
+    send = scan._Master.send
+
+    def recording_send(master, jobs):
+        before = set(master.held)
+        send(master, jobs)
+        handed.extend(job[2] for pipe, job in master.held.items() if pipe not in before)
+
+    monkeypatch.setattr(scan._Master, "send", recording_send)
+    assert _records_digest(scan_colength_range(3, 10, 18, workers=2)) == PINNED_N3_L10_18
+    assert handed == list(range(18, 9, -1))
+    assert multiprocessing.active_children() == []
+    ran = []
+    monkeypatch.setattr(scan, "_job", lambda nvars, job, deadline=None:
+                        ran.append(job[2]) or _job(nvars, job, deadline))
+    assert _records_digest(scan_colength_range(3, 10, 18)) == PINNED_N3_L10_18
+    assert ran == list(range(10, 19))
+
+
+def test_a_breach_at_several_workers_names_the_largest_colength_unfinished(monkeypatch):
+    # the workers hold the jobs of l = 12 and 11 when the budget runs out;
+    # the root of l = 10 has not gone out
+    _slow_jobs(monkeypatch, 2.0)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="N=3 l=12 with 1 jobs outstanding") as err:
+        scan_colength_range(3, 10, 12, workers=2, budget_seconds=0.3)
+    assert time.monotonic() - started < 1.2
+    assert err.value.completed == {}
+    assert multiprocessing.active_children() == []
+
+
+def test_a_largest_colength_that_spills_agrees_at_any_worker_count():
+    # l = 24 hands jobs back from its root, which runs first at several
+    # workers; its jobs go before the smaller colengths' roots
+    assert _spilled(3, 24)
+    one = scan_colength_range(3, 18, 24)
+    for workers in (2, 3):
+        assert scan_colength_range(3, 18, 24, workers=workers) == one
+        assert multiprocessing.active_children() == []
 
 
 def test_records_agree_at_any_worker_count_n4(monkeypatch):
