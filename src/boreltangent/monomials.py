@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import index, le
+from operator import index, itemgetter, le
 
 Exponent = tuple[int, ...]
 
@@ -287,26 +287,60 @@ def standard_set(ideal: MonomialIdeal) -> StandardSet:
 
     Raises NonArtinianIdealError when the ideal has infinite colength,
     before any growth, which would then never stop.  Otherwise the cells
-    grow one total degree at a time from (0, ..., 0): an exponent w lies
-    outside the ideal iff it is not a generator and every w - e_u with
-    w_u > 0 lies outside (a generator g != w dividing w also divides some
-    w - e_u), so each level is :func:`_corners` of the level below, outside
-    the generators.  That is O(N^2) set lookups per cell, and no
-    membership is tested generator by generator.
+    are built one column along the last variable at a time.  Write a cell
+    as (p, z) with p its first N - 1 exponents: a generator divides it iff
+    the generator's prefix divides p and g_N <= z, so (p, z) is standard
+    iff z < h(p) = min{g_N : g[:-1] <= p}.  :func:`_columns` grows the
+    prefixes one coordinate t at a time and keeps the generators whose
+    prefix so far divides them; as the value v of coordinate t grows, the
+    generators with g_t <= v join, so over the last two variables h is a
+    running minimum.  A prefix loop stops at the first v where a kept
+    generator has an all-zero tail g[t+1:], since that generator divides
+    every cell whose prefix has a value of v or more at t; the pure power
+    of x_t stops it by v = m_t.  That is O(G) work per prefix, one tuple
+    per cell and no set lookup.
     """
     if ideal.pure_powers() is None:
         raise NonArtinianIdealError(
             "ideal has no pure power in some variable; standard set is infinite")
-    nvars = ideal.nvars
-    gens = set(ideal.gens)
-    zero = (0,) * nvars
-    cells: set[Exponent] = set()
-    level = set() if zero in gens else {zero}
-    while level:
-        cells |= level
-        level = _corners(nvars, level, gens, cells)
-    # grown divisor-closed, each cell from its divisors
-    return StandardSet._trusted(nvars, frozenset(cells), ideal.gens)
+    return StandardSet._trusted(ideal.nvars, frozenset(_columns(ideal.nvars, ideal.gens)),
+                                ideal.gens)
+
+
+def _columns(nvars: int, gens) -> list[Exponent]:
+    """The standard cells of the Artinian ideal that ``gens`` generate, by
+    the column rule of :func:`standard_set`."""
+    last = nvars - 1
+    cells: list[Exponent] = []
+
+    def grow(prefix: Exponent, kept: list[Exponent], t: int) -> None:
+        # kept: the generators whose first t exponents divide prefix, among
+        # them x_t^(m_t) and x_N^(m_N); each joins at v = g_t, and order[0]
+        # has g_t = 0, so no row is read before h is
+        order = sorted(kept, key=itemgetter(t))
+        start = 0
+        h = order[0][last]
+        rows = t == last - 1
+        for i, g in enumerate(order):
+            if rows:
+                for v in range(start, g[t]):
+                    row = prefix + (v,)
+                    cells.extend([row + (z,) for z in range(h)])
+                if g[last] < h:
+                    h = g[last]
+            else:
+                for v in range(start, g[t]):
+                    grow(prefix + (v,), order[:i], t + 1)
+            if not any(g[t + 1:]):
+                return
+            start = g[t]
+
+    if nvars == 1:
+        # one column, with the empty prefix
+        cells.extend((z,) for z in range(min(g[0] for g in gens)))
+    else:
+        grow((), list(gens), 0)
+    return cells
 
 
 def colength(ideal: MonomialIdeal) -> int:
@@ -338,21 +372,14 @@ def _gens_from_cells(nvars: int, cells) -> set[Exponent]:
 
     Trusted internal path: assumes divisor-closure, skips validation.
     """
-    # a nonempty finite set has a corner; the empty one's is (0, ..., 0)
-    return _corners(nvars, cells, cells, cells) or {(0,) * nvars}
-
-
-def _corners(nvars: int, frontier, outside, cells) -> set[Exponent]:
-    """The exponents one step above the frontier that are not in
-    ``outside`` and pass the corner rule of :func:`_divisors_in` on the
-    cells."""
     found = set()
-    for v in frontier:
+    for v in cells:
         for t in range(nvars):
             w = v[:t] + (v[t] + 1,) + v[t + 1:]
-            if w not in found and w not in outside and _divisors_in(nvars, cells, w):
+            if w not in found and w not in cells and _divisors_in(nvars, cells, w):
                 found.add(w)
-    return found
+    # a nonempty finite set has a corner; the empty one's is (0, ..., 0)
+    return found or {(0,) * nvars}
 
 
 def _divisors_in(nvars: int, cells, w: Exponent) -> bool:

@@ -15,6 +15,18 @@ I = (x, y, z) at alpha = (-1, -1, 0), whose region has one component while
 the graded dimension is 0 (no generator is active).  Disagreements are
 collected into a machine-readable report by :func:`iter_discrepancies`;
 nothing in the production pipeline consumes region counts.
+
+Components are found by one breadth-first search on integer codes
+(:func:`_code_components`).  A cell p is packed as p_0 W_0 + p_1 W_1 + p_2
+with W_1 = r_2 and W_0 = r_1 r_2, where the radix r_t exceeds the largest
+digit any cell has at t by at least 2: m_t + 1 for the region of an ideal
+whose largest exponent of x_t is m_t, since a standard cell has p_t < m_t.
+A unit step along x_t is then a step of W_t.  A step that takes digit t
+past the cells' largest digit lands, without a carry, on a digit from that
+one plus 1 to r_t - 1; a step below 0 borrows, leaving digit t at r_t - 1
+or the code negative.  No cell has such a digit or code, so a step never
+aliases a cell it does not reach.  The code order is the lexicographic
+order of the cells.
 """
 
 from __future__ import annotations
@@ -55,10 +67,19 @@ def _check_three_vars(ideal: MonomialIdeal, alpha) -> Exponent:
     return _degree(ideal, alpha)
 
 
+def _maxima(ideal: MonomialIdeal) -> list[int]:
+    """The largest generator exponent of each variable."""
+    return list(map(max, zip(*ideal.gens)))
+
+
+def _threshold(maxima: list[int], size_filter: int | None) -> int:
+    """``size_filter``, or the default one from the generator maxima."""
+    return (sum(maxima) + 3) ** 2 if size_filter is None else size_filter
+
+
 def default_size_filter(ideal: MonomialIdeal) -> int:
     """Default component-size threshold, from the generator maxima."""
-    maxima = (max(g[t] for g in ideal.gens) for t in range(3))
-    return (sum(maxima) + 3) ** 2
+    return _threshold(_maxima(ideal), None)
 
 
 def region_cells(ideal: MonomialIdeal, alpha,
@@ -70,33 +91,55 @@ def region_cells(ideal: MonomialIdeal, alpha,
     iff it is not a cell, so these are the cells p with p - alpha not a
     cell.  ``standard`` follows the contract of :mod:`.tangent`.
     """
-    return _region(ideal, _check_three_vars(ideal, alpha), standard)
+    return frozenset(_region(ideal, _check_three_vars(ideal, alpha), standard))
 
 
 def _region(ideal: MonomialIdeal, alpha: Exponent,
-            standard: StandardSet | None) -> frozenset[Exponent]:
-    """:func:`region_cells` at a degree already checked."""
+            standard: StandardSet | None) -> list[Exponent]:
+    """The cells of :func:`region_cells` at a degree already checked."""
     a0, a1, a2 = alpha
     cells = _cells_of(ideal, standard)
-    return frozenset(p for p in cells if (p[0] - a0, p[1] - a1, p[2] - a2) not in cells)
+    return [p for p in cells if (p[0] - a0, p[1] - a1, p[2] - a2) not in cells]
+
+
+def _code_components(codes, w0: int, w1: int) -> list[list[int]]:
+    """6-connected components of a set of cells packed with the weights
+    w0 = W_0 and w1 = W_1 of the module docstring, each as a list of
+    codes."""
+    steps = (-w0, w0, -w1, w1, -1, 1)
+    unseen = set(codes)
+    comps = []
+    while unseen:
+        comp = [unseen.pop()]
+        for c in comp:  # comp grows while walked: a breadth-first queue
+            for step in steps:
+                if c + step in unseen:
+                    unseen.remove(c + step)
+                    comp.append(c + step)
+        comps.append(comp)
+    return comps
 
 
 def _components(cells) -> tuple[frozenset[Exponent], ...]:
     """6-connected components of a finite cell set (unit step in exactly
-    one coordinate), ordered by least cell."""
-    unseen = set(cells)
-    comps = []
-    while unseen:
-        comp = [unseen.pop()]
-        for a, b, c in comp:  # comp grows while walked: a breadth-first queue
-            for q in ((a - 1, b, c), (a + 1, b, c), (a, b - 1, c),
-                      (a, b + 1, c), (a, b, c - 1), (a, b, c + 1)):
-                if q in unseen:
-                    unseen.remove(q)
-                    comp.append(q)
-        comps.append(frozenset(comp))
+    one coordinate), ordered by least cell.
+
+    Any finite set of integer triples is packed as the module docstring
+    says, with the set's own bounds: coordinate t becomes the digit
+    p_t - lo_t in [0, hi_t - lo_t], with radix hi_t - lo_t + 2, so the
+    digit hi_t - lo_t + 1 that a step past either bound leaves at t is no
+    cell's.  A component's least code is its least cell.
+    """
+    if not cells:
+        return ()
+    lo = [min(c[t] for c in cells) for t in range(3)]
+    r1, r2 = (max(c[t] for c in cells) - lo[t] + 2 for t in (1, 2))
+    w0, w1 = r1 * r2, r2
+    l0, l1, l2 = lo
+    cell_of = {(a - l0) * w0 + (b - l1) * w1 + c - l2: (a, b, c) for a, b, c in cells}
+    comps = _code_components(cell_of, w0, w1)
     comps.sort(key=min)
-    return tuple(comps)
+    return tuple(frozenset(map(cell_of.__getitem__, comp)) for comp in comps)
 
 
 def region_slice(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
@@ -104,9 +147,9 @@ def region_slice(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
     """Cells, components, and the filtered component count at one degree.
     ``standard`` follows the contract of :mod:`.tangent`."""
     alpha = _check_three_vars(ideal, alpha)
-    cells = _region(ideal, alpha, standard)
+    cells = frozenset(_region(ideal, alpha, standard))
     components = _components(cells)
-    threshold = default_size_filter(ideal) if size_filter is None else size_filter
+    threshold = _threshold(_maxima(ideal), size_filter)
     counted = sum(1 for comp in components if len(comp) <= threshold)
     return RegionSlice(alpha=alpha, cells=cells, components=components, counted=counted)
 
@@ -114,8 +157,17 @@ def region_slice(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
 def region_component_count(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
                            standard: StandardSet | None = None) -> int:
     """Number of 6-connected components of the region passing the filter.
-    ``standard`` follows the contract of :mod:`.tangent`."""
-    return region_slice(ideal, alpha, size_filter=size_filter, standard=standard).counted
+    ``standard`` follows the contract of :mod:`.tangent`.
+
+    The region's cells are packed with the radix m_t + 1 (see the module
+    docstring), and only the component sizes are read."""
+    alpha = _check_three_vars(ideal, alpha)
+    maxima = _maxima(ideal)
+    _m0, m1, m2 = maxima
+    w0, w1 = (m1 + 1) * (m2 + 1), m2 + 1
+    codes = [a * w0 + b * w1 + c for a, b, c in _region(ideal, alpha, standard)]
+    threshold = _threshold(maxima, size_filter)
+    return sum(1 for comp in _code_components(codes, w0, w1) if len(comp) <= threshold)
 
 
 def region_slice_to_json(slc: RegionSlice) -> dict:

@@ -1,6 +1,7 @@
 import copy as copy_module
 import pickle
 from dataclasses import asdict, fields, replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -217,11 +218,11 @@ def test_standard_set_requires_artinian():
 
 
 def test_non_artinian_ideal_raises_before_any_growth(monkeypatch):
-    # growing these degree by degree would never stop
+    # these have unbounded columns, so growing them need not stop
     def no_growth(*_args):
         raise AssertionError("standard_set grew cells of a non-Artinian ideal")
 
-    monkeypatch.setattr(monomials_module, "_divisors_in", no_growth)
+    monkeypatch.setattr(monomials_module, "_columns", no_growth)
     for text, nvars in (("x,y", 3), ("x^2,x*y,y^2", 3), ("x*y", 2), ("y^2,z", 3),
                         ("x^3,y^2,x*z", 4)):
         ideal = parse_ideal(text, nvars=nvars)
@@ -242,6 +243,27 @@ def test_unit_ideal_pure_powers_and_staircase(nvars):
 @given(artinian_ideals(5))
 def test_standard_set_matches_the_box_scan(ideal):
     assert standard_set(ideal).cells == standard_exponents_in_box(ideal.gens, ideal.nvars)
+
+
+@pytest.mark.parametrize("n", [8, 200, 1000])
+def test_standard_set_of_a_thin_staircase(n):
+    # three arms of n - 1 cells along the axes and the cell at 0: too many
+    # box points (n^3) for the box scan
+    ideal = parse_ideal(f"x^{n},y^{n},z^{n},x*y,x*z,y*z")
+    std = standard_set(ideal)
+    assert std.size == 3 * n - 2
+    assert minimal_generators(std) == ideal
+    # the constructor finds the generators from the cells alone
+    assert minimal_generators(StandardSet(3, std.cells)) == ideal
+
+
+@pytest.mark.parametrize("k", [1, 7, 40])
+def test_standard_set_of_a_cube(k):
+    ideal = parse_ideal(f"x^{k},y^{k},z^{k}")
+    std = standard_set(ideal)
+    assert std.size == k ** 3
+    assert std.cells == frozenset(product(range(k), repeat=3))
+    assert minimal_generators(StandardSet(3, std.cells)) == ideal
 
 
 def test_colength_examples():

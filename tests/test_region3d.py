@@ -162,6 +162,46 @@ def test_region_cells_match_the_membership_definition(ideal, data):
     assert region_cells(ideal, alpha, standard=std) == expect
 
 
+@settings(max_examples=200, deadline=None)
+@given(artinian_ideals(3, min_nvars=3), st.data())
+def test_region_count_matches_the_slice_and_the_definition(ideal, data):
+    std = standard_set(ideal)
+    alpha = tuple(data.draw(st.integers(lo - 2, hi + 2)) for lo, hi in alpha_support_box(ideal))
+    size_filter = data.draw(st.sampled_from([None, 0, 1, 7]))
+    shifted = {p: tuple(a - b for a, b in zip(p, alpha)) for p in std.cells}
+    region = {p for p, q in shifted.items() if min(q) < 0 or ideal.contains(q)}
+    threshold = default_size_filter(ideal) if size_filter is None else size_filter
+    expect = sum(1 for comp in _components(region) if len(comp) <= threshold)
+    assert region_component_count(ideal, alpha, size_filter, std) == expect
+    assert region_slice(ideal, alpha, size_filter, std).counted == expect
+
+
+# thin staircases: three arms of n - 1 cells along the axes, one cell at 0
+THIN = {n: parse_ideal(f"x^{n},y^{n},z^{n},x*y,x*z,y*z") for n in (200, 1000)}
+
+
+@pytest.mark.parametrize("n, alpha, sizes", [
+    (200, (0, 0, 0), []),
+    (200, (-1, 0, 0), [1, 199, 199]),
+    (200, (-1, -1, 0), [598]),
+    (200, (0, -1, 1), [198, 399]),
+    (200, (5, -3, 0), [194, 403]),
+    (1000, (-1, 0, 0), [1, 999, 999]),
+    (1000, (1, 1, 1), [2998]),
+    (1000, (0, -1, 1), [998, 1999]),
+    (1000, (5, -3, 0), [994, 2003]),
+    (1000, (0, 0, -1), [1, 999, 999]),
+])
+def test_thin_staircase_regions(n, alpha, sizes):
+    ideal = THIN[n]
+    std = standard_set(ideal)
+    assert sorted(map(len, region_slice(ideal, alpha, standard=std).components)) == sizes
+    # the default filter, (3n + 3)^2, passes every component
+    assert region_component_count(ideal, alpha, standard=std) == len(sizes)
+    assert region_component_count(ideal, alpha, n - 1, std) == sum(s <= n - 1 for s in sizes)
+    assert region_component_count(ideal, alpha, 1, std) == sizes.count(1)
+
+
 def test_components_by_definition():
     assert _components(frozenset()) == ()
     # diagonal neighbours are not 6-adjacent
