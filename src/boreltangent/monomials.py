@@ -137,7 +137,12 @@ class MonomialIdeal:
     outside the dataclass fields, so equality, hashing, repr and ``asdict``
     do not see it: an ideal keeps the text of :func:`format_ideal` in
     ``_text``, set here and by :meth:`_trusted`, and a :class:`StandardSet`
-    keeps its ideal's generators in ``_gens``.
+    keeps its ideal's generators in ``_gens``.  One datum is set later: the
+    tangent kernel keeps its packing of a standard set's staircase in
+    ``_packing`` at its first call for that set (see :mod:`.tangent`).
+    Only the kernel reads it, and setting it at build time would charge
+    every caller that never runs the kernel, such as :func:`colength`,
+    :func:`pure_power_profile` and the region counts.
     """
 
     nvars: int

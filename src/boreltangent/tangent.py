@@ -103,9 +103,9 @@ Two independent algorithms are provided by design:
   from exponent to code that the staircases fill as they meet them, at
   most prod_t lo_t codes, as every digit is below lo_t.  Over N=3 l =
   10..18 (94 radixes) that table missed 2 735 codes, against 7 450 with 32
-  radixes and 2 328 with no bound.  The request path packs afresh: its
+  radixes and 2 328 with no bound.  The request path shares no table: its
   ideals seldom share a radix, and a bounded table there would only add
-  misses.
+  misses.  It packs each staircase once, on its standard set (below).
 
   A mask spans the whole box, prod_t R_t bits, where a frozenset holds at
   most l positions: a staircase thin in several variables (x^200, y^200,
@@ -113,10 +113,19 @@ Two independent algorithms are provided by design:
   positions) would make each mask megabytes long.  Past ``BOX_PER_CELL``
   box positions per cell the sweep runs on frozensets; the compact
   staircases of the scans and of random ideals stay below it
-  (``BENCH_bit_kernel.json``).  :func:`graded_dimension` is the sweep's
-  one-degree case: its masks have one bit, the degree asked, and its pairs
-  are the Taylor pairs with an active end, a few lookups where packing the
-  box and building the whole pair list would cost more.
+  (``BENCH_bit_kernel.json``).
+
+  :func:`graded_dimension` is the sweep's one-degree case, on the codes and
+  pairs kept on the staircase's standard set: its masks have one bit, the
+  degree asked.  Outside the support box 1 - lo_t <= alpha_t <= lo_t - 2,
+  that is -m_t <= alpha_t <= m_t - 1 with m_t the pure power's exponent, no
+  generator is active and the dimension is 0.  Inside it, with shift =
+  sum_t alpha_t * W_t, generator i is active iff code(a_i) + shift is a
+  cell's code, and a pair meets the degree iff code(lcm) + shift is.  No
+  code aliases there: a_i + alpha and lcm + alpha have digits in [-m_t,
+  2*m_t] and a cell digits in [0, m_t - 1], so the two differ by a vector
+  with entries of size at most 2*m_t, below R_t = 2*m_t + 1, and equal
+  codes mean equal vectors, as in the oracle's balanced radix below.
 
 * :func:`tangent_dimension_oracle` — the trusted independent path:
   assemble the integer constraint matrix on all G*l coordinates of
@@ -154,6 +163,15 @@ generators, so one comparison with the ideal's generators, O(G), refuses
 a set that holds a generator and a set strictly inside the staircase
 alike.  A set that :func:`~.monomials.standard_set` returned carries the
 ideal's generators, so reading it runs no growth and no corner pass.
+
+The kernel's input, the packing of :func:`_pack` with the syzygy pairs,
+depends on the staircase alone.  :func:`_kept_packing` builds it from the
+set's own generators at the first kernel call for a set, after that
+check, and keeps it on the set object outside its dataclass fields, so
+:func:`tangent_dimension`, :func:`constraint_rank`, :func:`verify_tangent`
+and :func:`graded_dimension` on one set pack it once.  It is kept nowhere
+else: a call without a set packs the set it builds, and a second set of an
+equal ideal packs again.  The oracle never reads it.
 """
 
 from __future__ import annotations
@@ -162,7 +180,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations
-from operator import add, index, mul, rshift, sub
+from operator import index, mul, rshift, sub
 from typing import Callable
 
 from .monomials import (
@@ -501,42 +519,61 @@ def _set_sweep(pairs, codes, cell_codes, offset: int) -> tuple[int, Callable[[],
     return _sweep(pairs, list(map(meet, codes)), meet, iter, len)
 
 
-def _kernel(gens, packed, pair_rule=_syzygy_pairs, shift: int = 0) -> tuple[
-        int, Callable[[], Counter]]:
+def _kernel(packed, pairs, shift: int = 0) -> tuple[int, Callable[[], Counter]]:
     """The dimension summed over the box positions from ``shift`` up, and a
     callable giving the positive dimensions by position less ``shift``, of a
-    staircase that :func:`_pack` packed, over the pairs ``pair_rule``
-    builds.  A shift of lo_0 * W_0 keeps the half box alpha_1 >= 0.
+    staircase that :func:`_pack` packed, over the pairs given.  A shift of
+    lo_0 * W_0 keeps the half box alpha_1 >= 0.
 
     The masks cost the box, prod_t R_t bits each, and the sets cost the
     cells: a staircase whose box holds more than ``BOX_PER_CELL`` positions
     per cell goes through the set sweep.
     """
     weights, lo, codes, cell_codes, box = packed
-    pairs = pair_rule(gens, codes, weights, cell_codes)
     sweep = _set_sweep if box > BOX_PER_CELL * len(cell_codes) else _bit_sweep
     return sweep(pairs, codes, cell_codes, sum(map(mul, lo, weights)) - shift)
 
 
+def _kept_packing(ideal: MonomialIdeal, standard: StandardSet | None) -> tuple[tuple, list]:
+    """What :func:`_pack` gives for the ideal's staircase, with its syzygy
+    pairs, kept on the standard set from the first call on (see the module
+    docstring).  ``standard`` is read through :func:`_cells_of` first;
+    None stands for the ideal's own set, built here and then dropped."""
+    if standard is None:
+        standard = standard_set(ideal)
+    cells = _cells_of(ideal, standard)
+    kept = getattr(standard, "_packing", None)
+    if kept is None:
+        gens = standard._gens
+        packed = _pack(gens, cells)
+        weights, _, codes, cell_codes, _ = packed
+        kept = packed, _syzygy_pairs(gens, codes, weights, cell_codes)
+        object.__setattr__(standard, "_packing", kept)
+    return kept
+
+
 def graded_dimension(ideal: MonomialIdeal, alpha, standard: StandardSet | None = None) -> int:
-    """Dimension of the degree-alpha piece of Hom(I, R/I).
+    """Dimension of the degree-alpha piece of Hom(I, R/I): the sweep at one
+    degree, on the kept codes and pairs of the ideal's staircase, and 0
+    outside :func:`alpha_support_box` (the module docstring says why no
+    code aliases inside it).
 
     ``standard`` follows the contract in the module docstring.
     """
     alpha = _degree(ideal, alpha)
-    cells = _cells_of(ideal, standard)
-    # a_i + alpha is generator i's target, and lcm + alpha is the max of two
-    shifted = [tuple(map(add, a, alpha)) for a in ideal.gens]
-    # the sweep over one-bit masks, bit 0 the degree asked: a bool is one
-    meet = cells.__contains__
-    active = list(map(meet, shifted))
-    ends = [i for i, a in enumerate(active) if a]
-    if not ends:
+    (weights, lo, codes, cell_codes, _), pairs = _kept_packing(ideal, standard)
+    # lo_t = m_t + 1: the box is 1 - lo_t <= alpha_t <= lo_t - 2
+    if not all(1 - o <= a <= o - 2 for a, o in zip(alpha, lo)):
         return 0
-    # the Taylor pairs generate the syzygies; only those with an active end
-    # can constrain this degree
-    pairs = [(i, k, tuple(map(max, shifted[i], shifted[k])))
-             for i in ends for k in range(len(active)) if not (active[k] and k <= i)]
+    shift = sum(map(mul, alpha, weights))
+
+    def meet(code):
+        return code + shift in cell_codes
+
+    # the sweep over one-bit masks, bit 0 the degree asked: a bool is one
+    active = list(map(meet, codes))
+    if not any(active):
+        return 0
     return _sweep(pairs, active, meet, _positions, int.bit_count)[0]
 
 
@@ -554,14 +591,14 @@ def tangent_dimension(ideal: MonomialIdeal, standard: StandardSet | None = None)
     Pass ``standard`` when the standard set is already known to skip its
     recomputation; it follows the contract in the module docstring.
     """
-    cells = _cells_of(ideal, standard)
-    packed = _pack(ideal.gens, cells)
-    total, dims = _kernel(ideal.gens, packed)
+    packed, pairs = _kept_packing(ideal, standard)
+    weights, lo, _, cell_codes, _ = packed
+    total, dims = _kernel(packed, pairs)
     dims = dims()
     positions = sorted(dims)
-    graded = list(zip(_degrees(positions, *packed[:2]), map(dims.__getitem__, positions)))
+    graded = list(zip(_degrees(positions, weights, lo), map(dims.__getitem__, positions)))
     g = len(ideal.gens)
-    l = len(cells)
+    l = len(cell_codes)
     return GradedTangentReport(
         ideal=ideal,
         total=total,
@@ -581,10 +618,12 @@ def _total(gens, cells) -> int:
     lo = [1 + max(col) for col in zip(*gens)]
     weights, box, code = _radix(tuple(lo))
     codes = list(map(code.__getitem__, gens))
-    packed = weights, lo, codes, set(map(code.__getitem__, cells)), box
+    cell_codes = set(map(code.__getitem__, cells))
+    packed = weights, lo, codes, cell_codes, box
+    pairs = _ek_pairs(gens, codes, weights, cell_codes)
     if len(lo) != 3:
-        return _kernel(gens, packed, _ek_pairs)[0]
-    return 2 * _kernel(gens, packed, _ek_pairs, lo[0] * weights[0])[0] - len(cells)
+        return _kernel(packed, pairs)[0]
+    return 2 * _kernel(packed, pairs, lo[0] * weights[0])[0] - len(cells)
 
 
 def _bareiss_rank(rows: list[dict[int, int]]) -> int:
@@ -694,9 +733,8 @@ def constraint_rank(ideal: MonomialIdeal, standard: StandardSet | None = None) -
     Equals the oracle matrix rank whenever the oracle runs.  ``standard``
     follows the contract in the module docstring.
     """
-    gens = ideal.gens
-    cells = _cells_of(ideal, standard)
-    return len(gens) * len(cells) - _kernel(gens, _pack(gens, cells))[0]
+    packed, pairs = _kept_packing(ideal, standard)
+    return len(ideal.gens) * len(packed[3]) - _kernel(packed, pairs)[0]
 
 
 def verify_tangent(ideal: MonomialIdeal, standard: StandardSet | None = None) -> GradedTangentReport:

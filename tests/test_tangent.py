@@ -263,6 +263,12 @@ def test_bareiss_rank_matches_fraction_rank_on_sparse_matrices():
         assert _bareiss_rank(_sparse(matrix)) == fraction_rank(matrix)
 
 
+def _full_box_total(gens, cells) -> int:
+    """The kernel's count over the whole box, on the EK pairs untested."""
+    packed = weights, _, codes, cell_codes, _ = _pack(gens, cells)
+    return _kernel(packed, _ek_pairs(gens, codes, weights, cell_codes))[0]
+
+
 def test_every_n3_total_has_the_parity_of_its_colength():
     # T = l (mod 2) in three variables (Maulik, Nekrasov, Okounkov and
     # Pandharipande, arXiv:math/0312059), checked on the full box's count
@@ -272,8 +278,7 @@ def test_every_n3_total_has_the_parity_of_its_colength():
     totals = []
     for l in range(1, 21):
         _descend(3, _origin(3, l), lambda cells, gens, _m1: totals.append(
-            (len(cells), _kernel(gens, _pack(gens, cells), _ek_pairs)[0], _total(gens, cells),
-             sorted(gens))))
+            (len(cells), _full_box_total(gens, cells), _total(gens, cells), sorted(gens))))
     assert len(totals) == 1732
     assert [t for t in totals if (t[1] - t[0]) % 2 or t[1] != t[2]] == []
 
@@ -632,6 +637,99 @@ def test_the_ideals_own_standard_set_changes_no_result(ideal):
                 region_component_count(ideal, alpha)
 
 
+@pytest.mark.parametrize("ideal", [SESSION, parse_ideal("x^3,y^2,z^2,x*y*z")],
+                         ids=["borel", "taylor"])
+def test_a_standard_set_is_packed_once(ideal, monkeypatch):
+    calls = []
+    for name in ("_pack", "_syzygy_pairs"):
+        real = getattr(tangent_module, name)
+        monkeypatch.setattr(tangent_module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    std = standard_set(ideal)
+    report = tangent_dimension(ideal, std)
+    alphas = [alpha for alpha, _dim in report.graded[:3]] + [(-9, 0, 0)]
+    assert [graded_dimension(ideal, alpha, std) for alpha in alphas] == \
+        [report.per_alpha.get(alpha, 0) for alpha in alphas]
+    assert verify_tangent(ideal, std) == report
+    assert constraint_rank(ideal, std) == report.zero_rank
+    assert calls == ["_pack", "_syzygy_pairs"]
+    # the kept data lives on the set a caller holds: a second set of an
+    # equal ideal packs again, and so does every call without a set
+    assert tangent_dimension(ideal, standard_set(ideal)) == report
+    assert calls == ["_pack", "_syzygy_pairs"] * 2
+    assert graded_dimension(ideal, alphas[0]) == report.graded[0][1]
+    assert calls == ["_pack", "_syzygy_pairs"] * 3
+
+
+class _WatchedSet(StandardSet):
+    """A standard set whose kept packing must not be read."""
+
+    def __getattribute__(self, name):
+        if name == "_packing":
+            raise AssertionError("kept packing read")
+        return super().__getattribute__(name)
+
+
+def test_a_set_of_another_ideal_is_refused_before_its_kept_data():
+    std = standard_set(SQUARE)
+    watched = _WatchedSet._trusted(std.nvars, std.cells, std._gens)
+    with pytest.raises(AssertionError, match="kept packing"):
+        tangent_dimension(SQUARE, watched)
+    assert tangent_dimension(SQUARE, std).total == 36
+    kept = std._packing
+    for entry in _entry_points(3):
+        for held in (std, watched):
+            with pytest.raises(InvalidStaircaseError):
+                entry(SESSION, held)
+    assert std._packing is kept
+    assert "_packing" not in vars(watched)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(artinian_ideals(max_nvars=5), borel_staircases().map(minimal_generators)),
+       st.data())
+def test_graded_dimension_on_a_kept_set_is_the_reports(ideal, data):
+    # one set over many degrees: the support box widened by 2 on each side,
+    # its corners, degrees far outside it, and degrees outside it with the
+    # code of a supported degree: one more x1 and R_2 = 2 m_2 + 1 fewer x2
+    std = standard_set(ideal)
+    per_alpha = tangent_dimension(ideal, std).per_alpha
+    wide = [(lo - 2, hi + 2) for lo, hi in alpha_support_box(ideal)]
+    alphas = data.draw(st.lists(st.tuples(*(st.integers(lo, hi) for lo, hi in wide)),
+                                max_size=40))
+    supported = list(per_alpha)[:20]
+    alphas += supported + list(product(*wide))[:64]
+    far = 10**6
+    alphas += [(far,) * ideal.nvars, (-far,) * ideal.nvars,
+               tuple(far * (-1) ** t for t in range(ideal.nvars))]
+    if ideal.nvars > 1:
+        carry = (1, 2 * wide[1][0] + 3) + (0,) * (ideal.nvars - 2)
+        alphas += [tuple(map(sum, zip(alpha, carry))) for alpha in supported]
+    for alpha in alphas:
+        assert graded_dimension(ideal, alpha, std) == graded_dimension(ideal, alpha) == \
+            per_alpha.get(alpha, 0), alpha
+
+
+def test_graded_dimension_at_the_corners_of_a_thin_support_box(monkeypatch):
+    # x^200, y^200, z^200, xy, xz, yz: the set sweep's staircase, whose
+    # pieces at three corners of the support box are 1 and whose pieces one
+    # step outside the box are 0
+    ideal = THIN[0]
+    std = standard_set(ideal)
+    assert alpha_support_box(ideal) == ((-200, 199),) * 3
+
+    def refuse(*args):
+        raise AssertionError("bit masks over a sparse box")
+
+    monkeypatch.setattr(tangent_module, "_bit_sweep", refuse)
+    per_alpha = tangent_dimension(ideal, std).per_alpha
+    corners = [(-200, 0, 199), (199, -200, 0), (199, -1, -1)]
+    outside = [(-201, 0, 199), (-200, 0, 200), (200, -200, 0), (199, -201, 0), (200, -1, -1)]
+    for alpha in corners + outside:
+        assert graded_dimension(ideal, alpha, std) == per_alpha.get(alpha, 0) == \
+            (1 if alpha in corners else 0), alpha
+
+
 @settings(max_examples=150, deadline=None)
 @given(borel_staircases())
 def test_ek_pair_structure(staircase):
@@ -686,7 +784,7 @@ def _names_in(code) -> set[str]:
 
 KERNEL = {"_weights", "_pack", "_Codes", "_radix", "_syzygy_pairs", "_ek_pairs", "_taylor_pairs",
           "_positions", "_sweep", "_forest_rank", "_bit_sweep", "_set_sweep", "_kernel",
-          "_degrees", "_total", "tangent_dimension", "graded_dimension"}
+          "_kept_packing", "_degrees", "_total", "tangent_dimension", "graded_dimension"}
 
 
 def _reached(function) -> set[str]:
@@ -719,8 +817,11 @@ def test_sparse_elimination_shares_no_code_with_the_kernel():
 
 def test_graded_dimension_is_the_sweep_at_one_degree():
     # one counting rule: the one-degree query runs the report's sweep, on
-    # masks of one bit, and packs no box and builds no syzygy pair list
-    assert _reached(graded_dimension) & KERNEL == {"_sweep", "_positions", "_forest_rank"}
+    # masks of one bit, over the staircase's kept packing and syzygy pairs;
+    # it runs neither the box sweeps nor the report's decoding
+    assert _reached(graded_dimension) & KERNEL == {
+        "_sweep", "_positions", "_forest_rank", "_kept_packing", "_pack", "_weights",
+        "_syzygy_pairs", "_ek_pairs", "_taylor_pairs"}
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
