@@ -48,7 +48,9 @@ hands its visit the map's cells.
 A walk is given as a job (cells, corners, l): it visits the staircases of
 size l that contain that staircase.  :func:`_origin` makes the job of a
 whole level, and :func:`_descend` walks a job; these two are the only
-places that make or take a job apart.  A budgeted walk, as in the
+places that make or take a job apart.  Outside this module a job is read
+in one way only: :mod:`.scan` reads its colength, ``job[2]``, to label a
+job's result and a worker's death.  A budgeted walk, as in the
 budgeted subtrees of Avis and Jordan's mts and mplrs (arXiv:1709.07605,
 arXiv:1610.07735), enters no more children above size l once it has
 visited its budget of staircases, and returns each one instead, as a job

@@ -216,6 +216,18 @@ class StandardSet:
     set is the staircase of exactly one ideal, the one its corners
     generate; the set keeps those generators, in canonical order, in
     ``_gens``, set when it is built (see :class:`MonomialIdeal`).
+
+    The constructor checks each cell's length and signs, then checks the
+    set by that rule.  It finds the corners, the exponents w outside the
+    set with every w - e_u inside (:func:`_gens_from_cells`).  A nonempty
+    set without the origin is refused with no growth, naming its least
+    cell.  Otherwise the corners include x_t^(k+1) for the largest power
+    x_t^k in the set, for every t, and the set is accepted iff it is the
+    staircase that :func:`_columns` grows from them.  That staircase lies
+    inside the set: an exponent outside the set has a minimal divisor
+    outside it, which is a corner.  So the sizes are compared, and a
+    refusal names a cell outside the growth, which a corner outside the
+    set divides.
     """
 
     nvars: int
@@ -231,12 +243,15 @@ class StandardSet:
                     f"cell {c} has length {len(c)}, expected {self.nvars}")
             if min(c) < 0:
                 raise InvalidStaircaseError(f"negative exponent in cell {c}")
-            if not _divisors_in(self.nvars, cells, c):
-                raise InvalidStaircaseError(
-                    f"not divisor-closed: {c} present but one of its divisors missing")
+        gens = _gens_from_cells(self.nvars, cells)
+        # no growth without the origin; the growth lies inside the cells, so
+        # equal sizes make them equal
+        grown = _columns(self.nvars, gens) if (0,) * self.nvars in cells else ()
+        if len(grown) != len(cells):
+            raise InvalidStaircaseError(f"not divisor-closed: {min(cells.difference(grown))} "
+                                        "present but one of its divisors missing")
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_gens",
-                           tuple(_canonical_order(_gens_from_cells(self.nvars, cells))))
+        object.__setattr__(self, "_gens", tuple(_canonical_order(gens)))
 
     @classmethod
     def _trusted(cls, nvars: int, cells: frozenset[Exponent],
@@ -314,7 +329,11 @@ def standard_set(ideal: MonomialIdeal) -> StandardSet:
 
 def _columns(nvars: int, gens) -> list[Exponent]:
     """The standard cells of the Artinian ideal that ``gens`` generate, by
-    the column rule of :func:`standard_set`."""
+    the column rule of :func:`standard_set`, each once.  ``gens`` need not
+    be an antichain, as the corners of a set that is not divisor-closed
+    need not be: a redundant generator never lowers h, a minimum over
+    every generator that divides, and never stops a loop that its
+    divisor, kept with it, did not stop first."""
     last = nvars - 1
     cells: list[Exponent] = []
 
@@ -372,28 +391,29 @@ def pure_power_profile(ideal: MonomialIdeal) -> PurePowerProfile:
 
 
 def _gens_from_cells(nvars: int, cells) -> set[Exponent]:
-    """Minimal generators of the complement of a divisor-closed cell set
-    (its corners: every divisor is a cell), in no particular order.
+    """The corners of a finite set of nonnegative cells, in no particular
+    order: the exponents w outside the set with every w - e_u (w_u > 0)
+    inside, each found as a cell plus a unit vector.  The origin, a corner
+    of any set without it, is returned only when no other corner is found,
+    as for the empty set.
 
-    Trusted internal path: assumes divisor-closure, skips validation.
+    When the set is divisor-closed, its corners are the minimal generators
+    of its complement.  The :class:`StandardSet` constructor also runs this
+    on sets not yet checked, and refuses those whose corners' staircase is
+    not the set.
     """
     found = set()
     for v in cells:
         for t in range(nvars):
             w = v[:t] + (v[t] + 1,) + v[t + 1:]
-            if w not in found and w not in cells and _divisors_in(nvars, cells, w):
+            if w in found or w in cells:
+                continue
+            for u in range(nvars):
+                if w[u] and w[:u] + (w[u] - 1,) + w[u + 1:] not in cells:
+                    break
+            else:
                 found.add(w)
-    # a nonempty finite set has a corner; the empty one's is (0, ..., 0)
     return found or {(0,) * nvars}
-
-
-def _divisors_in(nvars: int, cells, w: Exponent) -> bool:
-    """Whether every w - e_u with w_u > 0 is a cell: the corner rule, for a
-    w outside a divisor-closed cell set."""
-    for u in range(nvars):
-        if w[u] and w[:u] + (w[u] - 1,) + w[u + 1:] not in cells:
-            return False
-    return True
 
 
 def _variable_names(nvars: int) -> tuple[str, ...]:

@@ -17,16 +17,16 @@ collected into a machine-readable report by :func:`iter_discrepancies`;
 nothing in the production pipeline consumes region counts.
 
 Components are found by one breadth-first search on integer codes
-(:func:`_code_components`).  A cell p is packed as p_0 W_0 + p_1 W_1 + p_2
-with W_1 = r_2 and W_0 = r_1 r_2, where the radix r_t exceeds the largest
-digit any cell has at t by at least 2: m_t + 1 for the region of an ideal
-whose largest exponent of x_t is m_t, since a standard cell has p_t < m_t.
-A unit step along x_t is then a step of W_t.  A step that takes digit t
-past the cells' largest digit lands, without a carry, on a digit from that
-one plus 1 to r_t - 1; a step below 0 borrows, leaving digit t at r_t - 1
-or the code negative.  No cell has such a digit or code, so a step never
-aliases a cell it does not reach.  The code order is the lexicographic
-order of the cells.
+(:func:`_code_components`), under one packing (:func:`_weights`).  A cell
+p is packed as p_0 W_0 + p_1 W_1 + p_2 with W_1 = r_2 and W_0 = r_1 r_2,
+in the radix r_t = m_t + 1, where m_t is the ideal's largest exponent of
+x_t.  A standard cell has p_t < m_t, so r_t exceeds every cell's digit at
+t by at least 2.  A unit step along x_t is then a step of W_t.  A step
+that takes digit t past the cells' largest digit lands, without a carry,
+on a digit from that one plus 1 to r_t - 1; a step below 0 borrows,
+leaving digit t at r_t - 1 or the code negative.  No cell has such a
+digit or code, so a step never aliases a cell it does not reach.  The
+code order is the lexicographic order of the cells.
 """
 
 from __future__ import annotations
@@ -102,6 +102,12 @@ def _region(ideal: MonomialIdeal, alpha: Exponent,
     return [p for p in cells if (p[0] - a0, p[1] - a1, p[2] - a2) not in cells]
 
 
+def _weights(maxima: list[int]) -> tuple[int, int]:
+    """The weights W_0 and W_1 of the module docstring's packing."""
+    _m0, m1, m2 = maxima
+    return (m1 + 1) * (m2 + 1), m2 + 1
+
+
 def _code_components(codes, w0: int, w1: int) -> list[list[int]]:
     """6-connected components of a set of cells packed with the weights
     w0 = W_0 and w1 = W_1 of the module docstring, each as a list of
@@ -120,38 +126,24 @@ def _code_components(codes, w0: int, w1: int) -> list[list[int]]:
     return comps
 
 
-def _components(cells) -> tuple[frozenset[Exponent], ...]:
-    """6-connected components of a finite cell set (unit step in exactly
-    one coordinate), ordered by least cell.
-
-    Any finite set of integer triples is packed as the module docstring
-    says, with the set's own bounds: coordinate t becomes the digit
-    p_t - lo_t in [0, hi_t - lo_t], with radix hi_t - lo_t + 2, so the
-    digit hi_t - lo_t + 1 that a step past either bound leaves at t is no
-    cell's.  A component's least code is its least cell.
-    """
-    if not cells:
-        return ()
-    lo = [min(c[t] for c in cells) for t in range(3)]
-    r1, r2 = (max(c[t] for c in cells) - lo[t] + 2 for t in (1, 2))
-    w0, w1 = r1 * r2, r2
-    l0, l1, l2 = lo
-    cell_of = {(a - l0) * w0 + (b - l1) * w1 + c - l2: (a, b, c) for a, b, c in cells}
-    comps = _code_components(cell_of, w0, w1)
-    comps.sort(key=min)
-    return tuple(frozenset(map(cell_of.__getitem__, comp)) for comp in comps)
-
-
 def region_slice(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
                  standard: StandardSet | None = None) -> RegionSlice:
     """Cells, components, and the filtered component count at one degree.
-    ``standard`` follows the contract of :mod:`.tangent`."""
+    ``standard`` follows the contract of :mod:`.tangent`.
+
+    The components are ordered by least code, which is their least cell,
+    and the codes are read back to cells through a code-to-cell map."""
     alpha = _check_three_vars(ideal, alpha)
-    cells = frozenset(_region(ideal, alpha, standard))
-    components = _components(cells)
-    threshold = _threshold(_maxima(ideal), size_filter)
+    maxima = _maxima(ideal)
+    w0, w1 = _weights(maxima)
+    cell_of = {a * w0 + b * w1 + c: (a, b, c) for a, b, c in _region(ideal, alpha, standard)}
+    comps = _code_components(cell_of, w0, w1)
+    comps.sort(key=min)
+    components = tuple(frozenset(map(cell_of.__getitem__, comp)) for comp in comps)
+    threshold = _threshold(maxima, size_filter)
     counted = sum(1 for comp in components if len(comp) <= threshold)
-    return RegionSlice(alpha=alpha, cells=cells, components=components, counted=counted)
+    return RegionSlice(alpha=alpha, cells=frozenset(cell_of.values()), components=components,
+                       counted=counted)
 
 
 def region_component_count(ideal: MonomialIdeal, alpha, size_filter: int | None = None,
@@ -159,12 +151,11 @@ def region_component_count(ideal: MonomialIdeal, alpha, size_filter: int | None 
     """Number of 6-connected components of the region passing the filter.
     ``standard`` follows the contract of :mod:`.tangent`.
 
-    The region's cells are packed with the radix m_t + 1 (see the module
-    docstring), and only the component sizes are read."""
+    Only the component sizes are read, so the codes are kept in a plain
+    list, with no map back to the cells."""
     alpha = _check_three_vars(ideal, alpha)
     maxima = _maxima(ideal)
-    _m0, m1, m2 = maxima
-    w0, w1 = (m1 + 1) * (m2 + 1), m2 + 1
+    w0, w1 = _weights(maxima)
     codes = [a * w0 + b * w1 + c for a, b, c in _region(ideal, alpha, standard)]
     threshold = _threshold(maxima, size_filter)
     return sum(1 for comp in _code_components(codes, w0, w1) if len(comp) <= threshold)

@@ -8,14 +8,16 @@ colength and keeps the maximum and *all* attaining ideals per m1 class
 The work goes out as jobs of the reverse-search walk of
 :mod:`.enumeration`, in the job model of mts and mplrs (Avis and Jordan,
 arXiv:1709.07605 and arXiv:1610.07735); that module alone makes jobs and
-takes them apart.  Running a job walks its subtree and runs the tangent
-kernel at every staircase of its colength, on the corners the walk
-carries, until it has run it at ``JOB_BUDGET`` of them.  It returns, per
-m1 class, the count, the maximum and the staircases attaining it, and the
-children the walk did not enter as new jobs.  Each colength starts as the
-one job of its whole level.  The parent counts the jobs outstanding per
-colength, and a colength is merged, cached and counted as completed when
-its count reaches zero.
+takes them apart.  This one reads a job's colength, ``job[2]``, and nothing
+else of it: :func:`_job` labels its result with it, and ``_Master.wait`` a
+worker death.  Running a job walks its subtree and runs the tangent kernel
+at every staircase of its colength, on the corners the walk carries, until
+it has run it at ``JOB_BUDGET`` of them.  It returns, per m1 class, the
+count, the maximum and the staircases attaining it, and the children the
+walk did not enter as new jobs.  Each colength starts as the one job of its
+whole level.  The parent counts the jobs outstanding per colength, and a
+colength is merged, cached and counted as completed when its count reaches
+zero.
 
 Every job is alike, and the worker count alone decides where jobs run.
 At one worker the parent runs them itself, in process, and starts no

@@ -1,3 +1,4 @@
+import ast
 import copy as copy_module
 import pickle
 from dataclasses import asdict, fields, replace
@@ -13,6 +14,7 @@ from oracles import (
     is_borel_staircase,
     iter_order_ideal_levels,
     minimal_elements,
+    minimal_exponents_outside,
     standard_exponents_in_box,
 )
 from strategies import artinian_ideals, staircases
@@ -295,6 +297,44 @@ def test_standard_set_rejects_non_staircase():
         StandardSet(3, {(0, 0)})
     with pytest.raises(ValueError, match="nvars must be >= 1"):
         StandardSet(0, set())
+
+
+def _has_divisor_outside(cells, c):
+    """Whether some c - e_u with c_u > 0 is not in cells."""
+    return any(c[u] and c[:u] + (c[u] - 1,) + c[u + 1:] not in cells for u in range(len(c)))
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (1, 5)])
+def test_constructor_accepts_exactly_the_divisor_closed_sets(dims):
+    # every subset of the box, those without the origin included
+    box = list(product(*map(range, dims)))
+    accepted = 0
+    for mask in range(1 << len(box)):
+        cells = frozenset(c for i, c in enumerate(box) if mask >> i & 1)
+        if not any(_has_divisor_outside(cells, c) for c in cells):
+            std = StandardSet(len(dims), cells)
+            assert std.cells == cells
+            assert set(std._gens) == minimal_exponents_outside(cells, len(dims))
+            accepted += 1
+            continue
+        with pytest.raises(InvalidStaircaseError) as refusal:
+            StandardSet(len(dims), cells)
+        named = ast.literal_eval(str(refusal.value).split(": ")[1].split(" present")[0])
+        assert named in cells and _has_divisor_outside(cells, named)
+    # the staircases of the box: lattice paths, or 20 plane partitions in 2x2x2
+    assert accepted == {(3, 3): 20, (2, 2, 2): 20, (1, 5): 6}[dims]
+
+
+@settings(max_examples=200, deadline=None)
+@given(artinian_ideals(4), st.data())
+def test_columns_allows_redundant_generators(ideal, data):
+    # y^3 beside y: the staircase of (x, y) all the same
+    assert monomials_module._columns(2, [(0, 1), (0, 3), (1, 0)]) == [(0, 0)]
+    multiples = [tuple(e + data.draw(st.integers(0, 2)) for e in g) for g in ideal.gens]
+    gens = data.draw(st.permutations(ideal.gens + tuple(multiples)))
+    cells = monomials_module._columns(ideal.nvars, gens)
+    assert len(cells) == len(set(cells))
+    assert set(cells) == standard_set(ideal).cells
 
 
 def test_staircase_round_trip_small():

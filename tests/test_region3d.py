@@ -1,5 +1,4 @@
 import os
-import random
 import subprocess
 import sys
 from itertools import combinations, product
@@ -11,11 +10,11 @@ from hypothesis import strategies as st
 from strategies import artinian_ideals
 
 from boreltangent import region3d
+from boreltangent.enumeration import enumerate_strongly_stable
 from boreltangent.monomials import DimensionMismatchError, StandardSet, parse_ideal, standard_set
 from boreltangent.region3d import (
     RegionSlice,
     UnsupportedDimensionError,
-    _components,
     default_size_filter,
     iter_discrepancies,
     region_cells,
@@ -119,33 +118,32 @@ def test_default_size_filter_value():
     assert region_component_count(MAXIMAL, (-1, 0, 0), size_filter=0) == 0
 
 
-def _six_adjacent(p, q):
-    return sum(abs(a - b) for a, b in zip(p, q)) == 1
-
-
-def _is_six_connected(comp):
-    parent = {c: c for c in comp}
+def _six_components(cells):
+    """The 6-connected components of a cell set, by union-find over the
+    pairs of cells one unit step apart."""
+    parent = {c: c for c in cells}
 
     def find(c):
         while parent[c] != c:
             c = parent[c]
         return c
 
-    for p, q in combinations(comp, 2):
-        if _six_adjacent(p, q):
-            parent[find(p)] = find(q)
-    return len({find(c) for c in comp}) == 1
+    for p in cells:
+        for t in range(3):
+            q = p[:t] + (p[t] + 1,) + p[t + 1:]
+            if q in parent:
+                parent[find(p)] = find(q)
+    comps = {}
+    for c in cells:
+        comps.setdefault(find(c), set()).add(c)
+    return {frozenset(comp) for comp in comps.values()}
 
 
-def _check_labelling(cells):
-    comps = _components(cells)
+def _check_labelling(slc):
+    comps = slc.components
     assert all(comps)
-    assert sum(len(comp) for comp in comps) == len(cells)
-    assert frozenset().union(*comps) == frozenset(cells)
-    for comp in comps:
-        assert _is_six_connected(comp)
-    for first, second in combinations(comps, 2):
-        assert not any(_six_adjacent(p, q) for p in first for q in second)
+    assert sum(len(comp) for comp in comps) == len(slc.cells)
+    assert set(comps) == _six_components(slc.cells)
     least = [min(comp) for comp in comps]
     assert least == sorted(least)
     return comps
@@ -171,9 +169,11 @@ def test_region_count_matches_the_slice_and_the_definition(ideal, data):
     shifted = {p: tuple(a - b for a, b in zip(p, alpha)) for p in std.cells}
     region = {p for p, q in shifted.items() if min(q) < 0 or ideal.contains(q)}
     threshold = default_size_filter(ideal) if size_filter is None else size_filter
-    expect = sum(1 for comp in _components(region) if len(comp) <= threshold)
+    expect = sum(1 for comp in _six_components(region) if len(comp) <= threshold)
     assert region_component_count(ideal, alpha, size_filter, std) == expect
-    assert region_slice(ideal, alpha, size_filter, std).counted == expect
+    slc = region_slice(ideal, alpha, size_filter, std)
+    assert slc.counted == expect
+    _check_labelling(slc)
 
 
 # thin staircases: three arms of n - 1 cells along the axes, one cell at 0
@@ -195,7 +195,8 @@ THIN = {n: parse_ideal(f"x^{n},y^{n},z^{n},x*y,x*z,y*z") for n in (200, 1000)}
 def test_thin_staircase_regions(n, alpha, sizes):
     ideal = THIN[n]
     std = standard_set(ideal)
-    assert sorted(map(len, region_slice(ideal, alpha, standard=std).components)) == sizes
+    comps = _check_labelling(region_slice(ideal, alpha, standard=std))
+    assert sorted(map(len, comps)) == sizes
     # the default filter, (3n + 3)^2, passes every component
     assert region_component_count(ideal, alpha, standard=std) == len(sizes)
     assert region_component_count(ideal, alpha, n - 1, std) == sum(s <= n - 1 for s in sizes)
@@ -203,19 +204,23 @@ def test_thin_staircase_regions(n, alpha, sizes):
 
 
 def test_components_by_definition():
-    assert _components(frozenset()) == ()
-    # diagonal neighbours are not 6-adjacent
-    assert len(_check_labelling({(0, 0, 0), (1, 1, 0), (2, 2, 2)})) == 3
-    assert len(_check_labelling({(0, 0, 0), (0, 0, 1), (0, 1, 1), (5, 5, 5)})) == 2
-    # arbitrary cell sets (not staircases, negative coordinates allowed) in a
-    # small box; sparse densities give several components
-    rng = random.Random(20250621)
-    box = list(product(range(-1, 4), repeat=3))
-    multi = 0
-    for _ in range(200):
-        cells = {c for c in box if rng.random() < rng.choice((0.1, 0.25, 0.5, 0.8))}
-        multi += len(_check_labelling(cells)) > 1
+    assert region_slice(MAXIMAL, (0, 0, 0)).components == ()
+    # every N=3 Borel ideal of colength <= 7 at every degree of its support
+    # box widened by 1; some regions have cells of two components that
+    # touch diagonally, which are not 6-adjacent
+    multi = diagonal = 0
+    for l in range(1, 8):
+        for ideal in enumerate_strongly_stable(3, l):
+            std = standard_set(ideal)
+            box = alpha_support_box(ideal)
+            for alpha in product(*(range(lo - 1, hi + 2) for lo, hi in box)):
+                comps = _check_labelling(region_slice(ideal, alpha, standard=std))
+                multi += len(comps) > 1
+                diagonal += any(sorted(abs(a - b) for a, b in zip(p, q)) == [0, 1, 1]
+                                for first, second in combinations(comps, 2)
+                                for p in first for q in second)
     assert multi > 50
+    assert diagonal > 20
 
 
 def test_import_needs_no_numpy_or_scipy():
